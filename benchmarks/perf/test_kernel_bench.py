@@ -1,9 +1,9 @@
 """Scalar-vs-kernel micro-benchmarks with equivalence asserts.
 
 Each benchmark times one vectorized hot path and first checks the
-kernel agrees with the scalar reference (≤ 1e-9 relative — in
-practice bit-exact), so a perf regression hunt can never silently
-trade away correctness.  The ``repro bench`` CLI covers the same
+kernel agrees with the scalar reference bit-for-bit
+(``EQUIVALENCE_RTOL`` is 0), so a perf regression hunt can never
+silently trade away correctness.  The ``repro bench`` CLI covers the same
 ground end-to-end; these isolate the kernel calls for
 pytest-benchmark's statistics.
 """
@@ -63,15 +63,18 @@ def test_monte_carlo_kernel_engine(benchmark, suite90, line90,
 
 
 def test_batched_power_search(benchmark, suite90):
-    """Batched min-power search returns the scalar optimizer's answer."""
-    from repro.buffering.optimizer import minimize_power_under_delay
-    model = suite90.proposed
-    max_delay = suite90.tech.clock_period()
-    scalar = minimize_power_under_delay(model, mm(5), max_delay,
-                                        use_kernels=False)
-    kernel = minimize_power_under_delay(model, mm(5), max_delay,
-                                        use_kernels=True)
-    assert scalar == kernel
+    """Batched min-power search returns the scalar search's answer."""
+    from repro.buffering.optimizer import (
+        DEFAULT_INPUT_SLEW,
+        DEFAULT_MAX_SIZE,
+        _count_candidates,
+        minimize_power_under_delay_scalar,
+    )
+    from repro.kernels import minimize_power_under_delay_batch
+    args = (suite90.proposed, mm(5), suite90.tech.clock_period(),
+            DEFAULT_INPUT_SLEW, DEFAULT_MAX_SIZE, 1,
+            _count_candidates(mm(5)))
+    assert minimize_power_under_delay_scalar(*args) == \
+        minimize_power_under_delay_batch(*args)
 
-    benchmark(minimize_power_under_delay, model, mm(5), max_delay,
-              use_kernels=True)
+    benchmark(minimize_power_under_delay_batch, *args)

@@ -18,7 +18,6 @@ from repro.analysis.core import Checker
 from repro.analysis.project import ProjectChecker
 from repro.analysis.checkers.cache_purity import CachePurityChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
-from repro.analysis.checkers.kernel_parity import KernelParityChecker
 from repro.analysis.checkers.span_hygiene import SpanHygieneChecker
 from repro.analysis.checkers.unit_flow import UnitFlowChecker
 from repro.analysis.checkers.units import UnitsChecker
@@ -38,7 +37,6 @@ ALL_CHECKERS: List[Type[Checker]] = [
 
 #: Every registered whole-program rule, in reporting order.
 PROJECT_CHECKERS: List[Type[ProjectChecker]] = [
-    KernelParityChecker,
     WorkerSafetyTransitiveChecker,
     UnitFlowChecker,
 ]
@@ -60,7 +58,6 @@ __all__ = [
     "PROJECT_CHECKERS_BY_RULE",
     "CachePurityChecker",
     "DeterminismChecker",
-    "KernelParityChecker",
     "SpanHygieneChecker",
     "UnitFlowChecker",
     "UnitsChecker",

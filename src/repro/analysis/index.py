@@ -2,16 +2,15 @@
 
 One :class:`FileIndex` summarizes everything the interprocedural rules
 need to know about a file *without* holding onto its AST: the
-functions it defines (with parameter names, arithmetic-operation
-multisets, numeric constants and nondeterminism taints), the imports
-it binds, and every call site with its argument identifiers.  The
-summary is plain JSON-serializable data, which is what makes the
-incremental lint cache possible — a warm run deserializes indexes
-instead of re-parsing sources.
+functions it defines (with parameter names and nondeterminism
+taints), the imports it binds, and every call site with its argument
+identifiers.  The summary is plain JSON-serializable data, which is
+what makes the incremental lint cache possible — a warm run
+deserializes indexes instead of re-parsing sources.
 
-Index entries are *module-qualified*: ``repro/kernels/wire.py`` indexes
-as module ``repro.kernels.wire`` and its ``wire_delay`` as
-``repro.kernels.wire.wire_delay``.  Files outside an importable root
+Index entries are *module-qualified*: ``repro/models/wire.py`` indexes
+as module ``repro.models.wire`` and its ``wire_delay`` as
+``repro.models.wire.wire_delay``.  Files outside an importable root
 (scripts, tests) get a dotted name derived from their path, so every
 indexed file has a stable, unique module name.
 
@@ -27,30 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bump when the index payload layout (or what gets extracted into it)
 #: changes; cached per-file indexes are invalidated by the bump.
-INDEX_SCHEMA = 1
-
-#: Arithmetic operators whose multiset the kernel-parity rule compares.
-_ARITH_OPS = ("Add", "Sub", "Mult", "Div", "Pow", "FloorDiv", "Mod",
-              "MatMult", "USub")
-
-#: Calls that are arithmetic in disguise, canonicalized into the op
-#: multiset so ``x ** a`` pairs with ``np.power(x, a)``, ``max`` with
-#: ``np.maximum`` (elementwise — reductions like ``numpy.max`` are
-#: deliberately absent), and ``sum(...)`` with a chain of ``+``.
-#: ``numpy.clip`` expands to one Max and one Min.
-_OP_CALLS: Dict[str, Tuple[str, ...]] = {
-    "max": ("Max",), "min": ("Min",), "sum": ("Add",),
-    "abs": ("Abs",), "pow": ("Pow",),
-    "math.pow": ("Pow",), "math.sqrt": ("Sqrt",),
-    "math.exp": ("Exp",), "math.log": ("Log",),
-    "math.fabs": ("Abs",),
-    "numpy.maximum": ("Max",), "numpy.minimum": ("Min",),
-    "numpy.power": ("Pow",), "numpy.float_power": ("Pow",),
-    "numpy.sqrt": ("Sqrt",), "numpy.exp": ("Exp",),
-    "numpy.log": ("Log",), "numpy.abs": ("Abs",),
-    "numpy.absolute": ("Abs",),
-    "numpy.clip": ("Max", "Min"),
-}
+INDEX_SCHEMA = 2
 
 #: np.random attributes that are part of the sanctioned seeded API
 #: (mirrors the determinism checker's list).
@@ -140,7 +116,7 @@ class CallSite:
 
     caller: str     # in-module qualname of the enclosing function
     #                 ("" at module level)
-    callee: str     # dotted source text ("krepeater.delay",
+    callee: str     # dotted source text ("np.maximum",
     #                 "parallel_map", "self.design")
     line: int
     col: int
@@ -167,8 +143,6 @@ class FunctionInfo:
     line: int
     params: Tuple[str, ...]         # declared order, incl. self/cls
     is_method: bool
-    ops: Dict[str, int] = field(default_factory=dict)
-    consts: Dict[str, int] = field(default_factory=dict)
     taints: Tuple[Taint, ...] = ()
     cache_scoped: bool = False
 
@@ -178,8 +152,6 @@ class FunctionInfo:
             "line": self.line,
             "params": list(self.params),
             "is_method": self.is_method,
-            "ops": dict(self.ops),
-            "consts": dict(self.consts),
             "taints": [taint.to_payload() for taint in self.taints],
             "cache_scoped": self.cache_scoped,
         }
@@ -191,10 +163,6 @@ class FunctionInfo:
             line=int(payload["line"]),
             params=tuple(payload["params"]),
             is_method=bool(payload["is_method"]),
-            ops={key: int(value)
-                 for key, value in payload["ops"].items()},
-            consts={key: int(value)
-                    for key, value in payload["consts"].items()},
             taints=tuple(Taint.from_payload(entry)
                          for entry in payload["taints"]),
             cache_scoped=bool(payload["cache_scoped"]),
@@ -208,7 +176,7 @@ class FileIndex:
     path: str
     module: str
     #: local alias → module-qualified target ("np" → "numpy",
-    #: "krepeater" → "repro.kernels.repeater",
+    #: "klut" → "repro.kernels.lut",
     #: "span" → "repro.runtime.trace.span").
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
@@ -267,27 +235,15 @@ def _terminal(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _const_key(value: Any) -> Optional[str]:
-    """Canonical multiset key for a numeric literal (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float,
-                                                         complex)):
-        return None
-    return repr(value)
-
-
 class _Indexer(ast.NodeVisitor):
     """One recursive walk building a :class:`FileIndex`."""
 
     def __init__(self, index: FileIndex):
         self.index = index
         #: stack of (qualname, FunctionInfo|None) — classes push
-        #: (name, None) so methods qualify but ops do not attribute.
+        #: (name, None) so methods qualify but taints do not attribute.
         self._stack: List[Tuple[str, Optional[FunctionInfo]]] = []
         self._mutable_globals: set = set()
-        #: >0 while inside a comparison or subscript slice, where
-        #: numeric literals are guards/indexing, not arithmetic
-        #: constants.
-        self._const_blind = 0
 
     # -- helpers ----------------------------------------------------------
 
@@ -396,20 +352,7 @@ class _Indexer(ast.NodeVisitor):
                                node: ast.AsyncFunctionDef) -> None:
         self._visit_function(node)
 
-    # -- arithmetic facts -------------------------------------------------
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        info = self._current_function()
-        op = type(node.op).__name__
-        if info is not None and op in _ARITH_OPS:
-            info.ops[op] = info.ops.get(op, 0) + 1
-        self.generic_visit(node)
-
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        info = self._current_function()
-        op = type(node.op).__name__
-        if info is not None and op in _ARITH_OPS:
-            info.ops[op] = info.ops.get(op, 0) + 1
         target = node.target
         if isinstance(target, ast.Name) \
                 and target.id in self._mutable_globals:
@@ -417,40 +360,6 @@ class _Indexer(ast.NodeVisitor):
                         f"augmented assignment to module global "
                         f"'{target.id}'", node.lineno)
         self.generic_visit(node)
-
-    def visit_UnaryOp(self, node: ast.UnaryOp) -> None:
-        info = self._current_function()
-        if isinstance(node.op, ast.USub) \
-                and isinstance(node.operand, ast.Constant):
-            # Negated literals (``-1.0``) read as signed constants,
-            # not as an arithmetic operation on a magnitude.
-            key = _const_key(node.operand.value)
-            if key is not None:
-                if info is not None and not self._const_blind:
-                    signed = f"-{key}"
-                    info.consts[signed] = info.consts.get(signed,
-                                                          0) + 1
-                return
-        if info is not None and isinstance(node.op, ast.USub):
-            info.ops["USub"] = info.ops.get("USub", 0) + 1
-        self.generic_visit(node)
-
-    def visit_Constant(self, node: ast.Constant) -> None:
-        if self._const_blind:
-            return
-        info = self._current_function()
-        key = _const_key(node.value)
-        if info is not None and key is not None:
-            info.consts[key] = info.consts.get(key, 0) + 1
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        # Guard literals (``if length <= 0``) are not arithmetic
-        # constants; operations inside the comparison still count.
-        self._const_blind += 1
-        try:
-            self.generic_visit(node)
-        finally:
-            self._const_blind -= 1
 
     # -- taints -----------------------------------------------------------
 
@@ -470,11 +379,6 @@ class _Indexer(ast.NodeVisitor):
         resolved = self._resolved(node.func)
         if resolved is not None:
             self._record_call_taints(node, resolved)
-            ops = _OP_CALLS.get(resolved)
-            info = self._current_function()
-            if ops is not None and info is not None:
-                for op in ops:
-                    info.ops[op] = info.ops.get(op, 0) + 1
         self._record_call_site(node)
         self._record_cache_scope(node)
         self._record_global_mutation(node)
@@ -554,14 +458,7 @@ class _Indexer(ast.NodeVisitor):
             self._taint("global-write",
                         f"writes module global "
                         f"'{node.value.id}[...]'", node.lineno)
-        self.visit(node.value)
-        # Index literals (``coeffs[0]``, ``factors[:, :, 0::2]``) are
-        # addressing, not arithmetic constants.
-        self._const_blind += 1
-        try:
-            self.visit(node.slice)
-        finally:
-            self._const_blind -= 1
+        self.generic_visit(node)
 
 
 def index_source(source: str, path: str,

@@ -3,7 +3,7 @@
 ``repro bench`` times the two hot paths that the vectorized kernels
 accelerate — Monte-Carlo variation analysis and link-design sweeps —
 once on the scalar reference path and once on the batched kernels,
-checks the results agree (≤ :data:`EQUIVALENCE_RTOL` relative), and
+checks the results agree bit-for-bit (:data:`EQUIVALENCE_RTOL`), and
 writes ``BENCH_kernels.json``:
 
 .. code-block:: json
@@ -44,8 +44,9 @@ from repro.units import mm, ps
 #: Bump when the BENCH_kernels.json layout changes incompatibly.
 BENCH_SCHEMA = 1
 
-#: Maximum allowed scalar-vs-kernel relative difference.
-EQUIVALENCE_RTOL = 1e-9
+#: Maximum allowed scalar-vs-kernel relative difference: the kernels
+#: run the models' own functions, so both paths must agree exactly.
+EQUIVALENCE_RTOL = 0.0
 
 #: Monte-Carlo sample counts (full / --quick).
 DEFAULT_SAMPLES = 10_000
@@ -179,37 +180,43 @@ def run_link_sweep_bench(node: str = "90nm",
                          reps: int = 1) -> BenchResult:
     """Time the min-power link design sweep, scalar vs kernel search.
 
-    Both paths follow the same search trajectory by construction, so
-    the chosen (count, size) and the resulting delay/power must agree
-    exactly; the recorded difference covers delay and total power of
-    every design.
+    Calls the scalar reference search and the lockstep search directly
+    with the same arguments.  Both follow the same search trajectory by
+    construction, so the chosen (count, size) and the resulting
+    delay/power must agree exactly; the recorded difference covers
+    delay and total power of every design.
     """
-    from repro.buffering.optimizer import minimize_power_under_delay
+    from repro.buffering.optimizer import (
+        DEFAULT_INPUT_SLEW,
+        DEFAULT_MAX_SIZE,
+        _count_candidates,
+        minimize_power_under_delay_scalar,
+    )
     from repro.experiments.suite import ModelSuite
+    from repro.kernels import minimize_power_under_delay_batch
     from repro.runtime.metrics import METRICS, Histogram
 
     suite = ModelSuite.for_node(node)
     model = suite.proposed
     max_delay = suite.tech.clock_period()
+    searches = [(model, mm(length), max_delay, DEFAULT_INPUT_SLEW,
+                 DEFAULT_MAX_SIZE, 1, _count_candidates(mm(length)))
+                for length in lengths_mm]
 
     scalar_walls = Histogram()
     kernel_walls = Histogram()
     scalar = kernel = None
     for _ in range(max(1, reps)):
         started = time.perf_counter()
-        scalar = [minimize_power_under_delay(model, mm(length),
-                                             max_delay,
-                                             use_kernels=False)
-                  for length in lengths_mm]
+        scalar = [minimize_power_under_delay_scalar(*args)
+                  for args in searches]
         elapsed = time.perf_counter() - started
         scalar_walls.observe(elapsed)
         METRICS.observe("bench.link_sweep.scalar_seconds", elapsed)
 
         started = time.perf_counter()
-        kernel = [minimize_power_under_delay(model, mm(length),
-                                             max_delay,
-                                             use_kernels=True)
-                  for length in lengths_mm]
+        kernel = [minimize_power_under_delay_batch(*args)
+                  for args in searches]
         elapsed = time.perf_counter() - started
         kernel_walls.observe(elapsed)
         METRICS.observe("bench.link_sweep.kernel_seconds", elapsed)

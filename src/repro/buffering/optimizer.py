@@ -16,6 +16,14 @@ Two search primitives, mirroring Section III-D:
 The objective is the weighted product ``delay^w * power^(1-w)`` —
 scale-free, so no normalization constants are needed; ``w = 1`` recovers
 delay-optimal buffering and smaller ``w`` trades delay for power.
+
+Each search has two implementations with one signature: the scalar
+reference here (``*_scalar``, one ``model.evaluate`` per probe, for any
+model) and the lockstep form in :mod:`repro.kernels.search`, which runs
+every repeater count as a lane of one batched search and returns the
+same solution.  The public entry points validate their inputs, then let
+the model pick: the lockstep form for models an array path serves
+(:func:`repro.kernels.array_path`), the scalar one otherwise.
 """
 
 from __future__ import annotations
@@ -98,25 +106,44 @@ def _best_size_for_count(model, length: float, count: int,
     return BufferingSolution(count, x2, e2, f2)
 
 
-def _use_kernel_search(model, use_kernels: Optional[bool]) -> bool:
-    """Resolve the kernel-dispatch tri-state.
+def _search_counts(counts: Sequence[int], max_size: float
+                   ) -> "list[int]":
+    """The candidate counts as a list, after the checks every search
+    needs whichever implementation runs it."""
+    counts = list(counts)
+    if not counts:
+        raise ValueError("counts must name at least one repeater count")
+    if max_size < 1.0:
+        raise ValueError("max_size must be at least 1 (the minimum "
+                         "repeater)")
+    return counts
 
-    ``None`` auto-detects (kernels engage for the plain proposed
-    model); ``True`` insists and raises for unsupported models;
-    ``False`` forces the scalar reference path.
-    """
-    if use_kernels is False:
-        return False
-    from repro.kernels.line import supports_model
-    from repro.kernels.lut import serves_model
-    supported = supports_model(model) or serves_model(model)
-    if use_kernels and not supported:
-        raise ValueError(
-            f"use_kernels=True but {type(model).__name__} is not "
-            "supported by the batched kernels (only the plain "
-            "BufferedInterconnectModel and its LUT-served wrapper "
-            "are)")
-    return supported
+
+def _lockstep(model) -> bool:
+    """True when a batched lane serves ``model``."""
+    from repro.kernels import array_path
+    return array_path(model) is not None
+
+
+def optimize_buffering_scalar(
+    model,
+    length: float,
+    counts: Sequence[int],
+    delay_weight: float,
+    input_slew: float,
+    max_size: float,
+    bus_width: int,
+) -> BufferingSolution:
+    """Scalar reference search of :func:`optimize_buffering`: one
+    golden-section search per count, first strict minimum wins."""
+    best: Optional[BufferingSolution] = None
+    for count in counts:
+        candidate = _best_size_for_count(
+            model, length, count, input_slew, delay_weight, max_size,
+            bus_width)
+        if best is None or candidate.objective < best.objective:
+            best = candidate
+    return best
 
 
 def optimize_buffering(
@@ -128,16 +155,13 @@ def optimize_buffering(
     max_size: float = DEFAULT_MAX_SIZE,
     bus_width: int = 1,
     counts: Optional[Sequence[int]] = None,
-    use_kernels: Optional[bool] = None,
 ) -> BufferingSolution:
     """Best (count, size) for the weighted delay-power objective.
 
     ``counts`` overrides the repeater-count candidates; by default every
     count from 1 to ``max_repeaters`` (a heuristic cap derived from the
-    line length) is tried.  When the model supports the batched
-    kernels (see ``use_kernels``), all counts are searched as lanes of
-    one lockstep golden-section search, following the same trajectory
-    as this scalar loop.
+    line length) is tried.  ``max_size`` (at least 1) caps the
+    repeater size.
     """
     if not 0.0 <= delay_weight <= 1.0:
         raise ValueError("delay_weight must lie in [0, 1]")
@@ -149,54 +173,27 @@ def optimize_buffering(
             # Generous cap: about four repeaters per millimeter.
             max_repeaters = max(2, int(length / 0.25e-3))
         counts = range(1, max_repeaters + 1)
+    counts = _search_counts(counts, max_size)
 
-    if _use_kernel_search(model, use_kernels):
+    if _lockstep(model):
         from repro.kernels.search import optimize_buffering_batch
-        return optimize_buffering_batch(
-            model, length, list(counts), delay_weight, input_slew,
-            max_size, bus_width)
-
-    best: Optional[BufferingSolution] = None
-    for count in counts:
-        candidate = _best_size_for_count(
-            model, length, count, input_slew, delay_weight, max_size,
-            bus_width)
-        if best is None or candidate.objective < best.objective:
-            best = candidate
-    assert best is not None
-    return best
+        search = optimize_buffering_batch
+    else:
+        search = optimize_buffering_scalar
+    return search(model, length, counts, delay_weight, input_slew,
+                  max_size, bus_width)
 
 
-def minimize_power_under_delay(
+def minimize_power_under_delay_scalar(
     model,
     length: float,
     max_delay: float,
-    input_slew: float = DEFAULT_INPUT_SLEW,
-    max_size: float = DEFAULT_MAX_SIZE,
-    bus_width: int = 1,
-    counts: Optional[Sequence[int]] = None,
-    use_kernels: Optional[bool] = None,
+    input_slew: float,
+    max_size: float,
+    bus_width: int,
+    counts: Sequence[int],
 ) -> Optional[BufferingSolution]:
-    """Cheapest buffering whose delay meets ``max_delay``.
-
-    Returns ``None`` when no configuration meets the bound (the link is
-    infeasible at this length and clock) — which is exactly the
-    feasibility check the NoC synthesizer performs per candidate link.
-    ``counts`` defaults to a sparse candidate set sized to the length.
-    Kernel dispatch as in :func:`optimize_buffering`.
-    """
-    if max_delay <= 0:
-        raise ValueError("max_delay must be positive")
-    if counts is None:
-        counts = _count_candidates(length)
-
-    if _use_kernel_search(model, use_kernels):
-        from repro.kernels.search import \
-            minimize_power_under_delay_batch
-        return minimize_power_under_delay_batch(
-            model, length, max_delay, input_slew, max_size, bus_width,
-            list(counts))
-
+    """Scalar reference search of :func:`minimize_power_under_delay`."""
     best: Optional[BufferingSolution] = None
     for count in counts:
         # Fastest configuration at this count: delay-weighted search.
@@ -233,13 +230,44 @@ def minimize_power_under_delay(
     return best
 
 
+def minimize_power_under_delay(
+    model,
+    length: float,
+    max_delay: float,
+    input_slew: float = DEFAULT_INPUT_SLEW,
+    max_size: float = DEFAULT_MAX_SIZE,
+    bus_width: int = 1,
+    counts: Optional[Sequence[int]] = None,
+) -> Optional[BufferingSolution]:
+    """Cheapest buffering whose delay meets ``max_delay``.
+
+    Returns ``None`` when no configuration meets the bound (the link is
+    infeasible at this length and clock) — which is exactly the
+    feasibility check the NoC synthesizer performs per candidate link.
+    ``counts`` defaults to a sparse candidate set sized to the length.
+    """
+    if max_delay <= 0:
+        raise ValueError("max_delay must be positive")
+    if counts is None:
+        counts = _count_candidates(length)
+    counts = _search_counts(counts, max_size)
+
+    if _lockstep(model):
+        from repro.kernels.search import \
+            minimize_power_under_delay_batch
+        search = minimize_power_under_delay_batch
+    else:
+        search = minimize_power_under_delay_scalar
+    return search(model, length, max_delay, input_slew, max_size,
+                  bus_width, counts)
+
+
 def max_feasible_length(
     model,
     max_delay: float,
     input_slew: float = DEFAULT_INPUT_SLEW,
     upper_bound: float = 30e-3,
     max_size: float = DEFAULT_MAX_SIZE,
-    use_kernels: Optional[bool] = None,
 ) -> float:
     """Longest line (meters) whose optimally buffered delay meets
     ``max_delay``.
@@ -252,8 +280,7 @@ def max_feasible_length(
         solution = optimize_buffering(
             model, length, delay_weight=1.0, input_slew=input_slew,
             max_size=max_size,
-            counts=_count_candidates(length),
-            use_kernels=use_kernels)
+            counts=_count_candidates(length))
         return solution.delay <= max_delay
 
     low = 0.1e-3

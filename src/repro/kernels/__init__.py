@@ -1,21 +1,17 @@
-"""Vectorized NumPy kernels for the closed-form models.
+"""Vectorized NumPy lanes over the closed-form models.
 
-The scalar models in :mod:`repro.models` are the golden reference:
-one Python call per repeater equation, readable and individually
-testable.  The hot paths, however, evaluate those formulas thousands
-of times with different arguments — Monte-Carlo variation draws,
-repeater-count x size candidate grids, length sweeps.  This package
-re-expresses the same closed forms as NumPy broadcasting over lanes,
-so one ufunc-style call replaces thousands of scalar invocations:
+The hot paths evaluate the paper's closed forms thousands of times
+with different arguments — Monte-Carlo variation draws, repeater-count
+x size candidate grids, length sweeps.  The equations themselves live
+once, in :mod:`repro.models`, and accept floats or arrays; this package
+runs them as NumPy broadcasting over lanes, so one call replaces
+thousands of scalar invocations:
 
-* :mod:`repro.kernels.repeater` — the three repeater equations
-  (delay, output slew, input capacitance) over arrays;
-* :mod:`repro.kernels.wire` — the enhanced Pamunuwa wire RC/delay
-  terms with the expensive per-meter parasitics hoisted out of the
-  inner loop (:class:`~repro.kernels.wire.WireCoefficients`);
 * :mod:`repro.kernels.line` — the composed buffered-line delay/power
   over ``(count, size, length)`` lanes
-  (:func:`~repro.kernels.line.evaluate_line_batch`);
+  (:func:`~repro.kernels.line.evaluate_line_batch`), and
+  :func:`~repro.kernels.line.array_path`, which says whether a model
+  takes the closed-form lane, the LUT lane or neither;
 * :mod:`repro.kernels.search` — lockstep golden-section / bisection
   searches over all repeater-count lanes at once, reproducing the
   scalar optimizer's trajectory decision-for-decision;
@@ -27,11 +23,11 @@ so one ufunc-style call replaces thousands of scalar invocations:
 
 Contracts:
 
-* **Equivalence** — every kernel mirrors the scalar expressions
-  operation-for-operation (same association order, sequential
-  accumulation instead of ``np.sum``), so results match the scalar
-  path elementwise to within a few ULP; the test suite asserts a
-  1e-9 relative bound.
+* **Equivalence** — the lanes call the models' own functions and keep
+  the scalar paths' accumulation order (sequential, not ``np.sum``),
+  so every lane is bit-identical to the matching scalar call; the
+  tests compare them with ``==``.  The one exception is the fractional
+  weighted search objective, where ``pow`` may differ by one ulp.
 * **No RNG** — kernels are pure array transforms.  All random draws
   happen in the caller (which owns the ``SeedSequence`` streams) and
   arrive as arrays; ``repro lint`` enforces this.
@@ -43,24 +39,29 @@ Contracts:
 
 from __future__ import annotations
 
-from repro.kernels.line import LineBatch, evaluate_line_batch, \
-    supports_model
+from repro.kernels.line import (
+    CLOSED_FORM,
+    LUT,
+    LineBatch,
+    array_path,
+    evaluate_line_batch,
+)
 from repro.kernels.lut import (
     evaluate_line_lut,
     interpolate_trilinear,
     line_delay_first_order,
-    serves_model,
 )
 from repro.kernels.search import (
     minimize_power_under_delay_batch,
     optimize_buffering_batch,
 )
 from repro.kernels.variation import line_delay_batch
-from repro.kernels.wire import WireCoefficients
 
 __all__ = [
+    "CLOSED_FORM",
+    "LUT",
     "LineBatch",
-    "WireCoefficients",
+    "array_path",
     "evaluate_line_batch",
     "evaluate_line_lut",
     "interpolate_trilinear",
@@ -68,6 +69,4 @@ __all__ = [
     "line_delay_batch",
     "minimize_power_under_delay_batch",
     "optimize_buffering_batch",
-    "serves_model",
-    "supports_model",
 ]

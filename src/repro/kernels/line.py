@@ -9,32 +9,51 @@ accumulates exactly the stages the scalar loop would have.
 
 The slew chain is inherently sequential (stage ``k+1`` consumes stage
 ``k``'s output slew), so the loop over *stages* stays in Python — the
-win is that each iteration evaluates *all lanes* at once, and the
-expensive per-meter wire parasitics are hoisted once per batch.
+win is that each iteration evaluates *all lanes* at once through the
+model's own :meth:`~repro.models.interconnect.BufferedInterconnectModel.stage_delay`,
+and the expensive per-meter wire parasitics are computed once per
+batch.
+
+:func:`array_path` decides which lane serves a model; it is the only
+code in the package that inspects model types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.kernels import repeater as krepeater
-from repro.kernels import wire as kwire
-from repro.models.area import wire_area
 from repro.models.interconnect import BufferedInterconnectModel
+from repro.models.wire import WireCoefficients
 from repro.runtime.metrics import METRICS
 from repro.runtime.trace import span
 
+#: :func:`array_path` answer for the plain closed-form model.
+CLOSED_FORM = "closed-form"
 
-def supports_model(model: object) -> bool:
-    """True when ``model`` can be evaluated by the kernels.
+#: :func:`array_path` answer for a LUT-served closed-form model.
+LUT = "lut"
 
-    Subclasses may override ``stage_delay``/``evaluate`` (e.g. the
-    slew-aware sign-off variant), which the kernels would silently
-    ignore — so the check is an exact type match, not ``isinstance``.
+
+def array_path(model: object) -> Optional[str]:
+    """Which batched lane serves ``model``, or ``None``.
+
+    :data:`CLOSED_FORM` for a plain ``BufferedInterconnectModel``;
+    :data:`LUT` for a LUT-served wrapper over one (its tables serve
+    what they cover, its base model the rest).  Anything else —
+    including subclasses such as the slew-aware model, whose
+    overridden stage the lanes would skip — gets ``None`` and takes
+    the scalar paths.
     """
-    return type(model) is BufferedInterconnectModel
+    if type(model) is BufferedInterconnectModel:
+        return CLOSED_FORM
+    from repro.luts.model import LUTInterconnectModel
+    if (type(model) is LUTInterconnectModel
+            and array_path(model.base) == CLOSED_FORM):
+        return LUT
+    return None
 
 
 @dataclass(frozen=True)
@@ -77,30 +96,31 @@ def evaluate_line_batch(
     ``length`` in meters, ``num_repeaters`` integral, ``repeater_size``
     the dimensionless drive multiple; scalars broadcast.
     ``receiver_cap`` defaults per lane to the lane's own repeater input
-    capacitance, matching the scalar default.
+    capacitance, matching the scalar default.  LUT-served models go to
+    :func:`repro.kernels.lut.evaluate_line_lut`.  Non-positive sizes
+    raise ``ValueError`` from the model's own width equation.
     """
-    if not supports_model(model):
+    path = array_path(model)
+    if path == LUT:
         from repro.kernels import lut as klut
-        if klut.serves_model(model):
-            return klut.evaluate_line_lut(
-                model, length, num_repeaters, repeater_size,
-                input_slew, bus_width=bus_width,
-                receiver_cap=receiver_cap)
+        return klut.evaluate_line_lut(
+            model, length, num_repeaters, repeater_size,
+            input_slew, bus_width=bus_width,
+            receiver_cap=receiver_cap)
+    if path is None:
         raise TypeError(
-            "evaluate_line_batch mirrors the plain "
-            "BufferedInterconnectModel stage arithmetic; got "
+            "evaluate_line_batch runs the plain "
+            "BufferedInterconnectModel stage; got "
             f"{type(model).__name__}")
     lengths, counts, sizes = np.broadcast_arrays(
         np.atleast_1d(np.asarray(length, dtype=float)),
         np.atleast_1d(np.asarray(num_repeaters)),
         np.atleast_1d(np.asarray(repeater_size, dtype=float)),
     )
-    if not np.all(lengths > 0):
+    if not (lengths > 0).all():
         raise ValueError("length must be positive")
-    if not np.all(counts >= 1):
+    if not (counts >= 1).all():
         raise ValueError("need at least one repeater")
-    if not np.all(sizes > 0):
-        raise ValueError("size must be positive")
     counts = counts.astype(int)
 
     lanes = lengths.size
@@ -108,54 +128,36 @@ def evaluate_line_batch(
     METRICS.count("kernels.batch_size", lanes)
     with span("kernels.line_batch", lanes=lanes), \
             METRICS.timer("kernels.batch"):
-        tech = model.tech
-        calibration = model.calibration
-        coeffs = kwire.WireCoefficients.from_config(model.config)
-
+        wire = WireCoefficients.from_config(model.config)
         segment = lengths / counts
-        input_cap = krepeater.input_capacitance(tech, calibration, sizes)
+        input_cap = model.repeater_model().input_capacitance(sizes)
         receiver = (input_cap if receiver_cap is None
                     else np.broadcast_to(float(receiver_cap),
                                          lengths.shape))
-        wn, wp = krepeater.inverter_widths(tech, sizes)
+        wn, wp = model.tech.inverter_widths(sizes)
 
         total_delay = np.zeros(lengths.shape)
         slew = np.broadcast_to(float(input_slew), lengths.shape).copy()
         rising = True
-        inverting = calibration.kind.inverting
+        inverting = model.calibration.kind.inverting
         max_count = int(counts.max())
         for stage in range(max_count):
             active = stage < counts
-            direction = calibration.direction(rising)
-            wr = wp if rising else wn
-            next_cap = np.where(stage + 1 < counts, input_cap, receiver)
-            load = kwire.effective_load_capacitance(
-                coeffs, segment, next_cap)
-            d_repeater = krepeater.delay(direction, slew, wr, load)
-            d_wire = kwire.wire_delay(coeffs, segment, next_cap)
-            slew_out = krepeater.output_slew(direction, load, slew, wr)
-            total_delay = np.where(active,
-                                   total_delay + (d_repeater + d_wire),
+            # With the default receiver every stage drives input_cap.
+            next_cap = (input_cap if receiver is input_cap
+                        else np.where(stage + 1 < counts, input_cap,
+                                      receiver))
+            d_stage, slew_out = model.stage_delay(
+                wire, wp if rising else wn, slew, segment, next_cap,
+                rising)
+            total_delay = np.where(active, total_delay + d_stage,
                                    total_delay)
             slew = np.where(active, slew_out, slew)
             if inverting:
                 rising = not rising
 
-        switched = (kwire.switched_wire_capacitance(coeffs, lengths)
-                    + counts * input_cap)
-        p_dynamic = bus_width * (model.activity_factor * switched
-                                 * tech.vdd * tech.vdd
-                                 * tech.clock_frequency)
-
-        e0n, e1n = calibration.leakage_n
-        e0p, e1p = calibration.leakage_p
-        p_sn = e0n + e1n * wn
-        p_sp = e0p + e1p * wp
-        p_leak = bus_width * counts * (0.5 * (p_sn + p_sp))
-
-        f0, f1 = calibration.area
-        a_repeaters = bus_width * counts * (f0 + f1 * wn)
-        a_wire = wire_area(model.config, lengths, bus_width)
+        p_dynamic, p_leak, a_repeaters, a_wire = model.power_and_area(
+            wire, lengths, counts, wn, wp, input_cap, bus_width)
 
         return LineBatch(
             delay=total_delay,

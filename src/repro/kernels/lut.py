@@ -1,6 +1,6 @@
 """Batched LUT interpolation lane (the characterization tier's hot path).
 
-Three public kernels, each registered in :mod:`repro.kernels.parity`:
+Three public kernels:
 
 * :func:`interpolate_trilinear` — gather + fused multilinear weights
   over the ``(size, length, count)`` grid, the batch mirror of
@@ -12,8 +12,9 @@ Three public kernels, each registered in :mod:`repro.kernels.parity`:
   sensitivity weights, all draws in one call;
 * :func:`evaluate_line_lut` — the LUT-served form of
   :func:`repro.kernels.line.evaluate_line_batch`: delay and slew from
-  the tables, power and area from the exact closed forms (they are
-  O(1) already, and keeping them exact keeps the min-power objective
+  the tables, power and area from the base model's own
+  :meth:`~repro.models.interconnect.BufferedInterconnectModel.power_and_area`
+  (O(1) already, and keeping them exact keeps the min-power objective
   honest).
 
 Timing tables serve through *log-value* interpolation over log
@@ -34,21 +35,15 @@ same query points.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.kernels import repeater as krepeater
-from repro.kernels import wire as kwire
-from repro.kernels.line import LineBatch
+from repro.kernels.line import LUT, LineBatch, array_path, \
+    evaluate_line_batch
+from repro.models.wire import WireCoefficients
 from repro.runtime.metrics import METRICS
 from repro.runtime.trace import span
-
-
-def serves_model(model: object) -> bool:
-    """True when ``model`` is a LUT model the lanes here can serve."""
-    from repro.luts.model import LUTInterconnectModel
-    return type(model) is LUTInterconnectModel
 
 
 def _bracket(axis: np.ndarray, values: np.ndarray
@@ -102,10 +97,10 @@ def line_delay_first_order(nominal: float, weights: np.ndarray,
     """Delays (s) of every factor row around a tabulated nominal.
 
     ``factors`` has shape ``(samples, stages, 4)`` in the factor
-    order of :mod:`repro.kernels.variation`; ``weights`` is the
+    order of :mod:`repro.signoff.variation`; ``weights`` is the
     ``(stages, 4)`` sensitivity matrix (seconds per unit factor) from
     :meth:`repro.luts.model.LUTInterconnectModel.mc_response`.  The
-    scalar mirror is :func:`repro.luts.model.first_order_line_delay`.
+    scalar form is :func:`repro.luts.model.first_order_line_delay`.
     """
     shift = factors - 1.0
     return nominal + (shift * weights).sum(axis=(1, 2))
@@ -142,8 +137,8 @@ def evaluate_line_lut(
     """LUT-served :func:`repro.kernels.line.evaluate_line_batch`.
 
     Delay and output slew interpolate from the artifact; dynamic and
-    leakage power, and both areas, use the exact closed forms (so
-    power and area are exact on *every* lane).  Serving is per lane:
+    leakage power, and both areas, come from the base model (so power
+    and area are exact on *every* lane).  Serving is per lane:
     lanes outside the grid, or inside a cell with an invalid corner,
     get their timing from the closed-form kernel on ``model.base``
     instead (counted under ``luts.fallback``); an explicit
@@ -160,7 +155,6 @@ def evaluate_line_lut(
     spec = artifact.spec
     counts_f = counts.astype(float)
     if receiver_cap is not None or input_slew != spec.input_slew:
-        from repro.kernels.line import evaluate_line_batch
         METRICS.count("luts.fallback")
         return evaluate_line_batch(
             model.base, length, num_repeaters, repeater_size,
@@ -171,7 +165,6 @@ def evaluate_line_lut(
     served = _served_lanes(model, sizes, lengths, counts_f,
                            log_sizes, log_lengths)
     if not served.any():
-        from repro.kernels.line import evaluate_line_batch
         METRICS.count("luts.fallback", int(served.size))
         return evaluate_line_batch(
             model.base, length, num_repeaters, repeater_size,
@@ -190,29 +183,10 @@ def evaluate_line_lut(
             length_axis, count_axis, log_sizes, log_lengths,
             counts_f))
 
-        tech = model.tech
-        calibration = model.calibration
-        coeffs = kwire.WireCoefficients.from_config(model.config)
-        input_cap = krepeater.input_capacitance(tech, calibration,
-                                                sizes)
-        wn, wp = krepeater.inverter_widths(tech, sizes)
-        switched = (kwire.switched_wire_capacitance(coeffs, lengths)
-                    + counts * input_cap)
-        p_dynamic = bus_width * (model.activity_factor * switched
-                                 * tech.vdd * tech.vdd
-                                 * tech.clock_frequency)
-        e0n, e1n = calibration.leakage_n
-        e0p, e1p = calibration.leakage_p
-        p_sn = e0n + e1n * wn
-        p_sp = e0p + e1p * wp
-        p_leak = bus_width * counts * (0.5 * (p_sn + p_sp))
-        f0, f1 = calibration.area
-        a_repeaters = bus_width * counts * (f0 + f1 * wn)
-        from repro.models.area import wire_area
-        a_wire = wire_area(model.config, lengths, bus_width)
+        p_dynamic, p_leak, a_repeaters, a_wire = _power_and_area(
+            model, lengths, counts, sizes, bus_width)
 
     if not served.all():
-        from repro.kernels.line import evaluate_line_batch
         unserved = ~served
         METRICS.count("luts.fallback", int(unserved.sum()))
         fallback = evaluate_line_batch(
@@ -245,7 +219,7 @@ def _serves_search(model, length: float, counts, input_slew: float,
     lower bound (1.0) and end exactly at ``max_size`` so the search
     interval and the gridded region coincide.
     """
-    if not serves_model(model):
+    if array_path(model) != LUT:
         return False
     spec = model.artifact.spec
     count_list = list(counts)
@@ -275,24 +249,21 @@ def _delay_profile(model, length: float, counts: np.ndarray
     return _lerp(c0, c1, fl)
 
 
+def _power_and_area(model, lengths, counts: np.ndarray,
+                    sizes: np.ndarray, bus_width: int):
+    """The base model's exact power and area per lane."""
+    wn, wp = model.tech.inverter_widths(sizes)
+    input_cap = model.repeater_model().input_capacitance(sizes)
+    return model.power_and_area(
+        WireCoefficients.from_config(model.config), lengths, counts,
+        wn, wp, input_cap, bus_width)
+
+
 def _lane_powers(model, length: float, counts: np.ndarray,
                  sizes: np.ndarray, bus_width: int) -> np.ndarray:
     """Exact closed-form total power per (count, size) lane."""
-    tech = model.tech
-    calibration = model.calibration
-    coeffs = kwire.WireCoefficients.from_config(model.config)
-    input_cap = krepeater.input_capacitance(tech, calibration, sizes)
-    wn, wp = krepeater.inverter_widths(tech, sizes)
-    switched = (kwire.switched_wire_capacitance(coeffs, length)
-                + counts * input_cap)
-    p_dynamic = bus_width * (model.activity_factor * switched
-                             * tech.vdd * tech.vdd
-                             * tech.clock_frequency)
-    e0n, e1n = calibration.leakage_n
-    e0p, e1p = calibration.leakage_p
-    p_sn = e0n + e1n * wn
-    p_sp = e0p + e1p * wp
-    p_leak = bus_width * counts * (0.5 * (p_sn + p_sp))
+    p_dynamic, p_leak, _, _ = _power_and_area(model, length, counts,
+                                              sizes, bus_width)
     return p_dynamic + p_leak
 
 
@@ -385,5 +356,3 @@ def _minimize_power_under_delay(
     return BufferingSolution(count, size, estimate,
                              estimate.total_power)
 
-
-_UNUSED = (Optional,)     # typing re-export kept for annotations

@@ -7,17 +7,17 @@ issues a single :func:`~repro.kernels.line.evaluate_line_batch` call
 at the per-lane probe points, with per-lane ``open`` masks freezing
 lanes whose interval has already converged.
 
-The update sequence mirrors :mod:`repro.buffering.optimizer`
-operation-for-operation — same interval arithmetic, same ``f1 <= f2``
-tie-breaking, same convergence test — so each lane follows the exact
-trajectory the scalar search would, and the argmin over lanes
-reproduces the scalar strict-``<`` first-minimum over counts.  The
-winning lane's estimate is rebuilt with one scalar
+The update sequence follows the scalar reference searches in
+:mod:`repro.buffering.optimizer` step for step — same interval
+arithmetic, same ``f1 <= f2`` tie-breaking, same convergence test — so
+each lane follows the exact trajectory the scalar search would, and
+the argmin over lanes reproduces the scalar strict-``<`` first-minimum
+over counts.  The winning lane's estimate is rebuilt with one scalar
 ``model.evaluate`` call, so the returned
 :class:`~repro.buffering.optimizer.BufferingSolution` is bitwise
-identical to the scalar optimizer's (for the pure delay/power
+identical to the scalar search's (for the pure delay/power
 objectives; the fractional weighted product may differ by one ulp of
-``pow``).
+``pow``).  ``tests/kernels/test_search.py`` pins both.
 """
 
 from __future__ import annotations

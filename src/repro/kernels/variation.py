@@ -4,18 +4,9 @@
 within-die variation draws at once: the caller draws every
 perturbation factor with its own ``SeedSequence`` streams (preserving
 the bit-identical sample-vector contract) and hands the whole factor
-matrix here, where each Monte-Carlo sample becomes one lane.
-
-Variation enters the closed-form model through the alpha-power law:
-a drive-strength factor scales the device width directly (drive
-current is linear in width) and a threshold-voltage factor scales the
-gate overdrive, so the effective transition width is
-
-    ``w_eff = (w * drive) * ((vdd - vth*f_vth) / (vdd - vth))**alpha``
-
-with the overdrive floored at ``0.05 * vdd``.  The scalar reference
-for this mapping is ``repro.signoff.variation._effective_width``; the
-equivalence tests pin the two together.
+matrix here, where each Monte-Carlo sample becomes one lane of
+:func:`repro.signoff.variation._closed_form_line_delay`, the same
+chain the scalar ``"model"`` engine runs one draw at a time.
 
 Kernels draw no random numbers — ``repro lint`` enforces it.
 """
@@ -24,45 +15,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import repeater as krepeater
-from repro.kernels import wire as kwire
-from repro.models.interconnect import BufferedInterconnectModel
+from repro.kernels.line import LUT, array_path
 from repro.runtime.metrics import METRICS
 from repro.runtime.trace import span
 
-#: Factor-matrix column order, matching the per-stage draw order of the
-#: scalar sampler: nMOS drive, nMOS vth, pMOS drive, pMOS vth.
-N_DRIVE, N_VTH, P_DRIVE, P_VTH = range(4)
-
-#: Minimum gate overdrive as a fraction of vdd (keeps pathological vth
-#: draws from driving the overdrive to zero or negative).
-OVERDRIVE_FLOOR = 0.05
-
-
-def effective_widths(device, width: float, vdd: float,
-                     drive_factors: np.ndarray,
-                     vth_factors: np.ndarray) -> np.ndarray:
-    """Effective transition widths (m) under perturbation, per lane."""
-    overdrive = np.maximum(vdd - device.vth * vth_factors,
-                           OVERDRIVE_FLOOR * vdd)
-    nominal_overdrive = vdd - device.vth
-    return (width * drive_factors
-            * (overdrive / nominal_overdrive) ** device.alpha)
-
-
-def clip_factor_matrix(factors: np.ndarray) -> np.ndarray:
-    """Clip a ``(samples, stages, 4)`` factor matrix to physical
-    values, in place: drive factors floored at 0.5, vth factors into
-    [0.5, 1.5] — the batched mirror of the scalar sampler's per-draw
-    clips (``_clip_drive`` / ``_clip_vth``).  Returns ``factors``.
-    """
-    factors[:, :, 0::2] = np.maximum(factors[:, :, 0::2], 0.5)
-    factors[:, :, 1::2] = np.clip(factors[:, :, 1::2], 0.5, 1.5)
-    return factors
-
 
 def line_delay_batch(
-    model: BufferedInterconnectModel,
+    model,
     length: float,
     num_repeaters: int,
     repeater_size: float,
@@ -75,8 +34,19 @@ def line_delay_batch(
     ``factors`` has shape ``(samples, num_repeaters, 4)`` with columns
     ``(n_drive, n_vth, p_drive, p_vth)`` — the multiplicative
     perturbations of each stage, in the scalar sampler's draw order.
-    A row of ones is the nominal line.
+    A row of ones is the nominal line.  A LUT-served model is
+    evaluated on its closed-form base (the LUT tier's Monte-Carlo lane
+    is :func:`repro.kernels.lut.line_delay_first_order`).
     """
+    from repro.signoff.variation import _closed_form_line_delay
+
+    path = array_path(model)
+    if path is None:
+        raise TypeError(
+            "line_delay_batch runs the plain BufferedInterconnectModel "
+            f"stage; got {type(model).__name__}")
+    if path == LUT:
+        model = model.base
     factors = np.asarray(factors, dtype=float)
     if factors.ndim != 3 or factors.shape[1:] != (num_repeaters, 4):
         raise ValueError(
@@ -87,37 +57,6 @@ def line_delay_batch(
     METRICS.count("kernels.batch_size", lanes)
     with span("kernels.variation_batch", lanes=lanes,
               stages=num_repeaters), METRICS.timer("kernels.batch"):
-        tech = model.tech
-        calibration = model.calibration
-        coeffs = kwire.WireCoefficients.from_config(model.config)
-        segment = length / num_repeaters
-        repeater = model.repeater_model()
-        input_cap = repeater.input_capacitance(repeater_size)
-        wn, wp = tech.inverter_widths(repeater_size)
-
-        total = np.zeros(lanes)
-        slew = np.full(lanes, float(input_slew))
-        rising = True
-        inverting = calibration.kind.inverting
-        for stage in range(num_repeaters):
-            next_cap = (input_cap if stage + 1 < num_repeaters
-                        else receiver_cap)
-            load = float(kwire.effective_load_capacitance(
-                coeffs, segment, next_cap))
-            d_wire = float(kwire.wire_delay(coeffs, segment, next_cap))
-            direction = calibration.direction(rising)
-            if rising:
-                device, width = tech.pmos, wp
-                drive = factors[:, stage, P_DRIVE]
-                vthf = factors[:, stage, P_VTH]
-            else:
-                device, width = tech.nmos, wn
-                drive = factors[:, stage, N_DRIVE]
-                vthf = factors[:, stage, N_VTH]
-            wr = effective_widths(device, width, tech.vdd, drive, vthf)
-            d_repeater = krepeater.delay(direction, slew, wr, load)
-            slew = krepeater.output_slew(direction, load, slew, wr)
-            total = total + (d_repeater + d_wire)
-            if inverting:
-                rising = not rising
-        return total
+        return _closed_form_line_delay(
+            model, length, num_repeaters, repeater_size, receiver_cap,
+            input_slew, factors)

@@ -14,7 +14,7 @@ produces one ``(sizes, lengths)`` slice of every table:
 * ``mc_delay`` — the nominal delay of the extraction-style line
   (c_gate same-size receiver, as
   :func:`repro.signoff.extraction.extract_buffered_line` builds it),
-  evaluated with the batched stage chain;
+  evaluated with the closed-form variation chain over all grid lanes;
 * ``sens_*`` — central-difference sensitivities of ``mc_delay`` to a
   *uniform* shift of each variation factor, feeding the Monte-Carlo
   first-order lane (:func:`repro.kernels.lut.line_delay_first_order`).
@@ -36,18 +36,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.kernels import repeater as krepeater
-from repro.kernels import wire as kwire
 from repro.kernels.lut import interpolate_trilinear
-from repro.kernels.variation import effective_widths
 from repro.luts.artifact import LOG_TABLES, LUTArtifact, TABLE_NAMES
 from repro.luts.grid import GridSpec
 from repro.runtime.metrics import METRICS
 from repro.runtime.parallel import parallel_map
 from repro.runtime.trace import span
 
-#: Uniform-factor columns, in the factor-matrix column order of
-#: :mod:`repro.kernels.variation` (n_drive, n_vth, p_drive, p_vth).
+#: Uniform-factor columns, in the factor-row column order of
+#: :mod:`repro.signoff.variation` (n_drive, n_vth, p_drive, p_vth).
 _FACTOR_NAMES = ("n_drive", "n_vth", "p_drive", "p_vth")
 
 #: Output-slew sanity cap, as a multiple of the characterization input
@@ -63,7 +60,7 @@ def _receiver_caps(model, sizes: np.ndarray) -> np.ndarray:
     """Extraction-style same-size receiver capacitance per lane (F),
     as :func:`repro.signoff.extraction.extract_buffered_line` computes
     it for the Monte-Carlo testbench geometry."""
-    wn, wp = krepeater.inverter_widths(model.tech, sizes)
+    wn, wp = model.tech.inverter_widths(sizes)
     return model.tech.nmos.c_gate * wn + model.tech.pmos.c_gate * wp
 
 
@@ -77,44 +74,17 @@ def _perturbed_line_batch(
 ) -> np.ndarray:
     """Line delay (s) per lane under a uniform factor perturbation.
 
-    Mirrors the scalar variation chain
-    (:func:`repro.signoff.variation._model_sample_line_delay`) with
-    one ``(n_drive, n_vth, p_drive, p_vth)`` tuple applied to every
-    stage: next-stage loads use the calibrated gamma input cap, the
-    receiver uses the extraction-style c_gate cap, and widths map
-    through the alpha-power effective-width law.
+    The closed-form variation chain
+    (:func:`repro.signoff.variation._closed_form_line_delay`) with one
+    ``(n_drive, n_vth, p_drive, p_vth)`` tuple applied to every stage
+    and the extraction-style c_gate receiver.  The factors stay
+    scalars, so each effective width takes the C library's pow.
     """
-    n_drive, n_vth, p_drive, p_vth = factors
-    tech = model.tech
-    calibration = model.calibration
-    coeffs = kwire.WireCoefficients.from_config(model.config)
-    segment = lengths / count
-    input_cap = krepeater.input_capacitance(tech, calibration, sizes)
-    receiver = _receiver_caps(model, sizes)
-    wn, wp = krepeater.inverter_widths(tech, sizes)
-    wn_eff = effective_widths(tech.nmos, wn, tech.vdd,
-                              np.asarray(n_drive),
-                              np.asarray(n_vth))
-    wp_eff = effective_widths(tech.pmos, wp, tech.vdd,
-                              np.asarray(p_drive),
-                              np.asarray(p_vth))
-    total = np.zeros(lengths.shape)
-    slew = np.broadcast_to(float(input_slew), lengths.shape).copy()
-    rising = True
-    inverting = calibration.kind.inverting
-    for stage in range(count):
-        next_cap = input_cap if stage + 1 < count else receiver
-        direction = calibration.direction(rising)
-        wr = wp_eff if rising else wn_eff
-        load = kwire.effective_load_capacitance(coeffs, segment,
-                                                next_cap)
-        d_repeater = krepeater.delay(direction, slew, wr, load)
-        d_wire = kwire.wire_delay(coeffs, segment, next_cap)
-        slew = krepeater.output_slew(direction, load, slew, wr)
-        total = total + (d_repeater + d_wire)
-        if inverting:
-            rising = not rising
-    return total
+    from repro.signoff.variation import _closed_form_line_delay
+    row = np.broadcast_to(np.asarray(factors, dtype=float), (count, 4))
+    return _closed_form_line_delay(
+        model, lengths, count, sizes, _receiver_caps(model, sizes),
+        input_slew, row)
 
 
 def _plane_serving(plane: np.ndarray, log_sizes: np.ndarray,

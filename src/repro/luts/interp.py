@@ -1,11 +1,10 @@
 """Scalar trilinear interpolation over a characterization grid.
 
-This is the scalar mirror of the batched lane in
+This is the scalar form of the batched lane in
 :mod:`repro.kernels.lut` — same bracketing, same lerp form, same
 reduction order (count axis first, then length, then size), so a
-scalar lookup and a one-lane batched lookup agree bit-for-bit.  The
-pairing is declared in :mod:`repro.kernels.parity` and checked by the
-``kernel-parity`` lint rule.
+scalar lookup and a one-lane batched lookup agree bit-for-bit, which
+``tests/kernels/test_lut.py`` pins.
 
 Queries are *clamped* to the grid: callers that must not serve
 clamped answers (the LUT model's closed-form fallback) check

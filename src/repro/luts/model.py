@@ -20,7 +20,7 @@ serve stale ones.
 For the Monte-Carlo first-order lane, :meth:`mc_response` returns the
 tabulated nominal delay of the extraction-style line plus a per-stage
 sensitivity matrix; :func:`first_order_line_delay` is the scalar
-mirror of the batched :func:`repro.kernels.lut.line_delay_first_order`.
+form of the batched :func:`repro.kernels.lut.line_delay_first_order`.
 """
 
 from __future__ import annotations
@@ -32,10 +32,8 @@ import numpy as np
 
 from repro.luts.artifact import LUTArtifact
 from repro.luts.interp import trilinear
-from repro.models.area import repeater_area, wire_area
 from repro.models.interconnect import InterconnectEstimate
-from repro.models.power import dynamic_power, repeater_leakage_power
-from repro.models.wire import switched_wire_capacitance
+from repro.models.wire import WireCoefficients
 from repro.runtime.cache import fingerprint
 from repro.runtime.metrics import METRICS
 
@@ -46,10 +44,9 @@ def first_order_line_delay(nominal: float,
     """One first-order delay (s): nominal plus the inner product of
     ``(factors - 1)`` with the per-stage sensitivity ``weights``.
 
-    Scalar mirror of the batched
+    Scalar form of the batched
     :func:`repro.kernels.lut.line_delay_first_order` (one factor row
-    here, many rows there); the pairing is registered in
-    :mod:`repro.kernels.parity`.
+    here, many rows there).
     """
     response = math.fsum((value - 1.0) * weight
                          for row, weight_row in zip(factors, weights)
@@ -123,10 +120,16 @@ class LUTInterconnectModel:
     def repeater_model(self):
         return self.base.repeater_model()
 
-    def stage_delay(self, size, input_slew, segment_length, next_cap,
-                    rising_output):
-        return self.base.stage_delay(size, input_slew, segment_length,
-                                     next_cap, rising_output)
+    def stage_delay(self, wire, wr, input_slew, segment_length,
+                    next_cap, rising_output):
+        return self.base.stage_delay(wire, wr, input_slew,
+                                     segment_length, next_cap,
+                                     rising_output)
+
+    def power_and_area(self, wire, length, num_repeaters, wn, wp,
+                       input_cap, bus_width):
+        return self.base.power_and_area(wire, length, num_repeaters,
+                                        wn, wp, input_cap, bus_width)
 
     def staggered(self):
         """Staggered insertion changes the wire configuration, which
@@ -205,10 +208,9 @@ class LUTInterconnectModel:
     def _lookup_estimate(self, length: float, num_repeaters: int,
                          repeater_size: float, input_slew: float,
                          bus_width: int = 1) -> InterconnectEstimate:
-        """The served path: tables for timing, closed forms for the
-        rest.  Scalar side of the ``lut-line-evaluate`` parity pair —
-        its arithmetic must mirror
-        :func:`repro.kernels.lut.evaluate_line_lut`."""
+        """The served path: tables for timing, the closed form's own
+        power and area for the rest (as
+        :func:`repro.kernels.lut.evaluate_line_lut` serves a lane)."""
         artifact = self.artifact
         log_size = float(np.log(repeater_size))
         log_length = float(np.log(length))
@@ -220,18 +222,12 @@ class LUTInterconnectModel:
             artifact.scalar_interp_table("output_slew"),
             self._log_size_axis, self._log_length_axis,
             self._count_axis, log_size, log_length, num_repeaters)))
-        repeater = self.base.repeater_model()
-        input_cap = repeater.input_capacitance(repeater_size)
-        switched = (switched_wire_capacitance(self.config, length)
-                    + num_repeaters * input_cap)
-        p_dynamic = bus_width * dynamic_power(
-            switched, self.tech.vdd, self.tech.clock_frequency,
-            self.activity_factor)
-        p_leak = bus_width * num_repeaters * repeater_leakage_power(
-            self.tech, self.calibration, repeater_size)
-        a_repeaters = bus_width * num_repeaters * repeater_area(
-            self.tech, self.calibration, repeater_size)
-        a_wire = wire_area(self.config, length, bus_width)
+        wn, wp = self.tech.inverter_widths(repeater_size)
+        input_cap = self.repeater_model().input_capacitance(
+            repeater_size)
+        p_dynamic, p_leak, a_repeaters, a_wire = self.power_and_area(
+            WireCoefficients.from_config(self.config), length,
+            num_repeaters, wn, wp, input_cap, bus_width)
         return InterconnectEstimate(
             delay=delay,
             output_slew=slew,
@@ -263,7 +259,7 @@ class LUTInterconnectModel:
         serve it.
 
         The weights are a ``(stages, 4)`` matrix in the factor order
-        of :mod:`repro.kernels.variation` (nMOS drive, nMOS vth, pMOS
+        of :mod:`repro.signoff.variation` (nMOS drive, nMOS vth, pMOS
         drive, pMOS vth): the tabulated uniform-shift sensitivity of
         each factor, split evenly over the stages that factor drives
         (rising stages pull from the pMOS columns, falling stages

@@ -13,14 +13,15 @@ Two repeater-area paths, exactly as the paper describes:
 Wire area: ``a_w = n * (w_w + s_w) + s_w`` for an ``n``-bit bus with
 wire width ``w_w`` and spacing ``s_w`` after the design style is
 applied, per unit length.
+
+The regression and wire-area paths take floats or NumPy arrays.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from repro.arrays import any_true
 from repro.models.calibration import CalibratedTechnology
 from repro.tech.design_styles import DesignStyle, WireConfiguration
 from repro.tech.parameters import TechnologyParameters
@@ -65,9 +66,7 @@ def wire_area(config: WireConfiguration, length: float,
     """
     if bus_width < 1:
         raise ValueError("bus_width must be at least 1")
-    # np.any so the batched kernels can pass per-lane length arrays
-    # straight through instead of hoisting a unit-length evaluation.
-    if np.any(np.asarray(length) < 0):
+    if any_true(length < 0):
         raise ValueError("length must be non-negative")
     if config.style is DesignStyle.SHIELDED:
         pitch = config.signal_pitch()

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.models.interconnect import BufferedInterconnectModel
-from repro.models.wire import effective_load_capacitance, wire_delay
+from repro.models.wire import effective_load_capacitance
 
 #: Single-pole time constant -> full-swing-equivalent slew factor.
 #: ln(9) maps tau to a 10-90 transition; the 20-80/0.6 convention used
@@ -51,23 +50,17 @@ class SlewAwareInterconnectModel(BufferedInterconnectModel):
         tau = r_wire * (0.5 * (c_wire - next_cap) + next_cap)
         return SLEW_TAU_FACTOR * tau
 
-    def stage_delay(self, size: float, input_slew: float,
-                    segment_length: float, next_cap: float,
-                    rising_output: bool) -> Tuple[float, float]:
+    def stage_delay(self, wire, wr, input_slew, segment_length,
+                    next_cap, rising_output):
         """(delay, far-end slew), both in seconds, of one stage with
-        slew degradation; ``size`` is the dimensionless repeater
-        multiple, ``segment_length`` meters, ``next_cap`` farads."""
-        repeater = self.repeater_model()
-        load = effective_load_capacitance(self.config, segment_length,
-                                          next_cap)
-        d_repeater = repeater.delay(size, input_slew, load,
-                                    rising_output)
-        d_wire = wire_delay(self.config, segment_length, next_cap)
-        gate_slew = repeater.output_slew(size, input_slew, load,
-                                         rising_output)
+        slew degradation; arguments as in
+        :meth:`BufferedInterconnectModel.stage_delay`."""
+        delay, gate_slew = super().stage_delay(
+            wire, wr, input_slew, segment_length, next_cap,
+            rising_output)
         degraded = math.hypot(gate_slew,
                               self.wire_slew(segment_length, next_cap))
-        return d_repeater + d_wire, degraded
+        return delay, degraded
 
     def staggered(self) -> "SlewAwareInterconnectModel":
         return SlewAwareInterconnectModel(

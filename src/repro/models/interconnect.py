@@ -16,6 +16,11 @@ key reason the proposed model tracks sign-off (Section III-A).
 Power and area come from :mod:`repro.models.power` and
 :mod:`repro.models.area`; the same object therefore supplies every
 metric the buffering optimizer and the NoC synthesizer need.
+
+:meth:`BufferedInterconnectModel.stage_delay` and
+:meth:`~BufferedInterconnectModel.power_and_area` accept arrays, so the
+batched lanes in :mod:`repro.kernels` run this model's own stage and
+power/area arithmetic over many lanes at once.
 """
 
 from __future__ import annotations
@@ -23,15 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.models.area import repeater_area, wire_area
+from repro.models.area import regression_repeater_area, wire_area
 from repro.models.calibration import CalibratedTechnology
-from repro.models.power import dynamic_power, repeater_leakage_power
-from repro.models.repeater import RepeaterModel
-from repro.models.wire import (
-    effective_load_capacitance,
-    switched_wire_capacitance,
-    wire_delay,
+from repro.models.power import (
+    dynamic_power,
+    leakage_power_from_coefficients,
 )
+from repro.models.repeater import RepeaterModel
+from repro.models.wire import WireCoefficients
 from repro.tech.design_styles import WireConfiguration
 from repro.tech.parameters import TechnologyParameters
 
@@ -85,20 +89,48 @@ class BufferedInterconnectModel:
 
     # -- stage-level ----------------------------------------------------
 
-    def stage_delay(self, size: float, input_slew: float,
-                    segment_length: float, next_cap: float,
-                    rising_output: bool) -> Tuple[float, float]:
+    def stage_delay(self, wire: WireCoefficients, wr, input_slew,
+                    segment_length, next_cap, rising_output: bool):
         """(delay, output slew), both in seconds, of one repeater
-        stage; ``size`` is the dimensionless repeater multiple,
-        ``segment_length`` meters, ``next_cap`` farads."""
-        repeater = self.repeater_model()
-        load = effective_load_capacitance(
-            self.config, segment_length, next_cap)
-        d_repeater = repeater.delay(size, input_slew, load, rising_output)
-        d_wire = wire_delay(self.config, segment_length, next_cap)
-        slew_out = repeater.output_slew(size, input_slew, load,
-                                        rising_output)
+        stage.
+
+        ``wire`` holds the configuration's per-meter parasitics,
+        ``wr`` is the repeater's transition width in meters (see
+        :meth:`RepeaterModel.transition_width`), ``segment_length``
+        meters, ``next_cap`` farads.  All but ``wire`` and
+        ``rising_output`` may be arrays.
+        """
+        direction = self.calibration.direction(rising_output)
+        load = wire.load_capacitance(segment_length, next_cap)
+        d_repeater = direction.delay(input_slew, wr, load)
+        d_wire = wire.delay(segment_length, next_cap)
+        slew_out = direction.output_slew(load, input_slew, wr)
         return d_repeater + d_wire, slew_out
+
+    def power_and_area(self, wire: WireCoefficients, length,
+                       num_repeaters, wn, wp, input_cap,
+                       bus_width: int):
+        """(dynamic power, leakage power, repeater area, wire area) of
+        uniformly buffered lines, in watts and m^2.
+
+        ``length`` meters; ``wn``/``wp`` the repeater widths (m) and
+        ``input_cap`` its input capacitance (F), as the caller already
+        has them for the stage chain.  Every argument but ``wire`` and
+        ``bus_width`` may be an array.
+        """
+        # Every stage switches the wire's once-counted lateral
+        # capacitance plus ground capacitance plus the downstream gate.
+        switched = (wire.switched_capacitance(length)
+                    + num_repeaters * input_cap)
+        p_dynamic = bus_width * dynamic_power(
+            switched, self.tech.vdd, self.tech.clock_frequency,
+            self.activity_factor)
+        p_leak = bus_width * num_repeaters * \
+            leakage_power_from_coefficients(self.calibration, wn, wp)
+        a_repeaters = bus_width * num_repeaters * \
+            regression_repeater_area(self.calibration, wn)
+        a_wire = wire_area(self.config, length, bus_width)
+        return p_dynamic, p_leak, a_repeaters, a_wire
 
     # -- line-level -----------------------------------------------------
 
@@ -122,11 +154,13 @@ class BufferedInterconnectModel:
         if num_repeaters < 1:
             raise ValueError("need at least one repeater")
 
-        repeater = self.repeater_model()
+        wire = WireCoefficients.from_config(self.config)
         segment = length / num_repeaters
-        input_cap = repeater.input_capacitance(repeater_size)
+        input_cap = self.repeater_model().input_capacitance(
+            repeater_size)
         if receiver_cap is None:
             receiver_cap = input_cap
+        wn, wp = self.tech.inverter_widths(repeater_size)
 
         stage_delays: List[float] = []
         slew = input_slew
@@ -136,25 +170,14 @@ class BufferedInterconnectModel:
             next_cap = (input_cap if stage + 1 < num_repeaters
                         else receiver_cap)
             delay, slew = self.stage_delay(
-                repeater_size, slew, segment, next_cap, rising)
+                wire, wp if rising else wn, slew, segment, next_cap,
+                rising)
             stage_delays.append(delay)
             if inverting:
                 rising = not rising
 
-        # Power: every stage switches the wire's once-counted lateral
-        # capacitance plus ground capacitance plus the downstream gate.
-        switched = (switched_wire_capacitance(self.config, length)
-                    + num_repeaters * input_cap)
-        p_dynamic = bus_width * dynamic_power(
-            switched, self.tech.vdd, self.tech.clock_frequency,
-            self.activity_factor)
-        p_leak = bus_width * num_repeaters * repeater_leakage_power(
-            self.tech, self.calibration, repeater_size)
-
-        a_repeaters = bus_width * num_repeaters * repeater_area(
-            self.tech, self.calibration, repeater_size)
-        a_wire = wire_area(self.config, length, bus_width)
-
+        p_dynamic, p_leak, a_repeaters, a_wire = self.power_and_area(
+            wire, length, num_repeaters, wn, wp, input_cap, bus_width)
         return InterconnectEstimate(
             delay=sum(stage_delays),
             output_slew=slew,

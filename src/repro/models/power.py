@@ -5,10 +5,13 @@
   ``p_sn = e0n + e1n * w_n`` and ``p_sp = e0p + e1p * w_p``.
 * Dynamic: the standard ``p_d = af * c_l * vdd^2 * f`` with activity
   factor ``af``, switched load ``c_l``, supply ``vdd`` and clock ``f``.
+
+Widths, sizes and loads may be floats or NumPy arrays.
 """
 
 from __future__ import annotations
 
+from repro.arrays import any_true
 from repro.models.calibration import CalibratedTechnology
 from repro.tech.parameters import TechnologyParameters
 
@@ -54,6 +57,6 @@ def dynamic_power(
     """
     if not 0.0 <= activity_factor <= 1.0:
         raise ValueError("activity_factor must lie in [0, 1]")
-    if load_cap < 0 or vdd <= 0 or frequency <= 0:
+    if any_true(load_cap < 0) or vdd <= 0 or frequency <= 0:
         raise ValueError("load_cap, vdd and frequency must be physical")
     return activity_factor * load_cap * vdd * vdd * frequency

@@ -9,13 +9,16 @@ The model is fully determined by a
 * ``c_i = gamma * (w_p + w_n)`` for the input capacitance.
 
 ``w_r`` is the pMOS width for rising output transitions and the nMOS
-width for falling ones.
+width for falling ones.  Every method accepts a float or a NumPy array
+for ``size`` and the slew/load arguments; the batched lanes in
+:mod:`repro.kernels` call these same equations on arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arrays import clip
 from repro.characterization.cells import BUFFER_STAGE_RATIO, RepeaterKind
 from repro.models.calibration import CalibratedTechnology
 from repro.tech.parameters import TechnologyParameters
@@ -69,7 +72,7 @@ class RepeaterModel:
         inverter.
         """
         if self.calibration.kind is RepeaterKind.BUFFER:
-            first_size = max(size / BUFFER_STAGE_RATIO, 1.0)
+            first_size = clip(size / BUFFER_STAGE_RATIO, 1.0)
             wn, wp = self.tech.inverter_widths(first_size)
         else:
             wn, wp = self.widths(size)

@@ -23,11 +23,7 @@ from repro.characterization.harness import LibraryCharacterization
 from repro.models.area import wire_area
 from repro.models.interconnect import InterconnectEstimate
 from repro.models.power import dynamic_power
-from repro.models.wire import (
-    effective_load_capacitance,
-    switched_wire_capacitance,
-    wire_delay,
-)
+from repro.models.wire import WireCoefficients
 from repro.tech.design_styles import WireConfiguration
 
 
@@ -100,21 +96,21 @@ class TableInterconnectModel:
         if receiver_cap is None:
             receiver_cap = input_cap
 
+        wire = WireCoefficients.from_config(self.config)
         stage_delays: List[float] = []
         slew = input_slew
         rising = True
         for stage in range(num_repeaters):
             next_cap = (input_cap if stage + 1 < num_repeaters
                         else receiver_cap)
-            load = effective_load_capacitance(self.config, segment,
-                                              next_cap)
+            load = wire.load_capacitance(segment, next_cap)
             delay = (self.repeater_delay(size, slew, load, rising)
-                     + wire_delay(self.config, segment, next_cap))
+                     + wire.delay(segment, next_cap))
             slew = self.repeater_slew(size, slew, load, rising)
             stage_delays.append(delay)
             rising = not rising
 
-        switched = (switched_wire_capacitance(self.config, length)
+        switched = (wire.switched_capacitance(length)
                     + num_repeaters * input_cap)
         p_dynamic = bus_width * dynamic_power(
             switched, tech.vdd, tech.clock_frequency,

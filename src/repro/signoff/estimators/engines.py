@@ -15,24 +15,22 @@ source of z rows.
 :func:`evaluate_factors` then evaluates a factor matrix on any engine:
 one :func:`repro.kernels.variation.line_delay_batch` call for
 ``"kernel"``, an order-preserving :func:`repro.runtime.parallel_map`
-over per-row tasks for ``"model"`` and ``"golden"``.  The golden rows
-apply the factors through the same ``dataclasses.replace`` the
-variation model itself performs, so a ones row reproduces the nominal
-delay bit-for-bit and zero-shift rows reproduce the plain golden draws.
+over per-row tasks for ``"model"`` and ``"golden"``.  Each row goes
+through the same chain function the inline samplers of
+:mod:`repro.signoff.variation` use, so a ones row reproduces the
+nominal delay bit-for-bit and zero-shift rows reproduce the plain
+draws.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.models.wire import effective_load_capacitance, wire_delay
 from repro.runtime import METRICS, parallel_map
 from repro.signoff import variation as _variation
 from repro.signoff.extraction import ExtractedLine
-from repro.signoff.golden import simulate_stage
 
 
 def sigma_vector(variation: "_variation.VariationModel",
@@ -66,9 +64,10 @@ def factor_matrix(z: np.ndarray,
                   nominal_first: bool = False) -> np.ndarray:
     """Map z rows to a clipped ``(rows, stages, 4)`` factor matrix.
 
-    Replicates the ``"kernel"`` engine's operation order bit-for-bit:
-    scale by the tiled sigmas, add 1.0, then clip drives to >= 0.5 and
-    vth factors into [0.5, 1.5] (all factors dimensionless).  ``shift``
+    Scale by the tiled sigmas, add 1.0, then clip drives to >= 0.5 and
+    vth factors into [0.5, 1.5] (all factors dimensionless): the values
+    ``Generator.normal(1.0, sigma)`` would draw from the same ``z``.
+    Every sampler builds its factor rows here.  ``shift``
     (an importance-sampling mean shift in z-space) is added to ``z``
     *before* scaling, so a ``None``/zero shift changes nothing.  With
     ``nominal_first`` row 0 is forced to the all-ones nominal row
@@ -82,8 +81,9 @@ def factor_matrix(z: np.ndarray,
     if nominal_first:
         factors[0] = 1.0
     factors = factors.reshape(z.shape[0], stages, 4)
-    from repro.kernels.variation import clip_factor_matrix
-    return clip_factor_matrix(factors)
+    factors[:, :, 0::2] = _variation._clip_drive(factors[:, :, 0::2])
+    factors[:, :, 1::2] = _variation._clip_vth(factors[:, :, 1::2])
+    return factors
 
 
 def nominal_factors(stages: int) -> np.ndarray:
@@ -92,91 +92,26 @@ def nominal_factors(stages: int) -> np.ndarray:
 
 
 def _golden_factor_task(task) -> float:
-    """One golden evaluation of an explicit factor row (seconds).
-
-    Applies each stage's four factors through the same
-    ``dataclasses.replace`` that ``VariationModel.perturb_device``
-    performs, then simulates the stage chain exactly like
-    :func:`repro.signoff.variation.sample_line_delay` — same flow,
-    factors supplied instead of drawn.
-    """
+    """One golden evaluation of an explicit factor row (seconds): the
+    stage chain of :func:`repro.signoff.variation.sample_line_delay`,
+    factors supplied instead of drawn."""
     line, input_slew, row = task
     METRICS.count("variation.samples")
     with METRICS.timer("variation.sample"):
-        factors = np.asarray(row)
-        slew = input_slew
-        rising = True
-        total = 0.0
-        for index, stage in enumerate(line.stages):
-            n_drive, n_vth, p_drive, p_vth = factors[index]
-            perturbed = dataclasses.replace(
-                line.tech,
-                nmos=dataclasses.replace(
-                    line.tech.nmos,
-                    k_sat=line.tech.nmos.k_sat * n_drive,
-                    vth=line.tech.nmos.vth * n_vth),
-                pmos=dataclasses.replace(
-                    line.tech.pmos,
-                    k_sat=line.tech.pmos.k_sat * p_drive,
-                    vth=line.tech.pmos.vth * p_vth),
-            )
-            timing = simulate_stage(
-                perturbed,
-                stage.driver_size,
-                stage.wire.resistance,
-                stage.wire.total_cap(line.config.delay_miller),
-                line.stage_load_cap(index),
-                slew,
-                rising,
-            )
-            total += timing.delay
-            slew = timing.output_slew
-            rising = not rising
-        return total
+        return _variation._golden_line_delay(line, input_slew,
+                                             np.asarray(row))
 
 
 def _model_factor_task(task) -> float:
-    """One closed-form evaluation of an explicit factor row (seconds).
-
-    The factor-driven mirror of
-    ``repro.signoff.variation._model_sample_line_delay``: identical
-    stage chain, factors supplied instead of drawn.
-    """
+    """One closed-form evaluation of an explicit factor row (seconds),
+    as a one-lane :func:`repro.signoff.variation._closed_form_line_delay`."""
     model, line, input_slew, row = task
     METRICS.count("variation.samples")
     with METRICS.timer("variation.sample"):
-        factors = np.asarray(row)
         count, size = _variation._uniform_geometry(line)
-        segment = line.length / count
-        repeater = model.repeater_model()
-        input_cap = repeater.input_capacitance(size)
-        wn, wp = model.tech.inverter_widths(size)
-        slew = input_slew
-        rising = True
-        total = 0.0
-        inverting = model.calibration.kind.inverting
-        for stage in range(count):
-            n_drive, n_vth, p_drive, p_vth = factors[stage]
-            next_cap = (input_cap if stage + 1 < count
-                        else line.receiver_cap)
-            load = effective_load_capacitance(model.config, segment,
-                                              next_cap)
-            d_wire = wire_delay(model.config, segment, next_cap)
-            direction = model.calibration.direction(rising)
-            if rising:
-                device, width = model.tech.pmos, wp
-                drive_factor, vth_factor = p_drive, p_vth
-            else:
-                device, width = model.tech.nmos, wn
-                drive_factor, vth_factor = n_drive, n_vth
-            wr = _variation._effective_width(
-                device, width, model.tech.vdd, drive_factor,
-                vth_factor)
-            total += direction.delay(slew, wr, load) + d_wire
-            slew = direction.output_slew(load, slew, wr)
-            if inverting:
-                rising = not rising
-        return total
+        return float(_variation._closed_form_line_delay(
+            model, line.length, count, size, line.receiver_cap,
+            input_slew, np.asarray(row)[np.newaxis])[0])
 
 
 def evaluate_factors(
@@ -201,14 +136,12 @@ def evaluate_factors(
         count, size = _variation._uniform_geometry(line)
         METRICS.count("variation.samples", factors.shape[0])
         return np.asarray(line_delay_batch(
-            _variation._closed_form_base(model), line.length, count,
-            size, line.receiver_cap, input_slew, factors))
+            model, line.length, count, size, line.receiver_cap,
+            input_slew, factors))
     if engine == "model":
-        from repro.kernels.lut import (
-            line_delay_first_order,
-            serves_model,
-        )
-        if serves_model(model):
+        from repro.kernels.line import LUT, array_path
+        from repro.kernels.lut import line_delay_first_order
+        if array_path(model) == LUT:
             response = model.mc_response(line, input_slew)
             if response is not None:
                 nominal, weights = response

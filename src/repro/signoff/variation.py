@@ -12,7 +12,10 @@ simulator in the loop.
 Sampling model: each repeater instance draws its own multiplicative
 perturbations of ``k_sat`` (drive strength) and ``vth`` from normal
 distributions with configurable sigmas, using a seeded generator so
-experiments are reproducible.
+experiments are reproducible.  A draw is a *factor row* of shape
+``(stages, 4)`` with columns :data:`N_DRIVE`, :data:`N_VTH`,
+:data:`P_DRIVE`, :data:`P_VTH`; each engine evaluates a line as one
+function of its factor rows.
 
 Determinism contract: every Monte-Carlo draw owns an independent RNG
 stream spawned from the root seed (``SeedSequence(seed).spawn``), so
@@ -25,8 +28,9 @@ Three evaluation engines share that contract:
   stage simulation per perturbed repeater; the reference.
 * ``"model"`` — the closed-form proposed model, with variation mapped
   into an effective transition width through the alpha-power law
-  (:func:`_effective_width`); one scalar stage chain per draw.
-* ``"kernel"`` — the same closed-form mapping evaluated by
+  (:func:`_effective_width`); one stage chain per draw
+  (:func:`_closed_form_line_delay`).
+* ``"kernel"`` — the same chain evaluated by
   :func:`repro.kernels.variation.line_delay_batch`: all draws become
   lanes of one batched call.  Factor matrices are drawn from the very
   same spawned streams, so the sample vector is bit-identical to the
@@ -48,7 +52,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.models.wire import effective_load_capacitance, wire_delay
+from repro.arrays import clip
+from repro.models.wire import WireCoefficients
 from repro.runtime import METRICS, span
 from repro.signoff.extraction import ExtractedLine
 from repro.signoff.golden import simulate_stage
@@ -65,6 +70,10 @@ ENGINES = ("golden", "model", "kernel")
 #: Minimum gate overdrive under perturbation, as a fraction of vdd.
 OVERDRIVE_FLOOR = 0.05
 
+#: Factor-row column order, matching the per-stage draw order: nMOS
+#: drive, nMOS vth, pMOS drive, pMOS vth.
+N_DRIVE, N_VTH, P_DRIVE, P_VTH = range(4)
+
 
 @dataclass(frozen=True)
 class VariationModel:
@@ -77,28 +86,19 @@ class VariationModel:
         if self.drive_sigma < 0 or self.vth_sigma < 0:
             raise ValueError("sigmas must be non-negative")
 
-    def perturb_device(self, device: DeviceParameters,
-                       rng: np.random.Generator) -> DeviceParameters:
-        drive_factor = float(rng.normal(1.0, self.drive_sigma))
-        vth_factor = float(rng.normal(1.0, self.vth_sigma))
-        # Clip pathological tail draws to physical values.
-        drive_factor = max(drive_factor, 0.5)
-        vth_factor = min(max(vth_factor, 0.5), 1.5)
-        return dataclasses.replace(
-            device,
-            k_sat=device.k_sat * drive_factor,
-            vth=device.vth * vth_factor,
-        )
+    def draw_factors(self, rng: np.random.Generator,
+                     stages: int) -> np.ndarray:
+        """One clipped ``(stages, 4)`` factor row (dimensionless),
+        drawn stage by stage in column order."""
+        from repro.signoff.estimators.engines import factor_matrix
+        z = rng.standard_normal((1, 4 * stages))
+        return factor_matrix(z, self, stages)[0]
 
     def perturb_technology(self, tech: TechnologyParameters,
                            rng: np.random.Generator
                            ) -> TechnologyParameters:
         """One device-instance view: both flavours independently drawn."""
-        return dataclasses.replace(
-            tech,
-            nmos=self.perturb_device(tech.nmos, rng),
-            pmos=self.perturb_device(tech.pmos, rng),
-        )
+        return _perturbed_technology(tech, self.draw_factors(rng, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,31 @@ def sample_line_delay(
     """One Monte-Carlo draw (seconds): every repeater independently
     perturbed, the line driven with an ``input_slew``-second ramp.
 
+    Draws the factor row first, then simulates it with
+    :func:`_golden_line_delay`.
+    """
+    return _golden_line_delay(
+        line, input_slew, variation.draw_factors(rng, len(line.stages)))
+
+
+def _perturbed_technology(tech: TechnologyParameters,
+                          row) -> TechnologyParameters:
+    """``tech`` with one stage's four factors applied to its devices."""
+    return dataclasses.replace(
+        tech,
+        nmos=dataclasses.replace(tech.nmos,
+                                 k_sat=tech.nmos.k_sat * row[N_DRIVE],
+                                 vth=tech.nmos.vth * row[N_VTH]),
+        pmos=dataclasses.replace(tech.pmos,
+                                 k_sat=tech.pmos.k_sat * row[P_DRIVE],
+                                 vth=tech.pmos.vth * row[P_VTH]),
+    )
+
+
+def _golden_line_delay(line: ExtractedLine, input_slew: float,
+                       factors: np.ndarray) -> float:
+    """Golden delay (s) of ``line`` under a ``(stages, 4)`` factor row.
+
     Each stage is simulated with its own perturbed device set; slews
     propagate through the perturbed chain exactly as in the golden
     flow (no periodicity shortcut — every stage is unique here).
@@ -153,9 +178,8 @@ def sample_line_delay(
     rising = True
     total = 0.0
     for index, stage in enumerate(line.stages):
-        perturbed = variation.perturb_technology(line.tech, rng)
         timing = simulate_stage(
-            perturbed,
+            _perturbed_technology(line.tech, factors[index]),
             stage.driver_size,
             stage.wire.resistance,
             stage.wire.total_cap(line.config.delay_miller),
@@ -179,33 +203,34 @@ def _sample_task(task: "Tuple[ExtractedLine, float, VariationModel, "
                                  np.random.default_rng(seed_sequence))
 
 
-def _clip_drive(factor: float) -> float:
-    """Clip a drive-strength draw to physical values (golden's rule)."""
-    return max(factor, 0.5)
+def _clip_drive(factor):
+    """Clip drive-strength factors (float or array) to >= 0.5."""
+    return clip(factor, 0.5)
 
 
-def _clip_vth(factor: float) -> float:
-    """Clip a threshold-voltage draw to physical values."""
-    return min(max(factor, 0.5), 1.5)
+def _clip_vth(factor):
+    """Clip threshold-voltage factors (float or array) into
+    [0.5, 1.5]."""
+    return clip(factor, 0.5, 1.5)
 
 
-def _effective_width(device: DeviceParameters, width: float, vdd: float,
-                     drive_factor: float, vth_factor: float) -> float:
+def _effective_width(device: DeviceParameters, width, vdd: float,
+                     drive_factor, vth_factor):
     """Effective transition width (m) of a perturbed device.
 
     Maps the multiplicative (drive, vth) perturbations into the
     closed-form model's width argument via the alpha-power law: drive
     current is linear in width, and the vth shift scales the gate
-    overdrive (floored at ``OVERDRIVE_FLOOR * vdd``).  The batched
-    mirror is :func:`repro.kernels.variation.effective_widths`.
+    overdrive (floored at ``OVERDRIVE_FLOOR * vdd``).  Widths and
+    factors may be floats or arrays.  ``**`` uses NumPy's vectorized
+    pow on arrays and the C library's on floats, which can differ in
+    the last ulp; callers keep one convention per engine.
     """
-    overdrive = max(vdd - device.vth * vth_factor, OVERDRIVE_FLOOR * vdd)
+    overdrive = clip(vdd - device.vth * vth_factor,
+                     OVERDRIVE_FLOOR * vdd)
     nominal_overdrive = vdd - device.vth
-    # np.power rather than the builtin ** so this stays bit-identical
-    # to the batched kernel (libm pow can differ in the last ulp).
     return (width * drive_factor
-            * float(np.power(overdrive / nominal_overdrive,
-                             device.alpha)))
+            * (overdrive / nominal_overdrive) ** device.alpha)
 
 
 def _uniform_geometry(line: ExtractedLine) -> "Tuple[int, float]":
@@ -222,6 +247,46 @@ def _uniform_geometry(line: ExtractedLine) -> "Tuple[int, float]":
     return line.num_repeaters, line.stages[0].driver_size
 
 
+def _closed_form_line_delay(model, length, count: int, size,
+                            receiver_cap, input_slew: float,
+                            factors: np.ndarray):
+    """Closed-form line delay (s) under per-stage perturbation factors.
+
+    The model's own stage chain with each stage's transition width
+    mapped through :func:`_effective_width`.  ``factors`` has shape
+    ``(..., count, 4)``: a ``(samples, count, 4)`` matrix gives one
+    lane per sample, which is how every closed-form engine evaluates
+    draws (a single draw goes as a one-row matrix, so all of them take
+    the vectorized pow).  ``length``, ``size`` and ``receiver_cap`` may
+    also be lane arrays.
+    """
+    tech = model.tech
+    wire = WireCoefficients.from_config(model.config)
+    segment = length / count
+    input_cap = model.repeater_model().input_capacitance(size)
+    wn, wp = tech.inverter_widths(size)
+    total = 0.0
+    slew = input_slew
+    rising = True
+    inverting = model.calibration.kind.inverting
+    for stage in range(count):
+        next_cap = input_cap if stage + 1 < count else receiver_cap
+        if rising:
+            wr = _effective_width(tech.pmos, wp, tech.vdd,
+                                  factors[..., stage, P_DRIVE],
+                                  factors[..., stage, P_VTH])
+        else:
+            wr = _effective_width(tech.nmos, wn, tech.vdd,
+                                  factors[..., stage, N_DRIVE],
+                                  factors[..., stage, N_VTH])
+        delay, slew = model.stage_delay(wire, wr, slew, segment,
+                                        next_cap, rising)
+        total = total + delay
+        if inverting:
+            rising = not rising
+    return total
+
+
 def _model_sample_line_delay(
     model,
     line: ExtractedLine,
@@ -229,48 +294,14 @@ def _model_sample_line_delay(
     variation: VariationModel,
     rng: np.random.Generator,
 ) -> float:
-    """One closed-form Monte-Carlo draw (seconds).
-
-    Draws the four per-stage factors in the golden sampler's order
-    (nMOS drive, nMOS vth, pMOS drive, pMOS vth) so the random stream
-    stays comparable, then evaluates the perturbed closed-form stage
-    chain.  This is the scalar golden reference for the batched
-    ``"kernel"`` engine.
-    """
+    """One closed-form Monte-Carlo draw (seconds): the factor row is
+    drawn in the golden sampler's order, then evaluated as a one-lane
+    :func:`_closed_form_line_delay`."""
     count, size = _uniform_geometry(line)
-    segment = line.length / count
-    repeater = model.repeater_model()
-    input_cap = repeater.input_capacitance(size)
-    wn, wp = model.tech.inverter_widths(size)
-    slew = input_slew
-    rising = True
-    total = 0.0
-    inverting = model.calibration.kind.inverting
-    for stage in range(count):
-        n_drive = _clip_drive(float(rng.normal(1.0,
-                                               variation.drive_sigma)))
-        n_vth = _clip_vth(float(rng.normal(1.0, variation.vth_sigma)))
-        p_drive = _clip_drive(float(rng.normal(1.0,
-                                               variation.drive_sigma)))
-        p_vth = _clip_vth(float(rng.normal(1.0, variation.vth_sigma)))
-        next_cap = input_cap if stage + 1 < count else line.receiver_cap
-        load = effective_load_capacitance(model.config, segment,
-                                          next_cap)
-        d_wire = wire_delay(model.config, segment, next_cap)
-        direction = model.calibration.direction(rising)
-        if rising:
-            device, width = model.tech.pmos, wp
-            drive_factor, vth_factor = p_drive, p_vth
-        else:
-            device, width = model.tech.nmos, wn
-            drive_factor, vth_factor = n_drive, n_vth
-        wr = _effective_width(device, width, model.tech.vdd,
-                              drive_factor, vth_factor)
-        total += direction.delay(slew, wr, load) + d_wire
-        slew = direction.output_slew(load, slew, wr)
-        if inverting:
-            rising = not rising
-    return total
+    row = variation.draw_factors(rng, count)
+    return float(_closed_form_line_delay(
+        model, line.length, count, size, line.receiver_cap, input_slew,
+        row[np.newaxis])[0])
 
 
 def _model_sample_task(task) -> float:
@@ -281,23 +312,6 @@ def _model_sample_task(task) -> float:
         return _model_sample_line_delay(
             model, line, input_slew, variation,
             np.random.default_rng(seed_sequence))
-
-
-def _closed_form_base(model):
-    """The plain closed-form model beneath ``model``.
-
-    The LUT-served wrapper
-    (:class:`repro.luts.model.LUTInterconnectModel`) carries its
-    calibrated base model at ``.base``; anything else passes through
-    unchanged.  The batched variation kernels replay the exact stage
-    chain, so they always want the base — the LUT tier accelerates
-    the *model engine* through its own first-order lane instead
-    (:func:`_lut_monte_carlo`).
-    """
-    from repro.kernels.lut import serves_model
-    if serves_model(model):
-        return model.base
-    return model
 
 
 def _lut_monte_carlo(
@@ -320,13 +334,14 @@ def _lut_monte_carlo(
     the draw loop O(samples) instead of O(samples * stages) and
     worker-count independent by construction.
     """
-    from repro.kernels.lut import line_delay_first_order, serves_model
+    from repro.kernels.line import LUT, array_path
+    from repro.kernels.lut import line_delay_first_order
     from repro.signoff.estimators.engines import (
         factor_matrix,
         standard_normal_rows,
     )
 
-    if not serves_model(model):
+    if array_path(model) != LUT:
         return None
     response = model.mc_response(line, input_slew)
     if response is None:
@@ -370,21 +385,20 @@ def _kernel_monte_carlo(
     z = standard_normal_rows(streams, 4 * count)
     factors = factor_matrix(z, variation, count, nominal_first=True)
     METRICS.count("variation.samples", len(streams))
-    delays = line_delay_batch(_closed_form_base(model), line.length,
-                              count, size, line.receiver_cap,
-                              input_slew, factors)
+    delays = line_delay_batch(model, line.length, count, size,
+                              line.receiver_cap, input_slew, factors)
     return float(delays[0]), [float(d) for d in delays[1:]]
 
 
 def _require_closed_form_model(model) -> None:
-    from repro.kernels.line import supports_model
+    from repro.kernels.line import array_path
     if model is None:
         raise ValueError(
             "the 'model'/'kernel' engines and the model-backed "
             "estimators (importance sampling, control variates) need "
             "the closed-form model; pass "
             "model=BufferedInterconnectModel(...)")
-    if not supports_model(_closed_form_base(model)):
+    if array_path(model) is None:
         raise TypeError(
             "the closed-form engines and estimators evaluate the "
             "plain BufferedInterconnectModel formula (directly or "

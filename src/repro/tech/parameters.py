@@ -12,6 +12,8 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.arrays import any_true
+
 
 @dataclass(frozen=True)
 class DeviceParameters:
@@ -229,8 +231,9 @@ class TechnologyParameters:
 
     def inverter_widths(self, size: float) -> "tuple[float, float]":
         """(nMOS width, pMOS width) in meters of an inverter of drive
-        strength ``size`` (size 1 = minimum inverter)."""
-        if size <= 0:
+        strength ``size`` (size 1 = minimum inverter); ``size`` may be
+        a float or an array."""
+        if any_true(size <= 0):
             raise ValueError("size must be positive")
         wn = self.min_nmos_width * size
         return wn, wn * self.pn_ratio

@@ -39,7 +39,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "unknown rule" in err
         # The usage error lists every valid rule, project ones too.
-        assert "units" in err and "kernel-parity" in err
+        assert "units" in err and "unit-flow" in err
+
+    def test_retired_kernel_parity_rule_is_usage_error(self, tmp_path,
+                                                       capsys):
+        assert _lint(tmp_path, CLEAN, "--rules", "kernel-parity") == 2
+        err = capsys.readouterr().err
+        assert "unknown rule(s): kernel-parity" in err
+        assert "worker-safety-transitive" in err
 
     def test_empty_rule_selection_is_usage_error(self, tmp_path,
                                                  capsys):

@@ -86,7 +86,7 @@ class TestMakeCheckers:
             make_checkers([])
 
     def test_project_rules_validate_but_make_no_file_checker(self):
-        assert make_checkers(["kernel-parity"]) == []
+        assert make_checkers(["unit-flow"]) == []
 
 
 class TestCollectFiles:

@@ -129,8 +129,7 @@ class TestSplitRules:
         assert set(file_rules) == {"units", "determinism",
                                    "worker-safety", "cache-purity",
                                    "span-hygiene"}
-        assert set(project_rules) == {"kernel-parity",
-                                      "worker-safety-transitive",
+        assert set(project_rules) == {"worker-safety-transitive",
                                       "unit-flow"}
 
     def test_mixed_selection_splits_by_kind(self):
@@ -150,7 +149,7 @@ class TestSplitRules:
             split_rules(["made-up"])
         message = str(excinfo.value)
         assert "unknown rule(s): made-up" in message
-        for rule in ("units", "kernel-parity", "unit-flow",
+        for rule in ("units", "unit-flow",
                      "worker-safety-transitive"):
             assert rule in message
 

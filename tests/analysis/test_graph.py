@@ -110,10 +110,11 @@ class TestSuppression:
     def test_noqa_map_travels_with_the_index(self):
         index = index_source("def f():\n    return 1\n",
                              "src/repro/pkg/sup.py",
-                             noqa={1: ["kernel-parity"], 2: ["*"]})
+                             noqa={1: ["unit-flow"], 2: ["*"]})
         project = ProjectIndex([index])
         name = "repro.pkg.sup.f"
-        assert project.is_suppressed(name, 1, "kernel-parity")
-        assert not project.is_suppressed(name, 1, "unit-flow")
+        assert project.is_suppressed(name, 1, "unit-flow")
+        assert not project.is_suppressed(name, 1,
+                                         "worker-safety-transitive")
         assert project.is_suppressed(name, 2, "unit-flow")
         assert not project.is_suppressed(name, 3, "unit-flow")

@@ -1,4 +1,4 @@
-"""Per-file symbol extraction: ops, consts, taints, calls, round-trip."""
+"""Per-file symbol extraction: taints, calls, round-trip."""
 
 from repro.analysis.index import (
     FileIndex,
@@ -26,57 +26,6 @@ class TestModuleNames:
     def test_paths_outside_src_keep_their_components(self):
         assert module_name_for("tests/analysis/test_core.py") \
             == "tests.analysis.test_core"
-
-
-class TestOpExtraction:
-    def test_binops_count_into_the_multiset(self):
-        index = _index("def f(a, b):\n"
-                       "    return a * b + a * a - b\n")
-        assert _fn(index, "f").ops == {"Mult": 2, "Add": 1, "Sub": 1}
-
-    def test_op_calls_canonicalize(self):
-        # ``np.power`` reads as Pow, ``np.clip`` as Max+Min, ``sum``
-        # as Add — idiom differences must not read as parity drift.
-        index = _index("import numpy as np\n"
-                       "def f(x):\n"
-                       "    y = np.power(x, 2.0)\n"
-                       "    z = np.clip(y, 0.0, 1.0)\n"
-                       "    return sum([z])\n")
-        assert _fn(index, "f").ops == {"Pow": 1, "Max": 1, "Min": 1,
-                                       "Add": 1}
-
-    def test_method_calls_are_not_canonicalized(self):
-        # ``counts.max()`` is a reduction on an instance — only
-        # resolved module-level / builtin names canonicalize.
-        index = _index("def f(counts):\n"
-                       "    return counts.max()\n")
-        assert _fn(index, "f").ops == {}
-
-    def test_negated_literal_is_not_a_usub(self):
-        index = _index("def f(x):\n"
-                       "    return -1.0 * x\n")
-        assert _fn(index, "f").ops == {"Mult": 1}
-        assert _fn(index, "f").consts == {"-1.0": 1}
-
-
-class TestConstExtraction:
-    def test_arithmetic_literals_count(self):
-        index = _index("def f(x):\n"
-                       "    return 0.69 * x + 0.69\n")
-        assert _fn(index, "f").consts == {"0.69": 2}
-
-    def test_comparison_guards_are_blind(self):
-        index = _index("def f(x):\n"
-                       "    if x <= 0:\n"
-                       "        return 0.0\n"
-                       "    return x * 2.0\n")
-        assert _fn(index, "f").consts == {"0.0": 1, "2.0": 1}
-
-    def test_subscript_indices_are_blind(self):
-        index = _index("def f(coeffs, x):\n"
-                       "    return coeffs[0] + coeffs[1] * x\n")
-        assert _fn(index, "f").consts == {}
-        assert _fn(index, "f").ops == {"Add": 1, "Mult": 1}
 
 
 class TestTaints:
@@ -159,8 +108,6 @@ class TestPayloadRoundTrip:
         assert clone.noqa == {3: ["units"]}
         assert set(clone.functions) == {"C.m"}
         original, copy = index.functions["C.m"], clone.functions["C.m"]
-        assert copy.ops == original.ops
-        assert copy.consts == original.consts
         assert copy.taints == original.taints
         assert copy.params == original.params
         assert copy.is_method

@@ -1,15 +1,13 @@
-"""The three interprocedural rules, against seeded-drift fixtures."""
+"""The interprocedural rules, against seeded-drift fixtures."""
 
 from pathlib import Path
 
 from repro.analysis.graph import CallGraph, ProjectIndex
 from repro.analysis.index import index_source
 from repro.analysis.checkers import (
-    KernelParityChecker,
     UnitFlowChecker,
     WorkerSafetyTransitiveChecker,
 )
-from repro.kernels.parity import EXEMPT, PARITY_PAIRS, ParityPair
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -24,103 +22,6 @@ def _index_fixture(name, module=None):
 def _run(checker, *indexes):
     project = ProjectIndex(indexes)
     return checker.run(project, CallGraph(project))
-
-
-class TestKernelParity:
-    PAIRS = (ParityPair(
-        name="stage-delay",
-        kernel=("repro.kernels.fake.stage_delay_batch",),
-        scalar=("repro.models.fake.stage_delay",)),)
-
-    def _indexes(self):
-        return (_index_fixture("parity_drift_kernel.py",
-                               module="repro.kernels.fake"),
-                _index_fixture("parity_drift_scalar.py",
-                               module="repro.models.fake"))
-
-    def test_seeded_drift_fires_op_and_const_findings(self):
-        checker = KernelParityChecker(pairs=self.PAIRS,
-                                      exempt=frozenset(
-                                          {"repro.kernels.fake"
-                                           ".orphan_kernel"}))
-        findings = _run(checker, *self._indexes())
-        messages = [finding.message for finding in findings]
-        assert len(findings) == 2
-        assert any("operation multiset drift" in msg
-                   for msg in messages)
-        assert any("numeric-constant drift" in msg
-                   for msg in messages)
-        # Anchored at the kernel definition, not the scalar.
-        assert all(finding.path.endswith("parity_drift_kernel.py")
-                   for finding in findings)
-
-    def test_ops_mode_ignores_constant_drift(self):
-        pair = ParityPair(
-            name="stage-delay",
-            kernel=("repro.kernels.fake.stage_delay_batch",),
-            scalar=("repro.models.fake.stage_delay",),
-            compare="ops", rationale="constants hoisted in test")
-        checker = KernelParityChecker(
-            pairs=(pair,),
-            exempt=frozenset({"repro.kernels.fake.orphan_kernel"}))
-        findings = _run(checker, *self._indexes())
-        assert len(findings) == 1
-        assert "operation multiset drift" in findings[0].message
-
-    def test_unpaired_public_kernel_is_a_coverage_finding(self):
-        checker = KernelParityChecker(pairs=self.PAIRS,
-                                      exempt=frozenset())
-        findings = _run(checker, *self._indexes())
-        coverage = [finding for finding in findings
-                    if "no entry in the parity registry"
-                    in finding.message]
-        assert len(coverage) == 1
-        assert "orphan_kernel" in coverage[0].message
-
-    def test_registry_referencing_missing_function_is_a_finding(self):
-        pair = ParityPair(
-            name="ghost",
-            kernel=("repro.kernels.fake.stage_delay_batch",),
-            scalar=("repro.models.fake.no_such_function",))
-        checker = KernelParityChecker(
-            pairs=(pair,),
-            exempt=frozenset({"repro.kernels.fake.orphan_kernel"}))
-        findings = _run(checker, *self._indexes())
-        assert len(findings) == 1
-        assert "unindexed function" in findings[0].message
-        assert "no_such_function" in findings[0].message
-
-    def test_skips_entirely_when_no_kernel_module_in_scope(self):
-        checker = KernelParityChecker(pairs=self.PAIRS,
-                                      exempt=frozenset())
-        scalar_only = _index_fixture("parity_drift_scalar.py",
-                                     module="repro.models.fake")
-        assert _run(checker, scalar_only) == []
-
-    def test_real_registry_is_clean_and_covers_every_kernel(self):
-        """The acceptance criterion: the shipped registry matches the
-        shipped code, with every public kernel paired or exempt."""
-        import repro
-        src = Path(repro.__file__).parent
-        indexes = []
-        for path in sorted(src.rglob("*.py")):
-            rel = path.relative_to(src.parent.parent).as_posix()
-            indexes.append(index_source(
-                path.read_text(encoding="utf-8"), rel))
-        findings = _run(KernelParityChecker(), *indexes)
-        assert findings == [], "\n".join(
-            finding.format() for finding in findings)
-
-    def test_every_registry_entry_names_a_kernel_and_scalar(self):
-        for pair in PARITY_PAIRS:
-            assert pair.kernel and pair.scalar
-            assert all(name.startswith("repro.kernels.")
-                       for name in pair.kernel), pair.name
-            if pair.compare == "ops":
-                assert pair.rationale, (
-                    f"ops-only pair '{pair.name}' needs a rationale")
-        assert all(name.startswith("repro.kernels.")
-                   for name in EXEMPT)
 
 
 class TestWorkerSafetyTransitive:

@@ -120,3 +120,29 @@ class TestMaxFeasibleLength:
 
     def test_impossible_budget_returns_zero(self, suite90):
         assert max_feasible_length(suite90.proposed, ps(1)) == 0.0
+
+
+class TestSearchInputValidation:
+    """Both searches reject bad inputs with one ``ValueError`` before
+    choosing between the lockstep and the scalar implementation."""
+
+    @pytest.fixture(params=["proposed", "bakoglu"])
+    def model(self, request, suite90):
+        return getattr(suite90, request.param)
+
+    def test_optimize_rejects_empty_counts(self, model):
+        with pytest.raises(ValueError, match="counts"):
+            optimize_buffering(model, mm(5), counts=[])
+
+    def test_minimize_rejects_empty_counts(self, model):
+        with pytest.raises(ValueError, match="counts"):
+            minimize_power_under_delay(model, mm(5), ps(500), counts=[])
+
+    def test_optimize_rejects_max_size_below_one(self, model):
+        with pytest.raises(ValueError, match="max_size"):
+            optimize_buffering(model, mm(5), max_size=0.5)
+
+    def test_minimize_rejects_max_size_below_one(self, model):
+        with pytest.raises(ValueError, match="max_size"):
+            minimize_power_under_delay(model, mm(5), ps(500),
+                                       max_size=0.5)

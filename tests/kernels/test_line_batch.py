@@ -1,7 +1,7 @@
 """Kernel batch evaluation vs the scalar golden reference.
 
-The contract is ≤ 1e-9 relative; the kernels mirror the scalar
-operation order, so in practice every field lands bit-exact.
+The lanes call the model's own stage and power/area functions in the
+scalar loop's order, so every field must be bit-identical.
 """
 
 import dataclasses
@@ -10,12 +10,20 @@ import numpy as np
 import pytest
 
 from repro.characterization import RepeaterKind
-from repro.kernels import evaluate_line_batch, supports_model
+from repro.kernels import CLOSED_FORM, LUT, array_path, \
+    evaluate_line_batch
 from repro.models.extensions import SlewAwareInterconnectModel
 from repro.models.interconnect import BufferedInterconnectModel
 from repro.units import mm, ps
 
-RTOL = 1e-9
+FIELDS = ("delay", "output_slew", "dynamic_power", "leakage_power",
+          "repeater_area", "wire_area", "total_power")
+
+
+def _assert_lane_equals(batch, index, estimate):
+    for field in FIELDS:
+        assert getattr(batch, field)[index] == getattr(estimate, field), \
+            field
 
 
 def _slew_aware(suite90):
@@ -30,18 +38,24 @@ def model(suite90):
 
 
 class TestSupportsModel:
+    """:func:`array_path` is the one place that picks a lane."""
+
     def test_plain_model_supported(self, model):
-        assert supports_model(model)
+        assert array_path(model) == CLOSED_FORM
+
+    def test_lut_model_served_by_the_lut_lane(self, lut90):
+        assert array_path(lut90) == LUT
 
     def test_subclass_rejected(self, suite90):
         slew_aware = _slew_aware(suite90)
-        # The subclass overrides stage composition, so the kernels'
-        # mirrored arithmetic would silently diverge from it.
+        # The subclass overrides the stage, which the lanes would
+        # silently skip.
         assert isinstance(slew_aware, BufferedInterconnectModel)
-        assert not supports_model(slew_aware)
+        assert array_path(slew_aware) is None
 
-    def test_non_model_rejected(self):
-        assert not supports_model(object())
+    def test_non_model_rejected(self, suite90):
+        assert array_path(object()) is None
+        assert array_path(suite90.bakoglu) is None
 
 
 class TestBatchMatchesScalar:
@@ -49,54 +63,35 @@ class TestBatchMatchesScalar:
         sizes = np.linspace(1.0, 128.0, 64)
         batch = evaluate_line_batch(model, mm(5), 8, sizes, ps(100))
         for index, size in enumerate(sizes):
-            estimate = model.evaluate(mm(5), 8, float(size), ps(100))
-            assert batch.delay[index] == pytest.approx(
-                estimate.delay, rel=RTOL)
-            assert batch.output_slew[index] == pytest.approx(
-                estimate.output_slew, rel=RTOL)
-            assert batch.dynamic_power[index] == pytest.approx(
-                estimate.dynamic_power, rel=RTOL)
-            assert batch.leakage_power[index] == pytest.approx(
-                estimate.leakage_power, rel=RTOL)
-            assert batch.repeater_area[index] == pytest.approx(
-                estimate.repeater_area, rel=RTOL)
-            assert batch.wire_area[index] == pytest.approx(
-                estimate.wire_area, rel=RTOL)
-            assert batch.total_power[index] == pytest.approx(
-                estimate.total_power, rel=RTOL)
+            _assert_lane_equals(batch, index, model.evaluate(
+                mm(5), 8, float(size), ps(100)))
 
     def test_count_axis_and_broadcasting(self, model):
         counts = np.array([1, 2, 4, 8, 16])
         batch = evaluate_line_batch(model, mm(5), counts, 32.0, ps(100))
         assert batch.delay.shape == counts.shape
         for index, count in enumerate(counts):
-            estimate = model.evaluate(mm(5), int(count), 32.0, ps(100))
-            assert batch.delay[index] == pytest.approx(
-                estimate.delay, rel=RTOL)
+            _assert_lane_equals(batch, index, model.evaluate(
+                mm(5), int(count), 32.0, ps(100)))
 
     def test_length_axis(self, model):
         lengths = np.array([mm(1), mm(3), mm(7)])
         batch = evaluate_line_batch(model, lengths, 6, 40.0, ps(100))
         for index, length in enumerate(lengths):
-            estimate = model.evaluate(float(length), 6, 40.0, ps(100))
-            assert batch.delay[index] == pytest.approx(
-                estimate.delay, rel=RTOL)
-            assert batch.total_power[index] == pytest.approx(
-                estimate.total_power, rel=RTOL)
+            _assert_lane_equals(batch, index, model.evaluate(
+                float(length), 6, 40.0, ps(100)))
 
     def test_bus_width_and_receiver_cap(self, model):
         receiver = model.repeater_model().input_capacitance(64.0)
         batch = evaluate_line_batch(model, mm(4), 5, 24.0, ps(100),
                                     bus_width=128,
                                     receiver_cap=receiver)
-        estimate = model.evaluate(mm(4), 5, 24.0, ps(100),
-                                  bus_width=128, receiver_cap=receiver)
-        assert batch.delay[0] == pytest.approx(estimate.delay, rel=RTOL)
-        assert batch.leakage_power[0] == pytest.approx(
-            estimate.leakage_power, rel=RTOL)
+        _assert_lane_equals(batch, 0, model.evaluate(
+            mm(4), 5, 24.0, ps(100), bus_width=128,
+            receiver_cap=receiver))
 
     def test_buffer_kind_input_cap_branch(self, suite90):
-        """BUFFER calibrations hit the first-stage max() branch."""
+        """BUFFER calibrations hit the first-stage clamp branch."""
         from repro.models.calibration import load_calibration
         calibration = load_calibration(suite90.tech, RepeaterKind.BUFFER)
         model = BufferedInterconnectModel(suite90.tech, calibration,
@@ -105,8 +100,8 @@ class TestBatchMatchesScalar:
         batch = evaluate_line_batch(model, mm(3), 4, sizes, ps(100))
         for index, size in enumerate(sizes):
             estimate = model.evaluate(mm(3), 4, float(size), ps(100))
-            assert batch.delay[index] == pytest.approx(
-                estimate.delay, rel=RTOL)
+            assert type(estimate.delay) is float
+            _assert_lane_equals(batch, index, estimate)
 
 
 class TestValidation:

@@ -7,13 +7,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.buffering.optimizer import minimize_power_under_delay
-from repro.kernels.line import evaluate_line_batch
+from repro.buffering.optimizer import (
+    DEFAULT_INPUT_SLEW,
+    DEFAULT_MAX_SIZE,
+    _count_candidates,
+    minimize_power_under_delay,
+    minimize_power_under_delay_scalar,
+)
+from repro.kernels.line import LUT, array_path, evaluate_line_batch
 from repro.kernels.lut import (
     evaluate_line_lut,
     interpolate_trilinear,
     line_delay_first_order,
-    serves_model,
 )
 from repro.luts.interp import trilinear
 from repro.luts.model import first_order_line_delay
@@ -34,8 +39,8 @@ def _lane_queries(spec, lanes=64):
 
 class TestServesModel:
     def test_recognizes_lut_model(self, suite90, lut90):
-        assert serves_model(lut90)
-        assert not serves_model(suite90.proposed)
+        assert array_path(lut90) == LUT
+        assert array_path(suite90.proposed) != LUT
 
 
 class TestTrilinearParity:
@@ -86,12 +91,11 @@ class TestLineEvaluateParity:
                 continue
             scalar = lut90.evaluate(length, count, size,
                                     spec.input_slew)
-            assert batch.delay[lane] == scalar.delay
-            assert batch.output_slew[lane] == scalar.output_slew
-            assert batch.dynamic_power[lane] == pytest.approx(
-                scalar.dynamic_power, rel=1e-12)
-            assert batch.leakage_power[lane] == pytest.approx(
-                scalar.leakage_power, rel=1e-12)
+            for field in ("delay", "output_slew", "dynamic_power",
+                          "leakage_power", "repeater_area",
+                          "wire_area"):
+                assert getattr(batch, field)[lane] == \
+                    getattr(scalar, field), field
             checked += 1
         assert checked >= 20
 
@@ -156,8 +160,9 @@ class TestSearchFastPath:
         max_delay = 0.8 / tech.clock_frequency
         length = mm(6.0)
         fast = minimize_power_under_delay(lut90, length, max_delay)
-        scalar = minimize_power_under_delay(lut90, length, max_delay,
-                                            use_kernels=False)
+        scalar = minimize_power_under_delay_scalar(
+            lut90, length, max_delay, DEFAULT_INPUT_SLEW,
+            DEFAULT_MAX_SIZE, 1, _count_candidates(length))
         assert fast is not None and scalar is not None
         assert fast.power <= scalar.power * 1.10
 

@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.kernels.variation import (
-    OVERDRIVE_FLOOR,
-    effective_widths,
-    line_delay_batch,
-)
+from repro.kernels.variation import line_delay_batch
+from repro.signoff.variation import OVERDRIVE_FLOOR, _effective_width
 from repro.units import mm, ps
 
 
@@ -20,20 +17,20 @@ class TestEffectiveWidths:
     def test_unit_factors_are_identity(self, tech90):
         width = tech90.min_nmos_width * 8
         ones = np.ones(5)
-        out = effective_widths(tech90.nmos, width, tech90.vdd, ones,
+        out = _effective_width(tech90.nmos, width, tech90.vdd, ones,
                                ones)
         np.testing.assert_array_equal(out, np.full(5, width))
 
     def test_drive_factor_scales_linearly(self, tech90):
         width = tech90.min_nmos_width * 8
         drives = np.array([0.5, 1.0, 2.0])
-        out = effective_widths(tech90.nmos, width, tech90.vdd, drives,
+        out = _effective_width(tech90.nmos, width, tech90.vdd, drives,
                                np.ones(3))
         np.testing.assert_allclose(out, width * drives)
 
     def test_higher_vth_weakens_the_device(self, tech90):
         width = tech90.min_nmos_width * 8
-        out = effective_widths(tech90.nmos, width, tech90.vdd,
+        out = _effective_width(tech90.nmos, width, tech90.vdd,
                                np.ones(2), np.array([1.0, 1.3]))
         assert out[1] < out[0]
 
@@ -42,7 +39,7 @@ class TestEffectiveWidths:
         not driven negative."""
         width = tech90.min_nmos_width * 8
         huge_vth = np.array([tech90.vdd / tech90.nmos.vth * 2.0])
-        out = effective_widths(tech90.nmos, width, tech90.vdd,
+        out = _effective_width(tech90.nmos, width, tech90.vdd,
                                np.ones(1), huge_vth)
         nominal_overdrive = tech90.vdd - tech90.nmos.vth
         floor_ratio = OVERDRIVE_FLOOR * tech90.vdd / nominal_overdrive
@@ -60,7 +57,7 @@ class TestLineDelayBatch:
         estimate = model.evaluate(mm(3), 6, 40.0, ps(100),
                                   receiver_cap=receiver)
         assert delays.shape == (3,)
-        np.testing.assert_allclose(delays, estimate.delay, rtol=1e-9)
+        np.testing.assert_array_equal(delays, estimate.delay)
 
     def test_perturbed_rows_differ_from_nominal(self, model):
         receiver = model.repeater_model().input_capacitance(40.0)
@@ -69,6 +66,15 @@ class TestLineDelayBatch:
         delays = line_delay_batch(model, mm(3), 6, 40.0, receiver,
                                   ps(100), factors)
         assert delays[1] != delays[0]
+
+    def test_lut_model_runs_on_its_base(self, model, lut90):
+        receiver = model.repeater_model().input_capacitance(40.0)
+        factors = np.full((2, 6, 4), 1.1)
+        np.testing.assert_array_equal(
+            line_delay_batch(lut90, mm(3), 6, 40.0, receiver, ps(100),
+                             factors),
+            line_delay_batch(model, mm(3), 6, 40.0, receiver, ps(100),
+                             factors))
 
     def test_factor_shape_validated(self, model):
         receiver = model.repeater_model().input_capacitance(40.0)

@@ -109,6 +109,21 @@ class TestClosedFormEngines:
         assert kernel.samples == scalar.samples
         assert kernel.nominal_delay == scalar.nominal_delay
 
+    def test_factor_rows_bit_equal_across_engines(self, model90,
+                                                  line90):
+        """The estimators' path: one shifted factor matrix through the
+        per-row model engine and the batched kernel engine."""
+        from repro.signoff.estimators import engines
+        rng = np.random.default_rng(21)
+        z = rng.standard_normal((48, 40))
+        factors = engines.factor_matrix(z, VariationModel(), 10,
+                                        shift=np.full(40, 2.5))
+        model = engines.evaluate_factors("model", model90, line90,
+                                         ps(100), factors, workers=1)
+        kernel = engines.evaluate_factors("kernel", model90, line90,
+                                          ps(100), factors)
+        np.testing.assert_array_equal(model, kernel)
+
     def test_model_engine_workers_invariant(self, model90, line90):
         serial = monte_carlo_line_delay(line90, ps(100), samples=8,
                                         seed=4, workers=1,
