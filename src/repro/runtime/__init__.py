@@ -60,6 +60,7 @@ from repro.runtime.parallel import (
     TaskError,
     new_pool,
     parallel_map,
+    parallel_map_lanes,
     resolve_max_retries,
     resolve_workers,
     spawn_generators,
@@ -120,6 +121,7 @@ __all__ = [
     "manifest_path_for",
     "new_pool",
     "parallel_map",
+    "parallel_map_lanes",
     "reset_configuration",
     "resolve_max_retries",
     "resolve_workers",

@@ -54,6 +54,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -174,6 +175,55 @@ def _apply_items(fn: Callable[[Any], Any], items: Sequence[Any], *,
     return results
 
 
+def _apply_lanes(fn: Callable[[List[Any]], List[Any]],
+                 items: Sequence[Any], *, label: str, start: int,
+                 chunk_index: Optional[int]) -> List[Any]:
+    """``fn(items)`` as one call, with per-item :class:`TaskError`s.
+
+    ``fn`` returns one result per item; an item that failed holds its
+    exception instead, and the first such item raises the
+    :class:`TaskError` a per-item map would have raised for it.  The
+    call's wall time feeds ``parallel.task_seconds`` as an equal share
+    per item.
+    """
+    if not items:
+        return []
+    started = time.perf_counter()
+    try:
+        results = list(fn(list(items)))
+    except TaskError:
+        raise
+    except Exception as exc:
+        raise TaskError(label, start, chunk_index,
+                        f"{type(exc).__name__}: {exc}") from exc
+    for offset, result in enumerate(results):
+        if isinstance(result, Exception):
+            raise TaskError(label, start + offset, chunk_index,
+                            f"{type(result).__name__}: {result}"
+                            ) from result
+    share = (time.perf_counter() - started) / len(items)
+    for _ in items:
+        METRICS.observe("parallel.task_seconds", share)
+    return results
+
+
+@dataclass(frozen=True)
+class _Lanes:
+    """A :func:`parallel_map_lanes` function: it maps a whole chunk."""
+
+    fn: Callable[[List[Any]], List[Any]]
+
+
+def _apply(fn: Callable, items: Sequence[Any], *, label: str, start: int,
+           chunk_index: Optional[int]) -> List[Any]:
+    """Run one chunk, per item or (for :class:`_Lanes`) in one call."""
+    if isinstance(fn, _Lanes):
+        return _apply_lanes(fn.fn, items, label=label, start=start,
+                            chunk_index=chunk_index)
+    return _apply_items(fn, items, label=label, start=start,
+                        chunk_index=chunk_index)
+
+
 #: (fn, chunk items, capture trace?, chunk index, start offset,
 #:  workload label, worker-side fault specs)
 _ChunkPayload = Tuple[Callable[[Any], Any], List[Any], bool, int, int,
@@ -203,8 +253,8 @@ def _run_chunk(payload: _ChunkPayload) -> _ChunkResult:
         faults.fire_chunk_faults(specs, chunk_index)
         with trace.span("parallel.chunk", items=len(chunk),
                         chunk=chunk_index):
-            results = _apply_items(fn, chunk, label=label, start=start,
-                                   chunk_index=chunk_index)
+            results = _apply(fn, chunk, label=label, start=start,
+                             chunk_index=chunk_index)
     finally:
         _IN_WORKER = False
         if collector is not None:
@@ -267,8 +317,8 @@ def parallel_map(
     METRICS.count("parallel.tasks", len(items))
     if workers <= 1 or len(items) <= 1:
         with METRICS.timer("parallel.serial"):
-            return _apply_items(fn, items, label=label, start=0,
-                                chunk_index=None)
+            return _apply(fn, items, label=label, start=0,
+                          chunk_index=None)
 
     if chunk is None:
         chunk = max(1, math.ceil(len(items) / workers))
@@ -279,8 +329,8 @@ def parallel_map(
         # Restricted environments fall back to the serial path
         # instead of failing the workload.
         with METRICS.timer("parallel.serial"):
-            return _apply_items(fn, items, label=label, start=0,
-                                chunk_index=None)
+            return _apply(fn, items, label=label, start=0,
+                          chunk_index=None)
 
     capture_trace = trace.TRACER.enabled
     results: List[Any] = []
@@ -331,10 +381,32 @@ def parallel_map(
                 with trace.span("parallel.recover",
                                 chunk=index,
                                 items=len(chunks[index])):
-                    results.extend(_apply_items(
+                    results.extend(_apply(
                         fn, chunks[index], label=label,
                         start=starts[index], chunk_index=index))
     return results
+
+
+def parallel_map_lanes(
+    fn: Callable[[List[Any]], List[Any]],
+    items: Sequence[Any],
+    *,
+    workers: Optional[int] = None,
+    label: Optional[str] = None,
+) -> List[Any]:
+    """:func:`parallel_map` for a ``fn`` that maps a whole chunk.
+
+    ``fn`` receives one contiguous chunk of ``items`` as a list and
+    returns one result per item, holding an exception instance for an
+    item that failed; this is how a batched engine runs many items as
+    lanes of one computation.  The serial path hands ``fn`` every item
+    at once; a pool hands it one chunk per worker.  Results, counters,
+    crash recovery and :class:`TaskError` attribution (the failed
+    item's own index) are those of :func:`parallel_map`.
+    """
+    if label is None:
+        label = getattr(fn, "__qualname__", None) or repr(fn)
+    return parallel_map(_Lanes(fn), items, workers=workers, label=label)
 
 
 def spawn_seed_sequences(seed: int, count: int

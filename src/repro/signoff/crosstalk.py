@@ -95,7 +95,7 @@ def _add_coupled_ladders(
         circuit.add_capacitor(victim, node_name("a2", index), cc_seg)
 
 
-def simulate_coupled_stage(
+def build_coupled_stage_circuit(
     tech: TechnologyParameters,
     driver_size: float,
     wire_resistance: float,
@@ -105,14 +105,9 @@ def simulate_coupled_stage(
     input_slew: float,
     rising_input: bool,
     activity: AggressorActivity,
-    max_retries: int = 3,
-) -> CoupledStageResult:
-    """One repeater stage with both neighbours simulated explicitly.
-
-    All three lines get identical drivers and loads; the aggressors'
-    inputs ramp according to ``activity``, aligned with the victim's
-    input transition (the worst-case alignment for OPPOSITE).
-    """
+) -> Tuple[Circuit, float]:
+    """The three-line stage of :func:`simulate_coupled_stage` and its
+    initial stop time in seconds."""
     vdd = tech.vdd
     wn, wp = tech.inverter_widths(driver_size)
     circuit = Circuit("coupled_stage")
@@ -151,7 +146,31 @@ def simulate_coupled_stage(
               * (ground_cap + 2.0 * coupling_cap + load_cap)
               + wire_resistance * (0.5 * ground_cap + load_cap))
     stop_time = start + input_slew + 10.0 * elmore + 20e-12
+    return circuit, stop_time
 
+
+def simulate_coupled_stage(
+    tech: TechnologyParameters,
+    driver_size: float,
+    wire_resistance: float,
+    ground_cap: float,
+    coupling_cap: float,
+    load_cap: float,
+    input_slew: float,
+    rising_input: bool,
+    activity: AggressorActivity,
+    max_retries: int = 3,
+) -> CoupledStageResult:
+    """One repeater stage with both neighbours simulated explicitly.
+
+    All three lines get identical drivers and loads; the aggressors'
+    inputs ramp according to ``activity``, aligned with the victim's
+    input transition (the worst-case alignment for OPPOSITE).
+    """
+    vdd = tech.vdd
+    circuit, stop_time = build_coupled_stage_circuit(
+        tech, driver_size, wire_resistance, ground_cap, coupling_cap,
+        load_cap, input_slew, rising_input, activity)
     target = 0.0 if rising_input else vdd
     for _attempt in range(max_retries + 1):
         result = simulate_transient(circuit, stop_time,

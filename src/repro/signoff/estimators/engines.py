@@ -15,7 +15,9 @@ source of z rows.
 :func:`evaluate_factors` then evaluates a factor matrix on any engine:
 one :func:`repro.kernels.variation.line_delay_batch` call for
 ``"kernel"``, an order-preserving :func:`repro.runtime.parallel_map`
-over per-row tasks for ``"model"`` and ``"golden"``.  Each row goes
+over per-row tasks for ``"model"``, and for ``"golden"`` contiguous
+row blocks whose stages run as lanes of one Newton loop
+(:func:`repro.runtime.parallel_map_lanes`).  Each row goes
 through the same chain function the inline samplers of
 :mod:`repro.signoff.variation` use, so a ones row reproduces the
 nominal delay bit-for-bit and zero-shift rows reproduce the plain
@@ -24,11 +26,11 @@ draws.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.runtime import METRICS, parallel_map
+from repro.runtime import METRICS, parallel_map, parallel_map_lanes
 from repro.signoff import variation as _variation
 from repro.signoff.extraction import ExtractedLine
 
@@ -102,6 +104,18 @@ def _golden_factor_task(task) -> float:
                                              np.asarray(row))
 
 
+def _golden_factor_lanes(tasks) -> "List[Union[float, Exception]]":
+    """Golden evaluations (seconds) of a contiguous block of
+    :func:`_golden_factor_task` tasks, each stage of every row
+    simulated as one batch of lanes.  A row that failed holds its
+    exception (see :func:`repro.runtime.parallel_map_lanes`)."""
+    line, input_slew, _ = tasks[0]
+    METRICS.count("variation.samples", len(tasks))
+    with METRICS.timer("variation.sample"):
+        return _variation._golden_line_delays(
+            line, input_slew, np.array([row for _, _, row in tasks]))
+
+
 def _model_factor_task(task) -> float:
     """One closed-form evaluation of an explicit factor row (seconds),
     as a one-lane :func:`repro.signoff.variation._closed_form_line_delay`."""
@@ -125,10 +139,13 @@ def evaluate_factors(
     """Line delay (seconds) of every factor row, on the chosen engine.
 
     ``"kernel"`` evaluates all rows in one batched call; ``"model"``
-    and ``"golden"`` map the rows through :func:`parallel_map` under
-    the engines' usual ``variation.*`` task labels, preserving the
-    order and therefore the determinism contract for any ``workers``
-    count.  ``input_slew`` is in seconds.
+    maps the rows through :func:`parallel_map`, and ``"golden"``
+    through :func:`parallel_map_lanes` (one block of lanes per worker;
+    a single row runs as one :func:`_golden_factor_task`), under the
+    engines' usual ``variation.*`` task labels.  Either way the order,
+    and therefore the determinism contract, holds for any ``workers``
+    count, and a failed row's :class:`repro.runtime.TaskError` names
+    that row.  ``input_slew`` is in seconds.
     """
     factors = np.asarray(factors, dtype=float)
     if engine == "kernel":
@@ -155,7 +172,12 @@ def evaluate_factors(
                               label="variation.model_draw")
     else:
         tasks = [(line, input_slew, row) for row in factors]
-        delays = parallel_map(_golden_factor_task, tasks,
-                              workers=workers,
-                              label="variation.golden_draw")
+        if len(tasks) == 1:  # nothing to stack: one per-draw task
+            delays = parallel_map(_golden_factor_task, tasks,
+                                  workers=workers,
+                                  label="variation.golden_draw")
+        else:
+            delays = parallel_map_lanes(_golden_factor_lanes, tasks,
+                                        workers=workers,
+                                        label="variation.golden_draw")
     return np.asarray(delays)

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.runtime import parallel_map, spawn_seed_sequences
 from repro.signoff import variation as _variation
+from repro.signoff.estimators import engines
 from repro.signoff.estimators.base import (
     EstimatedVariationResult,
     EstimationRequest,
@@ -29,16 +30,16 @@ def run(request: EstimationRequest) -> EstimatedVariationResult:
     streams = spawn_seed_sequences(request.seed, request.samples + 1)
     nominal_variation = _variation.VariationModel(0.0, 0.0)
     if request.engine == "golden":
-        nominal = _variation._sample_task(
-            (request.line, request.input_slew, nominal_variation,
-             streams[0]))
-        tasks = [(request.line, request.input_slew, request.variation,
-                  stream) for stream in streams[1:]]
-        # The label puts the draw index in any TaskError, so one
-        # diverging sample out of 10k names itself in the traceback.
-        draws: List[float] = parallel_map(
-            _variation._sample_task, tasks, workers=request.workers,
-            label="variation.golden_draw")
+        # Stream 0 is the nominal: a sigma-0 draw is the all-ones row.
+        nominal = float(engines.evaluate_factors(
+            "golden", None, request.line, request.input_slew,
+            engines.nominal_factors(request.stages), workers=1)[0])
+        z = engines.standard_normal_rows(streams[1:], request.dimensions)
+        # Draw i is row i, so a TaskError names the diverging draw.
+        draws: List[float] = engines.evaluate_factors(
+            "golden", None, request.line, request.input_slew,
+            engines.factor_matrix(z, request.variation, request.stages),
+            workers=request.workers).tolist()
     elif request.engine == "model":
         served = _variation._lut_monte_carlo(
             request.model, request.line, request.input_slew,

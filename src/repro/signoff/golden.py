@@ -20,18 +20,27 @@ Uniform lines converge to a periodic steady state after a few stages
 remaining stage delays are reused instead of re-simulated.  The paper's
 15 mm lines have tens of repeaters; this shortcut makes the golden
 evaluation tractable without changing its result.
+
+Monte-Carlo draws perturb every stage, so nothing repeats; instead
+:func:`simulate_stages` simulates the same stage of many draws
+together, as lanes of one Newton loop, each lane measuring exactly
+what :func:`simulate_stage` measures for it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.signoff.extraction import ExtractedLine
 from repro.spice.netlist import Circuit
 from repro.spice.elements import ramp
-from repro.spice.transient import simulate_transient
+from repro.spice.transient import (
+    TransientResult,
+    simulate_lanes,
+    simulate_transient,
+)
 from repro.tech.parameters import TechnologyParameters
 
 #: Lumped RC sections per wire segment.  Eight sections keep the
@@ -41,6 +50,10 @@ SEGMENTS_PER_WIRE = 8
 #: Relative slew change below which the stage cascade is declared
 #: periodic.
 SLEW_CONVERGENCE = 0.01
+
+#: Times a stage simulation is re-run with a doubled stop time when
+#: its output has not settled.
+MAX_SETTLE_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -104,6 +117,30 @@ def _build_stage_circuit(
     return circuit, stop_time
 
 
+def _settled(result: TransientResult, vdd: float,
+             rising_input: bool) -> bool:
+    """Whether the stage output reached its rail (within 2% of
+    ``vdd``) by the end of the simulation."""
+    target = 0.0 if rising_input else vdd  # inverter output rail
+    return result.waveform("out").settled(target, 0.02 * vdd)
+
+
+def _stage_timing(result: TransientResult, vdd: float,
+                  input_slew: float, rising_input: bool) -> StageTiming:
+    """The 50% delay and output slew measured on a settled stage."""
+    in_wave = result.waveform("in")
+    out_wave = result.waveform("out")
+    t_in = in_wave.midpoint_time(0.0, vdd)
+    t_out = out_wave.midpoint_time(0.0, vdd)
+    output_slew = out_wave.slew(0.0, vdd)
+    return StageTiming(
+        delay=t_out - t_in,
+        output_slew=output_slew,
+        input_slew=input_slew,
+        rising_input=rising_input,
+    )
+
+
 def simulate_stage(
     tech: TechnologyParameters,
     driver_size: float,
@@ -112,7 +149,7 @@ def simulate_stage(
     load_cap: float,
     input_slew: float,
     rising_input: bool,
-    max_retries: int = 3,
+    max_retries: int = MAX_SETTLE_RETRIES,
 ) -> StageTiming:
     """Simulate one stage and measure its 50% delay and output slew.
 
@@ -126,29 +163,64 @@ def simulate_stage(
     circuit, stop_time = _build_stage_circuit(
         tech, driver_size, wire_resistance, wire_capacitance, load_cap,
         input_slew, rising_input)
-    vdd = tech.vdd
-    target = 0.0 if rising_input else vdd  # inverter output rail
-
     for attempt in range(max_retries + 1):
         result = simulate_transient(circuit, stop_time,
                                     record=["in", "out"])
-        out_wave = result.waveform("out")
-        if out_wave.settled(target, 0.02 * vdd):
+        if _settled(result, tech.vdd, rising_input):
             break
         stop_time *= 2.0
     else:  # pragma: no cover - defensive
         raise RuntimeError("stage simulation never settled")
+    return _stage_timing(result, tech.vdd, input_slew, rising_input)
 
-    in_wave = result.waveform("in")
-    t_in = in_wave.midpoint_time(0.0, vdd)
-    t_out = out_wave.midpoint_time(0.0, vdd)
-    output_slew = out_wave.slew(0.0, vdd)
-    return StageTiming(
-        delay=t_out - t_in,
-        output_slew=output_slew,
-        input_slew=input_slew,
-        rising_input=rising_input,
-    )
+
+def simulate_stages(
+    techs: Sequence[TechnologyParameters],
+    driver_size: float,
+    wire_resistance: float,
+    wire_capacitance: float,
+    load_cap: float,
+    input_slews: Sequence[float],
+    rising_input: bool,
+) -> List[Union[StageTiming, Exception]]:
+    """:func:`simulate_stage` for each ``(techs[k], input_slews[k])``,
+    simulated together as lanes (:func:`repro.spice.transient.
+    simulate_lanes`).
+
+    The stages share the driver size, the wire and the load; each
+    lane keeps its own stop time, step count and settle retries, and
+    measures exactly what :func:`simulate_stage` measures for it.  A
+    lane that fails holds the exception :func:`simulate_stage` would
+    raise for it.
+    """
+    built = [_build_stage_circuit(tech, driver_size, wire_resistance,
+                                  wire_capacitance, load_cap, slew,
+                                  rising_input)
+             for tech, slew in zip(techs, input_slews)]
+    stop_times = [stop_time for _, stop_time in built]
+    timings: List[Union[StageTiming, Exception, None]] = [None] * len(built)
+    pending = list(range(len(built)))
+    for _attempt in range(MAX_SETTLE_RETRIES + 1):
+        results = simulate_lanes([built[k][0] for k in pending],
+                                 [stop_times[k] for k in pending],
+                                 record=["in", "out"])
+        unsettled = []
+        for k, result in zip(pending, results):
+            vdd = techs[k].vdd
+            if isinstance(result, Exception):
+                timings[k] = result
+            elif _settled(result, vdd, rising_input):
+                timings[k] = _stage_timing(result, vdd, input_slews[k],
+                                           rising_input)
+            else:
+                stop_times[k] *= 2.0
+                unsettled.append(k)
+        pending = unsettled
+        if not pending:
+            break
+    for k in pending:  # pragma: no cover - defensive
+        timings[k] = RuntimeError("stage simulation never settled")
+    return timings
 
 
 def evaluate_buffered_line(

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from repro.arrays import clip
 from repro.models.wire import WireCoefficients
 from repro.runtime import METRICS, span
 from repro.signoff.extraction import ExtractedLine
-from repro.signoff.golden import simulate_stage
+from repro.signoff.golden import simulate_stages
 from repro.tech.parameters import DeviceParameters, \
     TechnologyParameters
 
@@ -166,41 +166,58 @@ def _perturbed_technology(tech: TechnologyParameters,
     )
 
 
-def _golden_line_delay(line: ExtractedLine, input_slew: float,
-                       factors: np.ndarray) -> float:
-    """Golden delay (s) of ``line`` under a ``(stages, 4)`` factor row.
+def _golden_line_delays(line: ExtractedLine, input_slew: float,
+                        factors: np.ndarray
+                        ) -> "List[Union[float, Exception]]":
+    """Golden delay (s) of ``line`` under each ``(stages, 4)`` factor
+    row of ``factors`` (shape ``(rows, stages, 4)``).
 
     Each stage is simulated with its own perturbed device set; slews
     propagate through the perturbed chain exactly as in the golden
     flow (no periodicity shortcut — every stage is unique here).
+    Stage ``k`` of every row runs as one batch of lanes
+    (:func:`repro.signoff.golden.simulate_stages`).  A row whose stage
+    fails holds that exception and leaves the later batches.
     """
-    slew = input_slew
+    rows = len(factors)
+    totals = [0.0] * rows
+    slews = [input_slew] * rows
+    failures: "dict[int, Exception]" = {}
+    live = list(range(rows))
     rising = True
-    total = 0.0
     for index, stage in enumerate(line.stages):
-        timing = simulate_stage(
-            _perturbed_technology(line.tech, factors[index]),
+        if not live:
+            break
+        timings = simulate_stages(
+            [_perturbed_technology(line.tech, factors[row, index])
+             for row in live],
             stage.driver_size,
             stage.wire.resistance,
             stage.wire.total_cap(line.config.delay_miller),
             line.stage_load_cap(index),
-            slew,
+            [slews[row] for row in live],
             rising,
         )
-        total += timing.delay
-        slew = timing.output_slew
+        for row, timing in zip(live, timings):
+            if isinstance(timing, Exception):
+                failures[row] = timing
+            else:
+                totals[row] += timing.delay
+                slews[row] = timing.output_slew
+        live = [row for row in live if row not in failures]
         rising = not rising
-    return total
+    return [failures.get(row, totals[row]) for row in range(rows)]
 
 
-def _sample_task(task: "Tuple[ExtractedLine, float, VariationModel, "
-                 "np.random.SeedSequence]") -> float:
-    """One Monte-Carlo draw on its own spawned stream (pool-safe)."""
-    line, input_slew, variation, seed_sequence = task
-    METRICS.count("variation.samples")
-    with METRICS.timer("variation.sample"):
-        return sample_line_delay(line, input_slew, variation,
-                                 np.random.default_rng(seed_sequence))
+def _golden_line_delay(line: ExtractedLine, input_slew: float,
+                       factors: np.ndarray) -> float:
+    """Golden delay (s) of ``line`` under one ``(stages, 4)`` factor
+    row: a one-row :func:`_golden_line_delays`."""
+    (delay,) = _golden_line_delays(line, input_slew,
+                                   np.asarray(factors)[np.newaxis])
+    if isinstance(delay, Exception):
+        raise delay
+    return delay
 
 
 def _clip_drive(factor):

@@ -9,23 +9,29 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.spice.elements import GROUND
 from repro.spice.netlist import Circuit
-from repro.spice.transient import _Assembly, _newton_solve
+from repro.spice.transient import (
+    _Assembly,
+    _check_newton_budget,
+    _operating_points,
+)
 
 
 def dc_operating_point(circuit: Circuit, newton_tol: float = 1e-9,
                        max_iterations: int = 400) -> Dict[str, float]:
-    """Node voltages (volts) of the DC solution, keyed by node name."""
-    assembly = _Assembly(circuit)
-    v_all = np.zeros(assembly.n)
-    v_all[assembly.driven_indices] = assembly.driven_values(0.0)
-    v_all = _newton_solve(assembly, v_all, assembly.G,
-                          assembly.source_currents(0.0),
-                          newton_tol, max_iterations)
-    return {name: float(v_all[circuit.node(name)])
+    """Node voltages (volts) of the DC solution, keyed by node name.
+
+    ``newton_tol`` (volts) must be positive and ``max_iterations`` at
+    least 1; raises :class:`~repro.spice.transient.ConvergenceError`
+    when Newton iteration fails.
+    """
+    _check_newton_budget(newton_tol, max_iterations)
+    v_all, failures = _operating_points([_Assembly(circuit)], newton_tol,
+                                        max_iterations)
+    if failures:
+        raise failures[0]
+    return {name: float(v_all[0, circuit.node(name)])
             for name in circuit.node_names()}
 
 

@@ -24,9 +24,10 @@ for the Newton companion model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Tuple
 
 from scipy.optimize import brentq
 
@@ -46,9 +47,10 @@ class MosfetOperatingPoint:
     gds: float
 
 
-# Cache of solved softplus smoothing parameters, keyed by the frozen
-# DeviceParameters instance (hashable) and the reference vdd.
-_SMOOTHING_CACHE: Dict[Tuple[DeviceParameters, float], float] = {}
+#: Bound on the memo of solved smoothing parameters.  Every perturbed
+#: Monte-Carlo device is a distinct key, so the memo must not grow
+#: with the number of draws a long-lived process has answered.
+SMOOTHING_MEMO_SIZE = 256
 
 #: Search interval for the smoothing parameter, in volts.
 _SMOOTHING_RANGE = (0.005, 0.5)
@@ -64,30 +66,16 @@ def _softplus(x: float, s: float) -> float:
     return s * math.log1p(math.exp(ratio))
 
 
-def _sigmoid(x: float, s: float) -> float:
-    """Derivative of :func:`_softplus` with respect to ``x``."""
-    ratio = x / s
-    if ratio > 40.0:
-        return 1.0
-    if ratio < -40.0:
-        return math.exp(ratio)
-    return 1.0 / (1.0 + math.exp(-ratio))
-
-
-def subthreshold_smoothing(  # repro: noqa[worker-safety-transitive] — pure memoization; the write is idempotent and keyed on the inputs
-        parameters: DeviceParameters,
-        reference_vdd: float) -> float:
+@functools.lru_cache(maxsize=SMOOTHING_MEMO_SIZE)
+def subthreshold_smoothing(parameters: DeviceParameters,
+                           reference_vdd: float) -> float:
     """Smoothing parameter ``s`` (volts) matching the specified leakage.
 
     Solves ``k_sat * v_eff(0)**alpha = i_leak`` where
     ``v_eff(0) = softplus(-vth, s)`` is the effective overdrive of an
-    off device.  The solution is cached per (flavour, vdd).
+    off device.  The solution is memoized per (flavour, vdd), keeping
+    the :data:`SMOOTHING_MEMO_SIZE` most recent.
     """
-    key = (parameters, reference_vdd)
-    cached = _SMOOTHING_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     target = parameters.i_leak / parameters.k_sat
 
     def objective(s: float) -> float:
@@ -104,8 +92,84 @@ def subthreshold_smoothing(  # repro: noqa[worker-safety-transitive] — pure me
         solution = low   # leakage spec lower than the model can reach
     else:
         solution = brentq(objective, low, high, xtol=1e-6)
-    _SMOOTHING_CACHE[key] = solution
     return solution
+
+
+def _channel_equations(p: DeviceParameters, w: float, s: float
+                       ) -> Callable[[float, float],
+                                     Tuple[float, float, float]]:
+    """``(ids, gm, gds)`` of a device of flavour ``p``, width ``w``
+    (meters) and smoothing ``s`` (volts) as a function of physical
+    terminal voltages (see :meth:`Mosfet.channel`).
+
+    Every constant below is the same product an evaluation from
+    scratch computes first, so hoisting them changes no bit.
+    """
+    sign = p.polarity
+    vth = p.vth
+    alpha = p.alpha
+    lam = p.channel_length_modulation
+    k_lin = p.k_lin
+    i_sat_scale = p.k_sat * w
+    di_sat_scale = p.alpha * p.k_sat * w
+    alpha_less_one = p.alpha - 1.0
+    half_alpha = p.alpha / 2.0
+    dv_dsat_scale = p.k_lin * (p.alpha / 2.0)
+    half_alpha_less_one = p.alpha / 2.0 - 1.0
+
+    def forward(vgs: float, vds: float) -> Tuple[float, float, float]:
+        """Current and derivatives in the nMOS frame with vds >= 0."""
+        # v_eff is _softplus(vgs - vth, s) and dv_eff its derivative.
+        overdrive = vgs - vth
+        ratio = overdrive / s
+        if ratio > 40.0:
+            v_eff = overdrive
+            dv_eff = 1.0
+        elif ratio < -40.0:
+            v_eff = s * math.exp(ratio)
+            dv_eff = math.exp(ratio)
+        else:
+            v_eff = s * math.log1p(math.exp(ratio))
+            dv_eff = 1.0 / (1.0 + math.exp(-ratio))
+        if v_eff <= 0.0:
+            return 0.0, 0.0, 0.0
+
+        i_sat = i_sat_scale * v_eff**alpha
+        di_sat_dvgs = di_sat_scale * v_eff**alpha_less_one * dv_eff
+        v_dsat = k_lin * v_eff**half_alpha
+        dv_dsat_dvgs = (dv_dsat_scale * v_eff**half_alpha_less_one
+                        * dv_eff)
+
+        if vds >= v_dsat:
+            clm = 1.0 + lam * (vds - v_dsat)
+            ids = i_sat * clm
+            gds = i_sat * lam
+            gm = di_sat_dvgs * clm - i_sat * lam * dv_dsat_dvgs
+        else:
+            x = vds / v_dsat
+            shape = (2.0 - x) * x
+            ids = i_sat * shape
+            gds = i_sat * (2.0 - 2.0 * x) / v_dsat
+            dx_dvgs = -vds * dv_dsat_dvgs / (v_dsat * v_dsat)
+            dshape_dvgs = (2.0 - 2.0 * x) * dx_dvgs
+            gm = di_sat_dvgs * shape + i_sat * dshape_dvgs
+        return ids, gm, gds
+
+    def currents(v_gs: float, v_ds: float) -> Tuple[float, float, float]:
+        vgs = sign * v_gs
+        vds = sign * v_ds
+        if vds >= 0:
+            ids, gm, gds = forward(vgs, vds)
+        else:
+            # Channel conduction is symmetric: swap drain and source.
+            # In the swapped frame vgs' = vgd = vgs - vds, vds' = -vds.
+            ids_s, gm_s, gds_s = forward(vgs - vds, -vds)
+            ids = -ids_s
+            gm = -gm_s
+            gds = gm_s + gds_s
+        return sign * ids, gm, gds
+
+    return currents
 
 
 @dataclass(frozen=True)
@@ -137,57 +201,23 @@ class Mosfet:
 
     # -- current ----------------------------------------------------------
 
+    def channel(self) -> Callable[[float, float],
+                                  Tuple[float, float, float]]:
+        """The device's ``(ids, gm, gds)`` as a function of physical
+        terminal voltages ``(v_gs, v_ds)`` in volts.
+
+        Resolves the smoothing parameter and folds the width into the
+        flavour's constants once, so each call does only the
+        bias-dependent arithmetic.  The Newton solver builds this once
+        per device and circuit."""
+        return _channel_equations(
+            self.parameters, self.width,
+            subthreshold_smoothing(self.parameters, self.reference_vdd))
+
     def evaluate(self, v_gs: float, v_ds: float) -> MosfetOperatingPoint:
         """Drain current and derivatives at physical terminal voltages."""
-        sign = self.parameters.polarity
-        vgs = sign * v_gs
-        vds = sign * v_ds
-
-        if vds >= 0:
-            ids, gm, gds = self._forward(vgs, vds)
-        else:
-            # Channel conduction is symmetric: swap drain and source.
-            # In the swapped frame vgs' = vgd = vgs - vds, vds' = -vds.
-            ids_s, gm_s, gds_s = self._forward(vgs - vds, -vds)
-            ids = -ids_s
-            gm = -gm_s
-            gds = gm_s + gds_s
-
-        return MosfetOperatingPoint(ids=sign * ids, gm=gm, gds=gds)
-
-    def _forward(self, vgs: float, vds: float
-                 ) -> Tuple[float, float, float]:
-        """Current and derivatives in the nMOS frame with vds >= 0."""
-        p = self.parameters
-        w = self.width
-        s = subthreshold_smoothing(p, self.reference_vdd)
-
-        v_eff = _softplus(vgs - p.vth, s)
-        dv_eff = _sigmoid(vgs - p.vth, s)
-        if v_eff <= 0.0:
-            return 0.0, 0.0, 0.0
-
-        i_sat = p.k_sat * w * v_eff**p.alpha
-        di_sat_dvgs = p.alpha * p.k_sat * w * v_eff**(p.alpha - 1.0) * dv_eff
-        v_dsat = p.k_lin * v_eff**(p.alpha / 2.0)
-        dv_dsat_dvgs = (p.k_lin * (p.alpha / 2.0)
-                        * v_eff**(p.alpha / 2.0 - 1.0) * dv_eff)
-
-        lam = p.channel_length_modulation
-        if vds >= v_dsat:
-            clm = 1.0 + lam * (vds - v_dsat)
-            ids = i_sat * clm
-            gds = i_sat * lam
-            gm = di_sat_dvgs * clm - i_sat * lam * dv_dsat_dvgs
-        else:
-            x = vds / v_dsat
-            shape = (2.0 - x) * x
-            ids = i_sat * shape
-            gds = i_sat * (2.0 - 2.0 * x) / v_dsat
-            dx_dvgs = -vds * dv_dsat_dvgs / (v_dsat * v_dsat)
-            dshape_dvgs = (2.0 - 2.0 * x) * dx_dvgs
-            gm = di_sat_dvgs * shape + i_sat * dshape_dvgs
-        return ids, gm, gds
+        ids, gm, gds = self.channel()(v_gs, v_ds)
+        return MosfetOperatingPoint(ids=ids, gm=gm, gds=gds)
 
     def leakage_current(self, vdd: float) -> float:
         """Off-state current magnitude (A) including gate tunneling.

@@ -1,4 +1,4 @@
-"""Transient analysis: MNA assembly + Newton iteration.
+"""Transient analysis: MNA assembly + Newton iteration over lanes.
 
 The solver uses the standard companion-model formulation: at each time
 step the backward-Euler discretized KCL system
@@ -17,12 +17,30 @@ Backward Euler is chosen over trapezoidal integration deliberately: it
 is L-stable, so the stiff RC ladders of extracted interconnect cannot
 ring numerically, at the cost of a little extra numerical damping that
 the step-size default keeps negligible.
+
+Engine structure.  Each circuit is compiled once into a stamp plan
+(:class:`_Assembly`): its constant ``G``/``C`` matrices, each MOSFET's
+terminals and resolved smoothing parameter, and the ordered device
+terms that land in unknown rows and (row, column) entries.  One Newton
+loop (:func:`_newton`) then runs over a *lane* axis: every lane
+evaluates its MOSFETs with the scalar device equations of
+:mod:`repro.spice.mosfet`, while the matrix-vector products and the
+linear solves are stacked (``numpy.matmul`` and ``numpy.linalg.solve``
+on ``(lanes, m, m)``), and lanes drop out as they converge.
+:func:`simulate_transient` is that loop with one lane;
+:func:`simulate_lanes` runs several same-topology circuits (Monte-Carlo
+draws of one stage) together, each with its own stop time and step
+count.  Stacking changes no bit of any lane's answer: the stacked
+products and solves call the same BLAS/LAPACK kernels per lane as the
+two-dimensional calls, device terms accumulate in the order a dense
+per-device stamp adds them, and the residual keeps the full ``n x n``
+matrix-vector product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +54,9 @@ GMIN = 1e-12
 
 #: Newton voltage-update damping limit, in volts.
 MAX_NEWTON_STEP = 0.3
+
+#: Newton iteration budget of the DC start of a transient.
+DC_START_ITERATIONS = 200
 
 
 class ConvergenceError(RuntimeError):
@@ -63,8 +84,29 @@ class TransientResult:
         return float(self.voltages[node][-1])
 
 
+def _index(indices: np.ndarray) -> "Union[slice, np.ndarray]":
+    """A contiguous run of indices as a slice (cheaper to apply),
+    anything else as the index array itself."""
+    if indices.size and np.array_equal(
+            indices, np.arange(indices[0], indices[0] + indices.size)):
+        return slice(int(indices[0]), int(indices[0]) + indices.size)
+    return indices
+
+
+def _accumulate(values: List[float],
+                terms: Tuple[Tuple[int, bool], ...]) -> float:
+    """``0.0`` plus/minus each referenced device value, in order."""
+    total = 0.0
+    for index, negate in terms:
+        if negate:
+            total -= values[index]
+        else:
+            total += values[index]
+    return total
+
+
 class _Assembly:
-    """Pre-assembled constant matrices and index bookkeeping."""
+    """One circuit's constant matrices and compiled stamp plan."""
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
@@ -76,10 +118,12 @@ class _Assembly:
         unknown_mask = np.ones(n, dtype=bool)
         unknown_mask[self.driven_indices] = False
         self.unknown_indices = np.nonzero(unknown_mask)[0]
+        self.m = self.unknown_indices.size
+        self.driven = _index(self.driven_indices)
+        self.unknown = _index(self.unknown_indices)
         # Position of each node in the unknown vector (-1 if driven).
         self.position = -np.ones(n, dtype=int)
-        self.position[self.unknown_indices] = np.arange(
-            self.unknown_indices.size)
+        self.position[self.unknown_indices] = np.arange(self.m)
 
         self.G = np.zeros((n, n))
         self.C = np.zeros((n, n))
@@ -102,16 +146,80 @@ class _Assembly:
             _stamp_two_terminal(self.C, mosfet.drain, GROUND,
                                 mosfet.drain_capacitance)
         self.G[np.diag_indices(n)] += GMIN
+        self._compile_plan()
 
-    def driven_values(self, t: float) -> np.ndarray:
-        return np.array([w(t) for w in self.driven_waveforms])
+    def _compile_plan(self) -> None:
+        """The per-device evaluation list and the ordered device terms.
 
-    def source_currents(self, t: float) -> np.ndarray:
-        currents = np.zeros(self.n)
-        for source in self.circuit.current_sources:
-            if source.node != GROUND:
-                currents[source.node] += source.current(t)
-        return currents
+        Device ``k`` contributes four values per Newton iteration, at
+        ``4k + 0..3``: ``ids``, ``gds``, ``gm`` and ``-(gm + gds)``
+        (the derivatives with respect to its drain, gate and source).
+        ``ids`` leaves the drain row and enters the source row, and
+        each derivative lands in the drain row and, negated, the
+        source row of its terminal's column.  Terms are listed in
+        device order, then column order, then drain before source:
+        the order in which a dense per-device stamp adds them, so
+        every sum rounds exactly as that stamp would.  Only unknown
+        rows and columns are kept — the rest never reach the solve.
+        """
+        position = self.position
+        mosfets = self.circuit.mosfets
+        self.devices = [(mosfet.channel(), mosfet.drain, mosfet.gate,
+                         mosfet.source) for mosfet in mosfets]
+        currents: List[List[Tuple[int, bool]]] = [
+            [] for _ in range(self.m)]
+        entries: Dict[Tuple[int, int], List[Tuple[int, bool]]] = {}
+
+        def row_of(node: int) -> int:
+            return -1 if node == GROUND else int(position[node])
+
+        for k, mosfet in enumerate(mosfets):
+            rows = ((row_of(mosfet.drain), False),
+                    (row_of(mosfet.source), True))
+            for row, negate in rows:
+                if row >= 0:
+                    currents[row].append((4 * k, negate))
+            columns = ((mosfet.drain, 1), (mosfet.gate, 2),
+                       (mosfet.source, 3))
+            for node, kind in columns:
+                column = row_of(node)
+                if column < 0:
+                    continue
+                for row, negate in rows:
+                    if row >= 0:
+                        entries.setdefault((row, column), []).append(
+                            (4 * k + kind, negate))
+        self.current_terms = [(row, tuple(terms))
+                              for row, terms in enumerate(currents)
+                              if terms]
+        self.jacobian_terms = [tuple(terms) for terms in entries.values()]
+        self.jacobian_index = np.array(
+            [row * self.m + column for row, column in entries],
+            dtype=int)
+        self.topology = (tuple(self.circuit.node_names()),
+                         tuple(self.driven_indices.tolist()),
+                         tuple((mosfet.drain, mosfet.gate, mosfet.source)
+                               for mosfet in mosfets))
+
+    def device_terms(self, voltages: List[float]
+                     ) -> Tuple[List[float], List[float]]:
+        """(device currents of the unknown rows, Jacobian values of
+        the plan's entries) at node ``voltages`` (volts; one entry per
+        node, then 0.0 for ground at index ``GROUND``)."""
+        values: List[float] = []
+        for channel, drain, gate, source in self.devices:
+            v_source = voltages[source]
+            ids, gm, gds = channel(voltages[gate] - v_source,
+                                   voltages[drain] - v_source)
+            values += (ids, gds, gm, -(gm + gds))
+        row_currents = [0.0] * self.m
+        for row, terms in self.current_terms:
+            row_currents[row] = _accumulate(values, terms)
+        return row_currents, [_accumulate(values, terms)
+                              for terms in self.jacobian_terms]
+
+    def driven_values(self, t: float) -> List[float]:
+        return [w(t) for w in self.driven_waveforms]
 
 
 def _stamp_two_terminal(matrix: np.ndarray, a: int, b: int,
@@ -126,74 +234,161 @@ def _stamp_two_terminal(matrix: np.ndarray, a: int, b: int,
         matrix[b, a] -= value
 
 
-def _device_contributions(circuit: Circuit, v_all: np.ndarray
-                          ) -> "tuple[np.ndarray, np.ndarray]":
-    """Nonlinear device currents and Jacobian at node voltages ``v_all``.
-
-    Returns ``(i_dev, J_dev)`` over all nodes, ground rows dropped.
-    """
-    n = v_all.size
-    i_dev = np.zeros(n)
-    jacobian = np.zeros((n, n))
-
-    def volt(node: int) -> float:
-        return 0.0 if node == GROUND else v_all[node]
-
-    for mosfet in circuit.mosfets:
-        d, g, s = mosfet.drain, mosfet.gate, mosfet.source
-        point = mosfet.evaluate(volt(g) - volt(s), volt(d) - volt(s))
-        # Current ids leaves the drain node and enters the source node.
-        if d != GROUND:
-            i_dev[d] += point.ids
-        if s != GROUND:
-            i_dev[s] -= point.ids
-        # d ids / d v_d = gds ; d ids / d v_g = gm ;
-        # d ids / d v_s = -(gm + gds).
-        entries = ((d, point.gds), (g, point.gm),
-                   (s, -(point.gm + point.gds)))
-        for column, derivative in entries:
-            if column == GROUND:
-                continue
-            if d != GROUND:
-                jacobian[d, column] += derivative
-            if s != GROUND:
-                jacobian[s, column] -= derivative
-    return i_dev, jacobian
+def _source_currents(lanes: Sequence[_Assembly],
+                     times: Sequence[float]) -> np.ndarray:
+    """Independent-source currents (amperes) into every node, per lane."""
+    currents = np.zeros((len(lanes), lanes[0].n))
+    for row, (lane, t) in enumerate(zip(lanes, times)):
+        for source in lane.circuit.current_sources:
+            if source.node != GROUND:
+                currents[row, source.node] += source.current(t)
+    return currents
 
 
-def _newton_solve(assembly: _Assembly, v_guess: np.ndarray,
-                  linear_matrix: np.ndarray, rhs_constant: np.ndarray,
-                  tol: float, max_iterations: int,
-                  device_scale: float = 1.0) -> np.ndarray:
-    """Solve ``linear_matrix @ v + s * i_dev(v) = rhs_constant`` for the
-    unknown nodes (``s`` = ``device_scale``; 1 for backward Euler, 1/2
-    for the trapezoidal rule), holding driven nodes fixed at their
-    values inside ``v_guess``.  Returns the full node-voltage vector."""
-    unknown = assembly.unknown_indices
-    v_all = v_guess.copy()
-    if unknown.size == 0:
-        return v_all  # fully driven circuit: nothing to solve
-    for _ in range(max_iterations):
-        i_dev, j_dev = _device_contributions(assembly.circuit, v_all)
-        residual = (linear_matrix @ v_all + device_scale * i_dev
-                    - rhs_constant)[unknown]
-        system = (linear_matrix
-                  + device_scale * j_dev)[np.ix_(unknown, unknown)]
+def _matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Per-lane ``matrices[k] @ vectors[k]``, stacked."""
+    return np.matmul(matrices, vectors[:, :, np.newaxis])[:, :, 0]
+
+
+def _unknown_block(lanes: Sequence[_Assembly],
+                   matrices: np.ndarray) -> np.ndarray:
+    """The unknown-by-unknown block of each lane's matrix."""
+    unknown = lanes[0].unknown_indices
+    return matrices[:, unknown[:, np.newaxis], unknown]
+
+
+def _solve(system: np.ndarray, rhs: np.ndarray
+           ) -> Tuple[np.ndarray, Dict[int, ConvergenceError]]:
+    """Stacked ``solve(system[k], rhs[k])`` and the lanes whose system
+    is singular.  A singular lane sends every lane through its own
+    solve, which returns the same bits as the stacked one."""
+    try:
+        return np.linalg.solve(system, rhs[:, :, np.newaxis])[:, :, 0], {}
+    except np.linalg.LinAlgError:
+        pass
+    delta = np.zeros_like(rhs)
+    singular: Dict[int, ConvergenceError] = {}
+    for k in range(len(system)):
         try:
-            delta = np.linalg.solve(system, -residual)
+            delta[k] = np.linalg.solve(system[k], rhs[k])
         except np.linalg.LinAlgError as error:
-            raise ConvergenceError(f"singular Newton system: {error}")
+            singular[k] = ConvergenceError(
+                f"singular Newton system: {error}")
+    return delta, singular
+
+
+def _newton(lanes: Sequence[_Assembly], v: np.ndarray,
+            linear: np.ndarray, linear_block: np.ndarray,
+            rhs: np.ndarray, device_scale: float, tol: float,
+            max_iterations: int) -> Dict[int, ConvergenceError]:
+    """Solve ``linear[k] @ v + s * i_dev(v) = rhs[k]`` on every lane.
+
+    ``s`` is ``device_scale`` (1 for backward Euler and DC, 1/2 for
+    the trapezoidal rule).  ``v`` is ``(lanes, n)``: each lane's start
+    point with its driven nodes at their values; it is updated in
+    place to the solution.  ``linear`` is ``(lanes, n, n)``,
+    ``linear_block`` its unknown-by-unknown block and ``rhs``
+    ``(lanes, m)`` the unknown rows of the right-hand side.  Lanes
+    leave the loop as they converge.  Returns the lanes (indices into
+    ``v``) that failed, with their errors.
+    """
+    plan = lanes[0]
+    unknown, m = plan.unknown, plan.m
+    failures: Dict[int, ConvergenceError] = {}
+    if m == 0:
+        return failures  # fully driven circuit: nothing to solve
+    # The lanes still iterating: their rows of v (None while all are)
+    # and compacted copies of their arrays.  Entries of the device
+    # Jacobian outside the plan stay 0.0.
+    where: Optional[np.ndarray] = None
+    work_v = v
+    work_lanes = list(lanes)
+    device = np.zeros((len(lanes), m * m))
+    for _ in range(max_iterations):
+        currents, jacobian = [], []
+        for lane, voltages in zip(work_lanes, work_v.tolist()):
+            voltages.append(0.0)  # ground, at index GROUND == -1
+            lane_currents, lane_jacobian = lane.device_terms(voltages)
+            currents.append(lane_currents)
+            jacobian.append(lane_jacobian)
+        count = len(work_lanes)
+        device_currents = np.array(currents)
+        device[:, plan.jacobian_index] = jacobian
+        device_jacobian = device.reshape(count, m, m)
+        if device_scale != 1.0:  # 1.0 * x == x exactly: skip it
+            device_currents = device_scale * device_currents
+            device_jacobian = device_scale * device_jacobian
+        residual = (np.matmul(linear, work_v[:, :, np.newaxis])[:, unknown, 0]
+                    + device_currents - rhs)
+        system = linear_block + device_jacobian
+        delta, singular = _solve(system, -residual)
         # Damping: limit the update magnitude for robustness on the
         # steep exponential subthreshold region.
-        worst = np.max(np.abs(delta))
-        if worst > MAX_NEWTON_STEP:
-            delta *= MAX_NEWTON_STEP / worst
-        v_all[unknown] += delta
-        if worst < tol:
-            return v_all
-    raise ConvergenceError(
-        f"Newton failed to converge within {max_iterations} iterations "
-        f"(last update {worst:.3e} V)")
+        worst = np.abs(delta).max(axis=1)
+        largest = worst.tolist()
+        over = [value > MAX_NEWTON_STEP for value in largest]
+        if any(over):
+            delta[over] *= (MAX_NEWTON_STEP / worst[over])[:, np.newaxis]
+        work_v[:, unknown] += delta
+        done = [value < tol for value in largest]
+        for k, error in singular.items():
+            failures[k if where is None else int(where[k])] = error
+            done[k] = True
+        if all(done):
+            if where is not None:
+                v[where] = work_v
+            return failures
+        if any(done):
+            if where is None:
+                where = np.arange(count)
+            else:
+                v[where[done]] = work_v[done]
+            keep = np.logical_not(done)
+            largest = [value for value, kept in zip(largest, keep) if kept]
+            where, work_v, linear, linear_block, rhs, device = (
+                array[keep] for array in
+                (where, work_v, linear, linear_block, rhs, device))
+            work_lanes = [lane for lane, kept in zip(work_lanes, keep)
+                          if kept]
+    for k, value in enumerate(largest):
+        failures[k if where is None else int(where[k])] = \
+            ConvergenceError(
+                f"Newton failed to converge within {max_iterations} "
+                f"iterations (last update {value:.3e} V)")
+    return failures
+
+
+def _check_newton_budget(newton_tol: float, max_iterations: int) -> None:
+    if not newton_tol > 0:
+        raise ValueError("newton_tol must be positive")
+    if max_iterations < 1:
+        raise ValueError("Newton iteration limit must be >= 1")
+
+
+def _assemble(circuits: Sequence[Circuit]) -> List[_Assembly]:
+    """Stamp plans of same-topology circuits (one lane each)."""
+    lanes = [_Assembly(circuit) for circuit in circuits]
+    if not lanes:
+        raise ValueError("need at least one circuit")
+    if any(lane.topology != lanes[0].topology for lane in lanes[1:]):
+        raise ValueError("lanes need circuits of one topology: the "
+                         "same nodes, driven nodes and MOSFET terminals")
+    return lanes
+
+
+def _operating_points(lanes: Sequence[_Assembly], tol: float,
+                      max_iterations: int
+                      ) -> Tuple[np.ndarray, Dict[int, ConvergenceError]]:
+    """DC solutions ``(lanes, n)`` with capacitors open, at ``t = 0``,
+    and the lanes that failed."""
+    v = np.zeros((len(lanes), lanes[0].n))
+    v[:, lanes[0].driven] = [lane.driven_values(0.0) for lane in lanes]
+    conductance = np.array([lane.G for lane in lanes])
+    rhs = _source_currents(lanes, [0.0] * len(lanes))[:, lanes[0].unknown]
+    failures = _newton(lanes, v, conductance,
+                       _unknown_block(lanes, conductance), rhs, 1.0,
+                       tol, max_iterations)
+    return v, failures
 
 
 def simulate_transient(
@@ -217,69 +412,155 @@ def simulate_transient(
         Fixed step in seconds; defaults to ``stop_time / 1500``.
     record:
         Node names to record; defaults to all nodes.
+    newton_tol:
+        Newton convergence threshold on the update, in volts (> 0).
+    max_newton_iterations:
+        Newton iteration limit per time step (>= 1).
     method:
         ``"be"`` (backward Euler, default — L-stable, mildly damped) or
         ``"trap"`` (trapezoidal — second-order accurate, undamped; can
         ring on very stiff nets but converges faster with step
         refinement).
+
+    Raises :class:`ConvergenceError` when a Newton solve fails.
     """
-    if stop_time <= 0:
-        raise ValueError("stop_time must be positive")
-    if time_step is None:
-        time_step = stop_time / 1500.0
-    if time_step <= 0 or time_step > stop_time:
-        raise ValueError("time_step must lie in (0, stop_time]")
+    (result,) = simulate_lanes(
+        [circuit], [stop_time],
+        None if time_step is None else [time_step], record=record,
+        newton_tol=newton_tol,
+        max_newton_iterations=max_newton_iterations, method=method)
+    if isinstance(result, ConvergenceError):
+        raise result
+    return result
+
+
+def simulate_lanes(
+    circuits: Sequence[Circuit],
+    stop_times: Sequence[float],
+    time_steps: Optional[Sequence[float]] = None,
+    record: Optional[Iterable[str]] = None,
+    newton_tol: float = 1e-6,
+    max_newton_iterations: int = 60,
+    method: str = "be",
+) -> List[Union[TransientResult, ConvergenceError]]:
+    """Transient simulations of same-topology circuits as lanes of one
+    Newton loop.
+
+    Lane ``k`` simulates ``circuits[k]`` to ``stop_times[k]`` seconds
+    with step ``time_steps[k]`` (default ``stop_times[k] / 1500``), and
+    returns exactly what :func:`simulate_transient` returns for it
+    alone.  The circuits must share node names, driven nodes and
+    MOSFET terminals; element values, device parameters and source
+    waveforms are free.  A lane that fails holds its
+    :class:`ConvergenceError` in the returned list; the other lanes
+    run to their end.  The remaining parameters are those of
+    :func:`simulate_transient`.
+    """
+    if len(stop_times) != len(circuits):
+        raise ValueError("need one stop time per circuit")
+    if time_steps is None:
+        time_steps = [stop_time / 1500.0 for stop_time in stop_times]
+    elif len(time_steps) != len(circuits):
+        raise ValueError("need one time step per circuit")
+    for stop_time, time_step in zip(stop_times, time_steps):
+        if stop_time <= 0:
+            raise ValueError("stop_time must be positive")
+        if time_step <= 0 or time_step > stop_time:
+            raise ValueError("time_step must lie in (0, stop_time]")
     if method not in ("be", "trap"):
         raise ValueError(f"unknown integration method {method!r}")
+    _check_newton_budget(newton_tol, max_newton_iterations)
 
-    assembly = _Assembly(circuit)
+    lanes = _assemble(circuits)
+    plan = lanes[0]
     recorded = (list(record) if record is not None
-                else circuit.node_names())
-    recorded_indices = [circuit.node(name) for name in recorded]
+                else circuits[0].node_names())
+    recorded_indices = [circuits[0].node(name) for name in recorded]
+    # Recorded ground traces are 0.0; the other recorded nodes are
+    # sampled every step into a time-major history.
+    nodes = np.array([node for node in recorded_indices
+                      if node != GROUND], dtype=int)
 
-    steps = int(np.ceil(stop_time / time_step))
-    times = np.linspace(0.0, steps * time_step, steps + 1)
+    steps = [int(np.ceil(stop_time / time_step))
+             for stop_time, time_step in zip(stop_times, time_steps)]
+    times = [np.linspace(0.0, count * time_step, count + 1)
+             for count, time_step in zip(steps, time_steps)]
+    time_lists = [axis.tolist() for axis in times]
 
     # Initial DC solution at t = 0 (capacitors open).
-    v_all = np.zeros(assembly.n)
-    v_all[assembly.driven_indices] = assembly.driven_values(0.0)
-    v_all = _newton_solve(
-        assembly, v_all, assembly.G, assembly.source_currents(0.0),
-        newton_tol, max_iterations=200)
+    v, failures = _operating_points(lanes, newton_tol,
+                                    DC_START_ITERATIONS)
+    history = np.empty((max(steps) + 1, len(lanes), nodes.size))
+    history[0] = v[:, nodes]
 
-    traces = np.empty((len(recorded_indices), steps + 1))
-    traces[:, 0] = [0.0 if i == GROUND else v_all[i]
-                    for i in recorded_indices]
-
-    c_over_dt = assembly.C / time_step
+    conductance = np.array([lane.G for lane in lanes])
+    c_over_dt = (np.array([lane.C for lane in lanes])
+                 / np.array(time_steps)[:, np.newaxis, np.newaxis])
     if method == "be":
-        linear_matrix = assembly.G + c_over_dt
+        linear = conductance + c_over_dt
         device_scale = 1.0
     else:  # trapezoidal
-        linear_matrix = 0.5 * assembly.G + c_over_dt
+        linear = 0.5 * conductance + c_over_dt
         device_scale = 0.5
+    linear_block = _unknown_block(lanes, linear)
+    unknown, driven = plan.unknown, plan.driven
 
-    for step_index in range(1, steps + 1):
-        t = times[step_index]
-        v_next = v_all.copy()
-        v_next[assembly.driven_indices] = assembly.driven_values(t)
+    # The lanes still stepping, their rows of the history (all of them
+    # until one ends or fails), their compacted arrays, and the step
+    # after which the set next shrinks.
+    live = list(range(len(lanes)))
+    rows: "Union[slice, List[int]]" = slice(None)
+    work_lanes = list(lanes)
+    failed = 0
+    last = min(steps)
+    for step in range(1, max(steps) + 1):
+        if step > last or len(failures) > failed:
+            keep = np.array([k not in failures and steps[k] >= step
+                             for k in live])
+            live = [k for k, kept in zip(live, keep) if kept]
+            if not live:
+                break
+            rows = live
+            work_lanes = [lanes[k] for k in live]
+            v, conductance, c_over_dt, linear, linear_block = (
+                array[keep] for array in
+                (v, conductance, c_over_dt, linear, linear_block))
+            failed = len(failures)
+            last = min(steps[k] for k in live)
+        now = [time_lists[k][step] for k in live]
+        v_next = v.copy()
+        v_next[:, driven] = [lane.driven_values(t)
+                             for lane, t in zip(work_lanes, now)]
         if method == "be":
-            rhs = assembly.source_currents(t) + c_over_dt @ v_all
+            rhs = (_source_currents(work_lanes, now)
+                   + _matvec(c_over_dt, v))[:, unknown]
         else:
             # Trapezoidal: the previous time point's full residual
             # contributes half of the right-hand side.
-            i_dev_prev, _ = _device_contributions(assembly.circuit,
-                                                  v_all)
-            rhs = (0.5 * assembly.source_currents(t)
-                   + 0.5 * assembly.source_currents(times[step_index - 1])
-                   + c_over_dt @ v_all
-                   - 0.5 * (assembly.G @ v_all)
-                   - 0.5 * i_dev_prev)
-        v_all = _newton_solve(assembly, v_next, linear_matrix, rhs,
-                              newton_tol, max_newton_iterations,
-                              device_scale=device_scale)
-        traces[:, step_index] = [0.0 if i == GROUND else v_all[i]
-                                 for i in recorded_indices]
+            before = [time_lists[k][step - 1] for k in live]
+            previous = [lane.device_terms(voltages + [0.0])[0]
+                        for lane, voltages in zip(work_lanes, v.tolist())]
+            rhs = ((0.5 * _source_currents(work_lanes, now)
+                    + 0.5 * _source_currents(work_lanes, before)
+                    + _matvec(c_over_dt, v)
+                    - 0.5 * _matvec(conductance, v))[:, unknown]
+                   - 0.5 * np.array(previous))
+        for k, error in _newton(work_lanes, v_next, linear, linear_block,
+                                rhs, device_scale, newton_tol,
+                                max_newton_iterations).items():
+            failures[live[k]] = error
+        v = v_next
+        history[step, rows] = v[:, nodes]
 
-    voltages = {name: traces[row] for row, name in enumerate(recorded)}
-    return TransientResult(times=times, voltages=voltages)
+    results: List[Union[TransientResult, ConvergenceError]] = []
+    for k, count in enumerate(steps):
+        if k in failures:
+            results.append(failures[k])
+            continue
+        traces = iter(history[:count + 1, k].T.copy())
+        voltages = {name: (np.zeros(count + 1) if node == GROUND
+                           else next(traces))
+                    for name, node in zip(recorded, recorded_indices)}
+        results.append(TransientResult(times=times[k],
+                                       voltages=voltages))
+    return results

@@ -5,8 +5,10 @@ import pytest
 
 from repro import runtime
 from repro.runtime import (
+    METRICS,
     TaskError,
     parallel_map,
+    parallel_map_lanes,
     resolve_workers,
     spawn_generators,
     spawn_seed_sequences,
@@ -21,6 +23,12 @@ def _fail_on_three(value):
     if value == 3:
         raise ValueError("three is right out")
     return value
+
+
+def _square_block(values):
+    """Squares of a whole chunk; a 3 fails in place, as a lane would."""
+    return [ValueError("three is right out") if value == 3
+            else value * value for value in values]
 
 
 class TestResolveWorkers:
@@ -99,6 +107,41 @@ class TestParallelMap:
         items = list(range(6))
         assert parallel_map(_square, items) \
             == [_square(x) for x in items]
+
+
+class TestParallelMapLanes:
+    def test_serial_is_one_call(self):
+        calls = []
+
+        def record(values):
+            calls.append(list(values))
+            return _square_block(values)
+
+        assert parallel_map_lanes(record, [1, 2, 4], workers=1) \
+            == [1, 4, 16]
+        assert calls == [[1, 2, 4]]
+
+    def test_pool_runs_contiguous_chunks_in_order(self):
+        items = list(range(4, 21))
+        assert parallel_map_lanes(_square_block, items, workers=3) \
+            == [_square(x) for x in items]
+
+    def test_tasks_count_items_not_chunks(self):
+        METRICS.reset()
+        parallel_map_lanes(_square_block, [1, 2, 4, 5], workers=2)
+        assert METRICS.counters["parallel.tasks"] == 4
+
+    def test_empty_items(self):
+        assert parallel_map_lanes(_square_block, [], workers=2) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_item_is_named_by_its_own_index(self, workers):
+        with pytest.raises(TaskError) as info:
+            parallel_map_lanes(_square_block, [1, 2, 5, 3, 3],
+                               workers=workers, label="probe")
+        assert info.value.item_index == 3
+        assert info.value.label == "probe"
+        assert "ValueError" in str(info.value)
 
 
 class TestSeedSpawning:

@@ -141,6 +141,25 @@ class TestApiContract:
         with pytest.raises(ValueError):
             simulate_transient(circuit, 1e-9, time_step=2e-9)
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_newton_iteration_limit_must_be_positive(self, iterations):
+        circuit = Circuit()
+        circuit.add_voltage_source("in", step(1.0))
+        circuit.add_resistor("in", "out", 100.0)
+        circuit.add_capacitor("out", "0", fF(1))
+        with pytest.raises(ValueError, match="iteration limit"):
+            simulate_transient(circuit, ps(100),
+                               max_newton_iterations=iterations)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-6, float("nan")])
+    def test_newton_tolerance_must_be_positive(self, tolerance):
+        circuit = Circuit()
+        circuit.add_voltage_source("in", step(1.0))
+        circuit.add_resistor("in", "out", 100.0)
+        circuit.add_capacitor("out", "0", fF(1))
+        with pytest.raises(ValueError, match="newton_tol"):
+            simulate_transient(circuit, ps(100), newton_tol=tolerance)
+
     def test_record_subset(self):
         circuit = Circuit()
         circuit.add_voltage_source("in", step(1.0))
