@@ -24,6 +24,8 @@ every repeater count as a lane of one batched search and returns the
 same solution.  The public entry points validate their inputs, then let
 the model pick: the lockstep form for models an array path serves
 (:func:`repro.kernels.array_path`), the scalar one otherwise.
+:func:`max_feasible_length` probes with the scalar search for every
+model.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ DEFAULT_MAX_SIZE = 128.0
 
 #: Golden-section ratio.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: Shortest line (meters) :func:`max_feasible_length` probes first.
+_SHORTEST_LINK = 0.1e-3
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,7 @@ def minimize_power_under_delay(
     feasibility check the NoC synthesizer performs per candidate link.
     ``counts`` defaults to a sparse candidate set sized to the length.
     """
-    if max_delay <= 0:
+    if not max_delay > 0:
         raise ValueError("max_delay must be positive")
     if counts is None:
         counts = _count_candidates(length)
@@ -275,15 +280,27 @@ def max_feasible_length(
     Used by the NoC synthesizer to prune candidate links; the paper
     observes that the optimistic original model admits "excessively
     long wires" that are not actually implementable.
+
+    A bisection over the length.  Each probe runs the scalar search
+    whatever the model: one length's repeater counts are too few lanes
+    for the lockstep search to pay off, and both searches return the
+    same delay.  ``max_delay`` must be positive and ``upper_bound``
+    above the 0.1 mm first probe.
     """
+    if not max_delay > 0:
+        raise ValueError("max_delay must be positive")
+    if not upper_bound > _SHORTEST_LINK:
+        raise ValueError(
+            f"upper_bound must exceed {_SHORTEST_LINK} m, the shortest "
+            f"length probed")
+
     def feasible(length: float) -> bool:
-        solution = optimize_buffering(
-            model, length, delay_weight=1.0, input_slew=input_slew,
-            max_size=max_size,
-            counts=_count_candidates(length))
+        counts = _search_counts(_count_candidates(length), max_size)
+        solution = optimize_buffering_scalar(
+            model, length, counts, 1.0, input_slew, max_size, 1)
         return solution.delay <= max_delay
 
-    low = 0.1e-3
+    low = _SHORTEST_LINK
     if not feasible(low):
         return 0.0
     high = upper_bound

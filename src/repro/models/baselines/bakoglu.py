@@ -23,6 +23,7 @@ provided; they are what the original flow uses to buffer a line.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -56,6 +57,14 @@ class BakogluModel:
         return dataclasses.replace(
             self.config, include_scattering=False, include_barrier=False)
 
+    @functools.cached_property
+    def _wire_per_meter(self) -> Tuple[float, float]:
+        """Resistance (ohm/m) and ground capacitance (F/m) of the
+        optimistic wire view, computed once per model."""
+        view = self._optimistic_config()
+        return (view.resistance_per_meter(),
+                view.ground_capacitance_per_meter())
+
     # -- element models ---------------------------------------------------
 
     def drive_resistance(self, size: float) -> float:
@@ -84,13 +93,12 @@ class BakogluModel:
 
     def wire_resistance(self, length: float) -> float:
         """Resistance in ohms of ``length`` meters of wire."""
-        return self._optimistic_config().resistance_per_meter() * length
+        return self._wire_per_meter[0] * length
 
     def wire_capacitance(self, length: float) -> float:
         """Capacitance in farads of ``length`` meters of wire —
         ground capacitance only, coupling is neglected."""
-        return (self._optimistic_config().ground_capacitance_per_meter()
-                * length)
+        return self._wire_per_meter[1] * length
 
     def repeater_area(self, size: float) -> float:
         """Raw transistor gate area in square meters (simplistic).
@@ -148,12 +156,11 @@ class BakogluModel:
         if receiver_cap is None:
             receiver_cap = input_cap
 
-        stage_delays = []
-        for stage in range(num_repeaters):
-            next_cap = (input_cap if stage + 1 < num_repeaters
-                        else receiver_cap)
-            stage_delays.append(
-                self.stage_delay(repeater_size, segment, next_cap))
+        # The stages are identical except the last, whose load is the
+        # receiver.
+        inner = self.stage_delay(repeater_size, segment, input_cap)
+        last = self.stage_delay(repeater_size, segment, receiver_cap)
+        stage_delays = (inner,) * (num_repeaters - 1) + (last,)
 
         switched = (self.wire_capacitance(length)
                     + num_repeaters * input_cap)
@@ -169,7 +176,7 @@ class BakogluModel:
         return InterconnectEstimate(
             delay=sum(stage_delays),
             output_slew=0.0,
-            stage_delays=tuple(stage_delays),
+            stage_delays=stage_delays,
             dynamic_power=p_dynamic,
             leakage_power=p_leak,
             repeater_area=a_repeaters,

@@ -18,8 +18,9 @@ separates it from the proposed model — is:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.models.area import wire_area
 from repro.models.baselines.bakoglu import (
@@ -42,6 +43,7 @@ class PamunuwaModel:
     config: WireConfiguration
     activity_factor: float = 0.15
 
+    @functools.cached_property
     def _gate_model(self) -> BakogluModel:
         """The gate-level pieces are shared with the Bakoglu model."""
         return BakogluModel(tech=self.tech, config=self.config,
@@ -52,31 +54,38 @@ class PamunuwaModel:
         return dataclasses.replace(
             self.config, include_scattering=False, include_barrier=False)
 
+    @functools.cached_property
+    def _wire_per_meter(self) -> Tuple[float, float, float]:
+        """Resistance (ohm/m), ground and coupling capacitance (F/m) of
+        the optimistic wire view, computed once per model."""
+        view = self._optimistic_config()
+        return (view.resistance_per_meter(),
+                view.ground_capacitance_per_meter(),
+                view.coupling_capacitance_per_meter())
+
     # -- element models ---------------------------------------------------
 
     def drive_resistance(self, size: float) -> float:
         """Drive resistance in ohms of a repeater of dimensionless
         ``size`` (multiple of the minimum inverter)."""
-        return self._gate_model().drive_resistance(size)
+        return self._gate_model.drive_resistance(size)
 
     def input_capacitance(self, size: float) -> float:
         """Gate capacitance in farads of a repeater of dimensionless
         ``size``."""
-        return self._gate_model().input_capacitance(size)
+        return self._gate_model.input_capacitance(size)
 
     def wire_resistance(self, length: float) -> float:
         """Resistance in ohms of ``length`` meters of wire."""
-        return self._optimistic_config().resistance_per_meter() * length
+        return self._wire_per_meter[0] * length
 
     def wire_ground_cap(self, length: float) -> float:
         """Ground capacitance in farads of ``length`` meters of wire."""
-        return (self._optimistic_config().ground_capacitance_per_meter()
-                * length)
+        return self._wire_per_meter[1] * length
 
     def wire_coupling_cap(self, length: float) -> float:
         """Coupling capacitance in farads of ``length`` meters of wire."""
-        return (self._optimistic_config().coupling_capacitance_per_meter()
-                * length)
+        return self._wire_per_meter[2] * length
 
     # -- line evaluation ------------------------------------------------------
 
@@ -85,13 +94,12 @@ class PamunuwaModel:
         """Delay in seconds of one stage with the crosstalk-aware
         wire term; ``segment_length`` in meters, ``next_cap`` in
         farads."""
-        gate = self._gate_model()
         miller = self.config.delay_miller
         r_d = self.drive_resistance(size)
         r_w = self.wire_resistance(segment_length)
         c_g = self.wire_ground_cap(segment_length)
         c_c = self.wire_coupling_cap(segment_length)
-        c_self = gate.self_capacitance(size)
+        c_self = self._gate_model.self_capacitance(size)
         load = c_self + c_g + miller * c_c + next_cap
         gate_term = GATE_COEFFICIENT * r_d * load
         wire_term = r_w * (WIRE_COEFFICIENT * c_g
@@ -116,18 +124,17 @@ class PamunuwaModel:
         if num_repeaters < 1:
             raise ValueError("need at least one repeater")
 
-        gate = self._gate_model()
+        gate = self._gate_model
         segment = length / num_repeaters
         input_cap = self.input_capacitance(repeater_size)
         if receiver_cap is None:
             receiver_cap = input_cap
 
-        stage_delays = []
-        for stage in range(num_repeaters):
-            next_cap = (input_cap if stage + 1 < num_repeaters
-                        else receiver_cap)
-            stage_delays.append(
-                self.stage_delay(repeater_size, segment, next_cap))
+        # The stages are identical except the last, whose load is the
+        # receiver.
+        inner = self.stage_delay(repeater_size, segment, input_cap)
+        last = self.stage_delay(repeater_size, segment, receiver_cap)
+        stage_delays = (inner,) * (num_repeaters - 1) + (last,)
 
         # Power counts the lateral capacitance once (no Miller for
         # average power) — the same accounting as the proposed model,
@@ -147,7 +154,7 @@ class PamunuwaModel:
         return InterconnectEstimate(
             delay=sum(stage_delays),
             output_slew=0.0,
-            stage_delays=tuple(stage_delays),
+            stage_delays=stage_delays,
             dynamic_power=p_dynamic,
             leakage_power=p_leak,
             repeater_area=a_repeaters,

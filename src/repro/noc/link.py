@@ -352,11 +352,12 @@ class LinkDesigner:
                      ) -> "list[Optional[LinkDesign]]":
         """Designs for many lengths, warming every cache level.
 
-        Each design runs on the batched kernel scorer when the model
-        supports it (all repeater-count candidates searched as lanes of
-        one lockstep search), so pre-warming a synthesis run's distinct
-        candidate lengths through this entry point replaces thousands
-        of scalar model calls with a few dozen array calls.
+        Each length is its own design search.  Models a batched
+        lane serves search all repeater-count candidates of that length
+        as lanes of one lockstep search; the baselines and other
+        scalar-only models take the scalar search.  Pre-warming a
+        synthesis run's distinct candidate lengths here fills the memo
+        and the disk cache that the topology walk then reads.
         """
         with span("link.design_batch", n=len(lengths),
                   bus_width=self.bus_width):

@@ -146,3 +146,22 @@ class TestSearchInputValidation:
         with pytest.raises(ValueError, match="max_size"):
             minimize_power_under_delay(model, mm(5), ps(500),
                                        max_size=0.5)
+
+    @pytest.mark.parametrize("max_delay", [float("nan"), 0.0, -ps(100)])
+    def test_minimize_rejects_non_positive_delay_bound(self, model,
+                                                       max_delay):
+        with pytest.raises(ValueError, match="max_delay"):
+            minimize_power_under_delay(model, mm(3), max_delay)
+
+    @pytest.mark.parametrize("max_delay", [float("nan"), 0.0, -ps(100)])
+    def test_max_length_rejects_non_positive_delay_bound(self, model,
+                                                         max_delay):
+        with pytest.raises(ValueError, match="max_delay"):
+            max_feasible_length(model, max_delay)
+
+    @pytest.mark.parametrize("upper_bound",
+                             [float("nan"), mm(0.1), mm(0.05), -mm(1)])
+    def test_max_length_rejects_upper_bound_at_or_below_first_probe(
+            self, model, upper_bound):
+        with pytest.raises(ValueError, match="upper_bound"):
+            max_feasible_length(model, ps(500), upper_bound=upper_bound)

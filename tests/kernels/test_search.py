@@ -19,11 +19,13 @@ from repro.buffering.optimizer import (
     optimize_buffering,
     optimize_buffering_scalar,
 )
+from repro.experiments.suite import ModelSuite
 from repro.kernels import (
     minimize_power_under_delay_batch,
     optimize_buffering_batch,
 )
 from repro.models.interconnect import BufferedInterconnectModel
+from repro.tech import DesignStyle
 from repro.units import mm, ps
 
 RTOL = 1e-9
@@ -104,13 +106,83 @@ class _ScalarOnly(BufferedInterconnectModel):
     and every search takes the scalar reference."""
 
 
+def _serial_max_feasible_length(model, max_delay,
+                                upper_bound=30e-3,
+                                max_size=DEFAULT_MAX_SIZE):
+    """Reference bisection: one midpoint per step, each probe an
+    ``optimize_buffering`` call, so the model picks the search."""
+    def feasible(length):
+        solution = optimize_buffering(
+            model, length, delay_weight=1.0,
+            input_slew=DEFAULT_INPUT_SLEW, max_size=max_size,
+            counts=_count_candidates(length))
+        return solution.delay <= max_delay
+
+    low = 0.1e-3
+    if not feasible(low):
+        return 0.0
+    high = upper_bound
+    if feasible(high):
+        return high
+    for _ in range(30):
+        mid = 0.5 * (low + high)
+        if feasible(mid):
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+@pytest.fixture(scope="module", params=[
+    ("90nm", DesignStyle.SWSS), ("90nm", DesignStyle.SHIELDED),
+    ("45nm", DesignStyle.SWSS), ("45nm", DesignStyle.SHIELDED)],
+    ids=lambda case: f"{case[0]}-{case[1].value}")
+def proposed(request):
+    node, style = request.param
+    return ModelSuite.for_node(node, style=style).proposed
+
+
 class TestMaxFeasibleLength:
+    """Probing with the scalar search returns, bit for bit, what
+    bisecting with the model's own search (lockstep for the proposed
+    and LUT models) returns."""
+
     def test_kernel_and_scalar_agree(self, model):
         max_delay = model.tech.clock_period()
         scalar_only = _ScalarOnly(model.tech, model.calibration,
                                   model.config, model.activity_factor)
         assert max_feasible_length(model, max_delay) == \
             max_feasible_length(scalar_only, max_delay)
+
+    @pytest.mark.parametrize("periods", [0.5, 1.0, 3.0])
+    def test_equals_serial_bisection(self, proposed, periods):
+        max_delay = periods * proposed.tech.clock_period()
+        assert max_feasible_length(proposed, max_delay) == \
+            _serial_max_feasible_length(proposed, max_delay)
+
+    def test_equals_serial_bisection_on_lut_model(self, lut90):
+        max_delay = lut90.tech.clock_period()
+        assert max_feasible_length(lut90, max_delay) == \
+            _serial_max_feasible_length(lut90, max_delay)
+
+    def test_equals_serial_bisection_with_custom_bounds(self, model):
+        max_delay = model.tech.clock_period()
+        custom = max_feasible_length(model, max_delay,
+                                     upper_bound=mm(17.3), max_size=40.0)
+        assert custom == _serial_max_feasible_length(
+            model, max_delay, upper_bound=mm(17.3), max_size=40.0)
+        assert custom < max_feasible_length(model, max_delay) < mm(17.3)
+
+    def test_unreachable_budget_exits_at_zero(self, model):
+        assert max_feasible_length(model, ps(1)) == 0.0
+        assert _serial_max_feasible_length(model, ps(1)) == 0.0
+
+    def test_generous_budget_exits_at_upper_bound(self, model):
+        max_delay = model.tech.clock_period()
+        assert max_feasible_length(model, max_delay,
+                                   upper_bound=mm(2)) == mm(2)
+        assert _serial_max_feasible_length(
+            model, max_delay, upper_bound=mm(2)) == mm(2)
 
 
 class TestDispatchValidation:

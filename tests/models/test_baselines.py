@@ -1,8 +1,119 @@
 """Bakoglu and Pamunuwa baseline models."""
 
+import dataclasses
+import pickle
+
 import pytest
 
+from repro.models.area import wire_area
+from repro.models.baselines import BakogluModel, PamunuwaModel
+from repro.models.baselines.bakoglu import (
+    GATE_COEFFICIENT,
+    WIRE_COEFFICIENT,
+    WIRE_LOAD_COEFFICIENT,
+)
+from repro.models.interconnect import InterconnectEstimate
+from repro.models.power import dynamic_power
+from repro.runtime import fingerprint
 from repro.units import fF, mm, ps
+
+
+def _bakoglu_stage(model, size, segment, next_cap):
+    """One Bakoglu stage, re-deriving the optimistic wire view."""
+    view = model._optimistic_config()
+    r_w = view.resistance_per_meter() * segment
+    c_w = view.ground_capacitance_per_meter() * segment
+    gate = GATE_COEFFICIENT * model.drive_resistance(size) * (
+        model.self_capacitance(size) + c_w + next_cap)
+    return gate + r_w * (WIRE_COEFFICIENT * c_w
+                         + WIRE_LOAD_COEFFICIENT * next_cap)
+
+
+def _pamunuwa_stage(model, size, segment, next_cap):
+    """One Pamunuwa stage, re-deriving the wire view and gate model."""
+    gate = BakogluModel(model.tech, model.config, model.activity_factor)
+    view = model._optimistic_config()
+    miller = model.config.delay_miller
+    r_w = view.resistance_per_meter() * segment
+    c_g = view.ground_capacitance_per_meter() * segment
+    c_c = view.coupling_capacitance_per_meter() * segment
+    load = gate.self_capacitance(size) + c_g + miller * c_c + next_cap
+    return (GATE_COEFFICIENT * gate.drive_resistance(size) * load
+            + r_w * (WIRE_COEFFICIENT * c_g
+                     + WIRE_COEFFICIENT * miller * c_c
+                     + WIRE_LOAD_COEFFICIENT * next_cap))
+
+
+def _reference_evaluate(model, length, count, size, bus_width,
+                        receiver_cap):
+    """A baseline's line evaluation with one stage computation per
+    stage, the way the models evaluated before their wire view was
+    cached."""
+    pamunuwa = isinstance(model, PamunuwaModel)
+    stage = _pamunuwa_stage if pamunuwa else _bakoglu_stage
+    gate = BakogluModel(model.tech, model.config, model.activity_factor)
+    view = model._optimistic_config()
+    segment = length / count
+    input_cap = gate.input_capacitance(size)
+    if receiver_cap is None:
+        receiver_cap = input_cap
+    stage_delays = []
+    for index in range(count):
+        next_cap = input_cap if index + 1 < count else receiver_cap
+        stage_delays.append(stage(model, size, segment, next_cap))
+    wire_cap = view.ground_capacitance_per_meter() * length
+    if pamunuwa:
+        wire_cap += view.coupling_capacitance_per_meter() * length
+    p_dynamic = bus_width * dynamic_power(
+        wire_cap + count * input_cap, model.tech.vdd,
+        model.tech.clock_frequency, model.activity_factor)
+    return InterconnectEstimate(
+        delay=sum(stage_delays),
+        output_slew=0.0,
+        stage_delays=tuple(stage_delays),
+        dynamic_power=p_dynamic,
+        leakage_power=bus_width * count * gate.repeater_leakage(size),
+        repeater_area=bus_width * count * gate.repeater_area(size),
+        wire_area=wire_area(model.config, length, bus_width),
+        num_repeaters=count,
+        repeater_size=size,
+        length=length,
+        bus_width=bus_width,
+    )
+
+
+@pytest.fixture(params=["bakoglu", "pamunuwa"])
+def baseline(request, suite90):
+    """A fresh instance, so its cached wire view starts empty."""
+    model = getattr(suite90, request.param)
+    return type(model)(model.tech, model.config, model.activity_factor)
+
+
+class TestCachedWireView:
+    @pytest.mark.parametrize("count", [1, 2, 7, 64])
+    @pytest.mark.parametrize("receiver_cap", [None, fF(23)])
+    def test_evaluate_equals_per_stage_reference(self, baseline, count,
+                                                 receiver_cap):
+        length, size, bus_width = mm(7), 21.5, 4
+        actual = baseline.evaluate(length, count, size, ps(100),
+                                   bus_width=bus_width,
+                                   receiver_cap=receiver_cap)
+        expected = _reference_evaluate(baseline, length, count, size,
+                                       bus_width, receiver_cap)
+        assert dataclasses.asdict(actual) == dataclasses.asdict(expected)
+
+    def test_cache_keys_and_pickles_unchanged_once_filled(self,
+                                                          baseline):
+        key = fingerprint(baseline)
+        empty = pickle.loads(pickle.dumps(baseline))
+        estimate = baseline.evaluate(mm(5), 5, 16.0)
+        assert "_wire_per_meter" in vars(baseline)
+        assert fingerprint(baseline) == key
+        restored = pickle.loads(pickle.dumps(baseline))
+        assert restored == baseline == empty
+        assert fingerprint(restored) == key
+        assert restored.evaluate(mm(5), 5, 16.0) == estimate
+        assert empty.evaluate(mm(5), 5, 16.0) == estimate
 
 
 class TestBakoglu:
