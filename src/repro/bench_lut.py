@@ -121,8 +121,8 @@ def run_link_sweep_bench(model, lut, max_delay: float,
                          reps: int = 1) -> LutBenchResult:
     """Time the min-power design sweep, closed form vs LUT.
 
-    Both sides run their production search (the closed form uses the
-    batched kernel search, the LUT its cell-crossing fast path).  The
+    Both sides run their production search (the closed form runs the
+    scalar min-power search, the LUT its cell-crossing fast path).  The
     gate: every length feasible on the closed form must be feasible on
     the LUT *and* meet ``max_delay`` — the LUT may pick a slightly
     different size (interpolated surface), which ``max_rel_diff``

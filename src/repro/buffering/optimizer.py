@@ -17,15 +17,22 @@ The objective is the weighted product ``delay^w * power^(1-w)`` —
 scale-free, so no normalization constants are needed; ``w = 1`` recovers
 delay-optimal buffering and smaller ``w`` trades delay for power.
 
-Each search has two implementations with one signature: the scalar
-reference here (``*_scalar``, one ``model.evaluate`` per probe, for any
-model) and the lockstep form in :mod:`repro.kernels.search`, which runs
-every repeater count as a lane of one batched search and returns the
-same solution.  The public entry points validate their inputs, then let
-the model pick: the lockstep form for models an array path serves
-(:func:`repro.kernels.array_path`), the scalar one otherwise.
-:func:`max_feasible_length` probes with the scalar search for every
-model.
+Each search has a scalar implementation here (``*_scalar``, one
+``model.evaluate`` per probe, for any model) and a lockstep form in
+:mod:`repro.kernels.search`, which runs every repeater count as a lane
+of one batched search and returns the same solution.  The public entry
+points validate their inputs, then pick:
+
+* :func:`optimize_buffering` takes the lockstep form for models an
+  array path serves (:func:`repro.kernels.array_path`), the scalar one
+  otherwise;
+* :func:`minimize_power_under_delay` takes the scalar search for every
+  model, except that a LUT-served query inside the artifact's grid is
+  a closed-form cell crossing (:mod:`repro.kernels.lut`).  One
+  length's few repeater counts are too few lanes for the lockstep
+  search to pay off;
+* :func:`max_feasible_length` probes with the scalar search and skips
+  the probes whose verdict it can infer.
 """
 
 from __future__ import annotations
@@ -49,6 +56,13 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Shortest line (meters) :func:`max_feasible_length` probes first.
 _SHORTEST_LINK = 0.1e-3
+
+#: Most regula-falsi probes :func:`max_feasible_length` spends
+#: bracketing the feasibility edge before it bisects.
+_BRACKET_PROBES = 12
+
+#: Bracket width (meters) at which the regula-falsi probes stop.
+_BRACKET_WIDTH = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,13 @@ def _best_size_for_count(model, length: float, count: int,
     return BufferingSolution(count, x2, e2, f2)
 
 
+def _check_finite(name: str, value: float) -> None:
+    """Reject a NaN or infinite argument with a ``ValueError`` naming
+    it, before it reaches a search's integer or interval arithmetic."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
 def _search_counts(counts: Sequence[int], max_size: float
                    ) -> "list[int]":
     """The candidate counts as a list, after the checks every search
@@ -118,9 +139,10 @@ def _search_counts(counts: Sequence[int], max_size: float
     counts = list(counts)
     if not counts:
         raise ValueError("counts must name at least one repeater count")
-    if max_size < 1.0:
+    if not max_size >= 1.0:
         raise ValueError("max_size must be at least 1 (the minimum "
                          "repeater)")
+    _check_finite("max_size", max_size)
     return counts
 
 
@@ -170,8 +192,10 @@ def optimize_buffering(
     """
     if not 0.0 <= delay_weight <= 1.0:
         raise ValueError("delay_weight must lie in [0, 1]")
-    if length <= 0:
+    if not length > 0:
         raise ValueError("length must be positive")
+    _check_finite("length", length)
+    _check_finite("input_slew", input_slew)
 
     if counts is None:
         if max_repeaters is None:
@@ -253,18 +277,22 @@ def minimize_power_under_delay(
     """
     if not max_delay > 0:
         raise ValueError("max_delay must be positive")
+    if not length > 0:
+        raise ValueError("length must be positive")
+    _check_finite("length", length)
+    _check_finite("input_slew", input_slew)
     if counts is None:
         counts = _count_candidates(length)
     counts = _search_counts(counts, max_size)
 
-    if _lockstep(model):
-        from repro.kernels.search import \
-            minimize_power_under_delay_batch
-        search = minimize_power_under_delay_batch
-    else:
-        search = minimize_power_under_delay_scalar
-    return search(model, length, max_delay, input_slew, max_size,
-                  bus_width, counts)
+    from repro.kernels import lut as klut
+    if klut._serves_search(model, length, counts, input_slew, max_size):
+        return klut._minimize_power_under_delay(
+            model, length, max_delay, input_slew, max_size, bus_width,
+            counts)
+    return minimize_power_under_delay_scalar(
+        model, length, max_delay, input_slew, max_size, bus_width,
+        counts)
 
 
 def max_feasible_length(
@@ -281,11 +309,31 @@ def max_feasible_length(
     observes that the optimistic original model admits "excessively
     long wires" that are not actually implementable.
 
-    A bisection over the length.  Each probe runs the scalar search
+    A bisection over the length: 30 halvings between the 0.1 mm first
+    probe and ``upper_bound``.  Each probe runs the scalar search
     whatever the model: one length's repeater counts are too few lanes
     for the lockstep search to pay off, and both searches return the
     same delay.  ``max_delay`` must be positive and ``upper_bound``
-    above the 0.1 mm first probe.
+    finite and above the 0.1 mm first probe.
+
+    Most midpoints are not probed.  Illinois regula falsi on the
+    fastest delay minus ``max_delay`` first brackets the edge between
+    a feasible length ``a`` and an infeasible one ``b``.  A midpoint
+    at or below ``a`` whose repeater-count candidate list
+    (:func:`_count_candidates`) is ``a``'s counts as feasible, and
+    one at or above ``b`` whose list is ``b``'s as infeasible.  A new
+    count enters the list every 0.25 mm and can make a longer line
+    feasible again, so every other midpoint is probed, and each probe
+    inside ``(a, b)`` tightens the bracket.
+
+    The inferred verdicts assume that within one list the fastest
+    delay never falls as the length grows; then the bisection
+    returns, bit for bit, what probing every midpoint returns.  Each
+    count's delay grows with the length, but the size search stops
+    at a 0.25 size width, and a LUT-served model switches between
+    interpolated and closed-form delays at its grid's length nodes,
+    so the found delay can step down.  The premise is checked by
+    comparison with probing every midpoint, not proven.
     """
     if not max_delay > 0:
         raise ValueError("max_delay must be positive")
@@ -293,22 +341,71 @@ def max_feasible_length(
         raise ValueError(
             f"upper_bound must exceed {_SHORTEST_LINK} m, the shortest "
             f"length probed")
+    _check_finite("upper_bound", upper_bound)
+    _check_finite("input_slew", input_slew)
 
-    def feasible(length: float) -> bool:
+    def fastest_delay(length: float) -> float:
         counts = _search_counts(_count_candidates(length), max_size)
         solution = optimize_buffering_scalar(
             model, length, counts, 1.0, input_slew, max_size, 1)
-        return solution.delay <= max_delay
+        return solution.delay
 
     low = _SHORTEST_LINK
-    if not feasible(low):
+    delay_low = fastest_delay(low)
+    if not delay_low <= max_delay:
         return 0.0
     high = upper_bound
-    if feasible(high):
+    delay_high = fastest_delay(high)
+    if delay_high <= max_delay:
         return high
+
+    # The bracket: a feasible length ``a`` and an infeasible ``b``
+    # (infinite while no infeasible probe has a delay that is not
+    # NaN), with the slacks ``delay - max_delay`` regula falsi
+    # interpolates.
+    a, slack_a = low, delay_low - max_delay
+    b, slack_b = high, delay_high - max_delay
+    if math.isnan(delay_high):
+        b = math.inf
+    side = 0
+    for _ in range(_BRACKET_PROBES):
+        if not math.isfinite(slack_b) or b - a < _BRACKET_WIDTH:
+            break
+        x = b - slack_b * (b - a) / (slack_b - slack_a)
+        if not a < x < b:
+            break
+        delay = fastest_delay(x)
+        if delay <= max_delay:
+            a, slack_a = x, delay - max_delay
+            if side > 0:
+                slack_b *= 0.5
+            side = 1
+        elif not math.isnan(delay):
+            b, slack_b = x, delay - max_delay
+            if side < 0:
+                slack_a *= 0.5
+            side = -1
+        else:
+            break
+
+    a_counts = _count_candidates(a)
+    b_counts = _count_candidates(b) if b < math.inf else None
     for _ in range(30):
         mid = 0.5 * (low + high)
-        if feasible(mid):
+        counts = _count_candidates(mid)
+        if mid <= a and counts == a_counts:
+            feasible = True
+        elif mid >= b and counts == b_counts:
+            feasible = False
+        else:
+            delay = fastest_delay(mid)
+            feasible = delay <= max_delay
+            if a < mid < b:
+                if feasible:
+                    a, a_counts = mid, counts
+                elif not math.isnan(delay):
+                    b, b_counts = mid, counts
+        if feasible:
             low = mid
         else:
             high = mid

@@ -148,6 +148,12 @@ class BufferedInterconnectModel:
         ``receiver_cap`` defaults to the input capacitance of a
         repeater of the same size (matching the golden testbench).
         Powers and areas scale with ``bus_width``.
+
+        A stage is a pure function of its input slew and edge, and the
+        inner stages share one load.  Once an inner stage's input slew
+        equals, bit for bit, the one two stages back, the remaining
+        inner stages repeat that two-stage cycle and are copied, not
+        recomputed; the receiver stage is always computed.
         """
         if length <= 0:
             raise ValueError("length must be positive")
@@ -162,19 +168,32 @@ class BufferedInterconnectModel:
             receiver_cap = input_cap
         wn, wp = self.tech.inverter_widths(repeater_size)
 
-        stage_delays: List[float] = []
-        slew = input_slew
-        rising = True
         inverting = self.calibration.kind.inverting
-        for stage in range(num_repeaters):
-            next_cap = (input_cap if stage + 1 < num_repeaters
-                        else receiver_cap)
+        inner = num_repeaters - 1
+        stage_delays: List[float] = []
+        input_slews: List[float] = []
+        slew = input_slew
+        for stage in range(inner):
+            if stage >= 2 and slew == input_slews[stage - 2]:
+                # Same input slew and edge as two stages back, and the
+                # same load: every remaining inner stage repeats the
+                # last two.
+                cycle = stage_delays[-2:]
+                stage_delays.extend(cycle[(later - stage) % 2]
+                                    for later in range(stage, inner))
+                slew = input_slews[stage - 2 + (inner - stage) % 2]
+                break
+            rising = not inverting or stage % 2 == 0
+            input_slews.append(slew)
             delay, slew = self.stage_delay(
-                wire, wp if rising else wn, slew, segment, next_cap,
+                wire, wp if rising else wn, slew, segment, input_cap,
                 rising)
             stage_delays.append(delay)
-            if inverting:
-                rising = not rising
+        rising = not inverting or inner % 2 == 0
+        delay, slew = self.stage_delay(
+            wire, wp if rising else wn, slew, segment, receiver_cap,
+            rising)
+        stage_delays.append(delay)
 
         p_dynamic, p_leak, a_repeaters, a_wire = self.power_and_area(
             wire, length, num_repeaters, wn, wp, input_cap, bus_width)

@@ -101,8 +101,8 @@ def evaluate_topology(
             tech, flit_width=spec.data_width)
     designer = LinkDesigner(model, tech, spec.data_width,
                             utilization=utilization)
-    # Pre-warm the designer's caches with every distinct link length in
-    # one batch (the batched kernel scorer, when the model supports it).
+    # Design every distinct link length once, in one span; the loop
+    # below then finds each link's design in the memo.
     designer.design_batch(sorted({data["length"]
                                   for _, _, data in topology.links()}))
 

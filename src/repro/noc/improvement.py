@@ -99,7 +99,7 @@ def improve_topology(
     designer = LinkDesigner(model, tech, spec.data_width,
                             utilization=config.utilization)
     capacity = designer.capacity()
-    adjacency = _candidate_edges(spec, config, designer.max_length())
+    adjacency = _candidate_edges(spec, config, designer)
 
     def power_of(candidate: NocTopology) -> float:
         return evaluate_topology(candidate, model, tech,
@@ -115,8 +115,8 @@ def improve_topology(
               flows=len(current.routes)) as improving, \
             METRICS.timer("noc.improve"):
         passes, reroutes, current, current_power = _improvement_passes(
-            spec, adjacency, designer, router_params, capacity, config,
-            tech, power_of, current, current_power, max_passes)
+            spec, adjacency, router_params, capacity, config, tech,
+            power_of, current, current_power, max_passes)
         improving.annotate(passes=passes, reroutes=reroutes)
 
     return ImprovementResult(
@@ -128,9 +128,9 @@ def improve_topology(
     )
 
 
-def _improvement_passes(spec, adjacency, designer, router_params,
-                        capacity, config, tech, power_of, current,
-                        current_power, max_passes):
+def _improvement_passes(spec, adjacency, router_params, capacity,
+                        config, tech, power_of, current, current_power,
+                        max_passes):
     """The rip-up/re-route pass loop; returns the final state."""
     reroutes = 0
     passes = 0
@@ -144,8 +144,8 @@ def _improvement_passes(spec, adjacency, designer, router_params,
                                      config.max_flow_hops)
             routed = _route_one_flow(
                 flow.source, flow.dest, flow.bandwidth, adjacency,
-                stripped, designer, router_params, capacity, config,
-                tech, hop_budget=hop_budget)
+                stripped, router_params, capacity, config, tech,
+                hop_budget=hop_budget)
             if routed is None:
                 continue
             path, _marginal_power = routed

@@ -352,12 +352,11 @@ class LinkDesigner:
                      ) -> "list[Optional[LinkDesign]]":
         """Designs for many lengths, warming every cache level.
 
-        Each length is its own design search.  Models a batched
-        lane serves search all repeater-count candidates of that length
-        as lanes of one lockstep search; the baselines and other
-        scalar-only models take the scalar search.  Pre-warming a
-        synthesis run's distinct candidate lengths here fills the memo
-        and the disk cache that the topology walk then reads.
+        Each length is its own :meth:`design` call, in order, under one
+        ``link.design_batch`` span; no search runs across lengths.
+        Synthesis designs its distinct candidate lengths here once and
+        hands each candidate its design; the memo and the disk cache
+        this fills serve later :meth:`design` calls.
         """
         with span("link.design_batch", n=len(lengths),
                   bus_width=self.bus_width):

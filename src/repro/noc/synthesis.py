@@ -33,7 +33,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.noc.link import LinkDesigner
+from repro.noc.link import LinkDesign, LinkDesigner
 from repro.noc.router import RouterParameters
 from repro.noc.spec import CommunicationSpec, flows_by_bandwidth
 from repro.noc.topology import NocTopology, NodeId, core_node, router_node
@@ -71,29 +71,35 @@ class SynthesisError(RuntimeError):
     """Raised when a flow cannot be routed under the constraints."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Candidate:
-    """A candidate directed edge in the synthesis search graph."""
+    """A candidate directed edge in the synthesis search graph, with
+    the link design of its length (``None`` when timing cannot
+    close)."""
 
     source: NodeId
     dest: NodeId
     length: float
+    design: Optional[LinkDesign]
 
 
 def _candidate_edges(spec: CommunicationSpec, config: SynthesisConfig,
-                     max_link_length: float) -> Dict[NodeId,
+                     designer: LinkDesigner) -> Dict[NodeId,
                                                      List[_Candidate]]:
-    """Adjacency of the candidate graph keyed by source node."""
-    adjacency: Dict[NodeId, List[_Candidate]] = {}
+    """Adjacency of the candidate graph keyed by source node.
 
-    def add(source: NodeId, dest: NodeId, length: float) -> None:
-        adjacency.setdefault(source, []).append(
-            _Candidate(source=source, dest=dest, length=length))
-
+    Every distinct candidate length is designed once, in one
+    ``design_batch`` call, and each candidate carries its design, so
+    routing's edge relaxations never go back to the designer.
+    """
+    edges: List[Tuple[NodeId, NodeId, float]] = []
     names = sorted(spec.cores)
     for name in names:
-        add(core_node(name), router_node(name), config.access_length)
-        add(router_node(name), core_node(name), config.access_length)
+        edges.append((core_node(name), router_node(name),
+                      config.access_length))
+        edges.append((router_node(name), core_node(name),
+                      config.access_length))
+    max_link_length = designer.max_length()
     for a in names:
         core_a = spec.cores[a]
         for b in names:
@@ -102,7 +108,14 @@ def _candidate_edges(spec: CommunicationSpec, config: SynthesisConfig,
             distance = core_a.distance_to(spec.cores[b])
             length = max(distance, config.access_length)
             if length <= max_link_length:
-                add(router_node(a), router_node(b), length)
+                edges.append((router_node(a), router_node(b), length))
+
+    lengths = sorted({length for _, _, length in edges})
+    designs = dict(zip(lengths, designer.design_batch(lengths)))
+    adjacency: Dict[NodeId, List[_Candidate]] = {}
+    for source, dest, length in edges:
+        adjacency.setdefault(source, []).append(
+            _Candidate(source, dest, length, designs[length]))
     return adjacency
 
 
@@ -132,16 +145,7 @@ def synthesize(
         designer = LinkDesigner(model, tech, spec.data_width,
                                 utilization=config.utilization)
         capacity = designer.capacity()
-        max_length = designer.max_length()
-        adjacency = _candidate_edges(spec, config, max_length)
-
-        # Pre-warm the designer with every distinct candidate length in
-        # one batch, so Dijkstra's lazy per-edge lookups below all hit
-        # the memo instead of triggering scalar searches mid-routing.
-        lengths = sorted({candidate.length
-                          for candidates in adjacency.values()
-                          for candidate in candidates})
-        designer.design_batch(lengths)
+        adjacency = _candidate_edges(spec, config, designer)
 
         topology = NocTopology(spec=spec)
         flow_order = flows_by_bandwidth(spec.flows)
@@ -155,8 +159,8 @@ def synthesize(
                       bandwidth=flow.bandwidth) as routing:
                 routed = _route_one_flow(
                     flow.source, flow.dest, flow.bandwidth, adjacency,
-                    topology, designer, router_params, capacity,
-                    config, tech, hop_budget=hop_budget)
+                    topology, router_params, capacity, config, tech,
+                    hop_budget=hop_budget)
                 if routed is None:
                     routing.annotate(routed=False)
                     constraint = (f" within {hop_budget} hops"
@@ -185,7 +189,7 @@ def _hop_budget(flow_limit: Optional[int],
 
 
 def _edge_weight(candidate: _Candidate, bandwidth: float,
-                 topology: NocTopology, designer: LinkDesigner,
+                 topology: NocTopology,
                  router_params: RouterParameters, capacity: float,
                  config: SynthesisConfig,
                  tech: TechnologyParameters) -> Optional[float]:
@@ -205,7 +209,7 @@ def _edge_weight(candidate: _Candidate, bandwidth: float,
         if load + bandwidth > capacity:
             METRICS.count("synth.reject.capacity")
             return None
-    design = designer.design(candidate.length)
+    design = candidate.design
     if design is None:
         METRICS.count("synth.reject.infeasible_length")
         return None
@@ -241,7 +245,7 @@ def _edge_weight(candidate: _Candidate, bandwidth: float,
 
 def _route_one_flow(source: str, dest: str, bandwidth: float,
                     adjacency: Dict[NodeId, List[_Candidate]],
-                    topology: NocTopology, designer: LinkDesigner,
+                    topology: NocTopology,
                     router_params: RouterParameters, capacity: float,
                     config: SynthesisConfig,
                     tech: TechnologyParameters,
@@ -283,8 +287,7 @@ def _route_one_flow(source: str, dest: str, bandwidth: float,
             if hop_budget is not None and next_hops > hop_budget:
                 continue
             weight = _edge_weight(candidate, bandwidth, topology,
-                                  designer, router_params, capacity,
-                                  config, tech)
+                                  router_params, capacity, config, tech)
             if weight is None:
                 continue
             next_state: State = (candidate.dest,

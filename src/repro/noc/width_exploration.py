@@ -157,11 +157,9 @@ def explore_widths(
 
     Each width is an independent synthesis problem, so the sweep
     parallelizes per width without changing any design point.  Within
-    each point, synthesis and evaluation pre-warm their link designers
-    through the batched kernel scorer
-    (:meth:`repro.noc.link.LinkDesigner.design_batch`) whenever the
-    model supports it, so every width runs on vectorized candidate
-    scoring.
+    each point, synthesis and evaluation each design every distinct
+    link length once (:meth:`repro.noc.link.LinkDesigner.design_batch`);
+    with the disk cache on, evaluation reads synthesis's designs.
     """
     tasks = [(spec, model, tech, width, config) for width in widths]
     with span("experiment.widths", design=spec.name,

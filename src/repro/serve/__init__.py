@@ -3,8 +3,8 @@
 The paper's end-game is model-in-the-loop NoC synthesis: the
 closed-form models matter because a tool can query them millions of
 times interactively.  This package turns the reproduction into that
-tool — a long-running query service over the kernel batch layer and
-the LUT tier:
+tool — a long-running query service over the link designer and the
+LUT tier:
 
 * :mod:`repro.serve.protocol` — the JSON query/response schema
   (``design``, ``design_batch``, ``max_feasible_length``, ``mc``);
@@ -14,7 +14,7 @@ the LUT tier:
   process runs: per-process warm contexts over the shared
   :class:`repro.runtime.DiskCache` memo;
 * :mod:`repro.serve.coalescer` — windows concurrent requests into
-  kernel-layer batches (``LinkDesigner.design_batch``);
+  one shard job each (``LinkDesigner.design_batch``);
 * :mod:`repro.serve.pool` — the sharded pool of warm worker
   processes, with crash recovery riding on the fault-tolerance layer;
 * :mod:`repro.serve.server` — the asyncio front-end (JSON over HTTP

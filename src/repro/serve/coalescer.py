@@ -1,13 +1,14 @@
-"""Batch coalescing: window concurrent requests into kernel batches.
+"""Batch coalescing: window concurrent requests into shard jobs.
 
-The kernel layer prices a batch of link designs far below the sum of
-its scalar calls — candidate repeater counts for *all* lengths score
-as array lanes in one vectorized evaluation.  The coalescer exploits
-that: the first ``design`` query for a context opens a short window
+A shard round trip (pickling, pool IPC, the worker's metric payload)
+costs far more than a memoized link design, so one job carrying many
+designs beats many jobs carrying one.  The coalescer exploits that:
+the first ``design`` query for a context opens a short window
 (``window_ms``); every further ``design`` query for the same context
 arriving inside the window joins the same job; when the window closes
 (or the batch hits ``max_batch`` first) the whole bucket ships to the
-context's shard as one ``LinkDesigner.design_batch`` call.
+context's shard as one ``LinkDesigner.design_batch`` call, which
+designs the lengths one after another.
 
 Only single-length ``design`` queries coalesce — ``design_batch``
 already *is* a batch, and ``max_feasible_length`` / ``mc`` answers
@@ -22,7 +23,7 @@ and ``serve.batches`` record what actually happened.
 
 ``serve.batch_size`` is **request-weighted**: every request records
 the size of the batch it rode in, so the p50 answers "how many peers
-did the median *request* share its kernel batch with".  A per-batch
+did the median *request* share its shard job with".  A per-batch
 histogram would let the steady trickle of uncoalescable singleton
 jobs (``mc``, ``max_feasible_length``) mask heavily batched design
 traffic; ``serve.batches`` still counts jobs for the per-batch view

@@ -18,12 +18,12 @@ the single evaluation path both sides run.
 :func:`run_job` is the worker-side entry (picklable, module-level):
 it resets the worker's metrics registry, fires any armed
 fault-injection specs addressed to this job's ordinal, evaluates the
-job's queries — coalesced ``design`` queries go through
-``LinkDesigner.design_batch`` so the kernel batch layer sees one
-array call — and ships the results back with the worker's metrics
-payload.  :func:`run_job_inline` is the parent-side twin used for
-in-process compute and crash recovery; it never fires injected
-faults, which is what makes crash-then-recover terminate.
+job's queries — coalesced ``design`` queries go through one
+``LinkDesigner.design_batch`` call — and ships the results back with
+the worker's metrics payload.  :func:`run_job_inline` is the
+parent-side twin used for in-process compute and crash recovery; it
+never fires injected faults, which is what makes crash-then-recover
+terminate.
 """
 
 from __future__ import annotations
@@ -146,12 +146,12 @@ def _execute_batch(queries: Sequence[Query],
 
     When every query is a single-length ``design`` for one shared
     context — the shape the coalescer produces — the lengths go
-    through ``LinkDesigner.design_batch`` in one call, so the kernel
-    layer scores all repeater-count candidates of all lengths as
-    array lanes.  ``design_batch`` consults and fills the same memo
-    with the same quantization keys as scalar ``design``, so the
-    results (and the cache-counter attribution) are identical either
-    way; anything else falls back to query-by-query evaluation.
+    through ``LinkDesigner.design_batch`` in one call, which designs
+    them one after another under one span.  ``design_batch`` consults
+    and fills the same memo with the same quantization keys as scalar
+    ``design``, so the results (and the cache-counter attribution) are
+    identical either way; anything else falls back to query-by-query
+    evaluation.
     """
     if len(queries) > 1 \
             and all(q.op == "design" for q in queries) \

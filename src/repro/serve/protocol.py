@@ -29,6 +29,7 @@ bit-equality gate in ``repro bench serve`` checks end to end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -90,15 +91,28 @@ def _require(condition: bool, message: str) -> None:
         raise QueryError(message)
 
 
+def _finite(value: Any, what: str) -> float:
+    """``value`` as a finite float.  ``json`` decodes ``Infinity``,
+    ``NaN`` and ``1e400`` to non-finite floats, and an integer too
+    large for a double does not convert at all; all are client
+    errors."""
+    _require(isinstance(value, (int, float))
+             and not isinstance(value, bool),
+             f"{what} must be a number")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    _require(math.isfinite(value), f"{what} must be finite")
+    return value
+
+
 def _number(obj: Mapping[str, Any], name: str, default=None,
             minimum: Optional[float] = None) -> Optional[float]:
     value = obj.get(name, default)
     if value is None:
         return None
-    _require(isinstance(value, (int, float))
-             and not isinstance(value, bool),
-             f"{name!r} must be a number")
-    value = float(value)
+    value = _finite(value, repr(name))
     if minimum is not None:
         _require(value > minimum, f"{name!r} must be > {minimum:g}")
     return value
@@ -149,11 +163,10 @@ def parse_query(obj: Any) -> Query:
                  "'design_batch' needs a non-empty 'lengths_mm' list")
         parsed = []
         for entry in lengths:
-            _require(isinstance(entry, (int, float))
-                     and not isinstance(entry, bool)
-                     and float(entry) > 0.0,
+            length = _finite(entry, "'lengths_mm' entries")
+            _require(length > 0.0,
                      "'lengths_mm' entries must be positive numbers")
-            parsed.append(float(entry))
+            parsed.append(length)
         return Query(op=op, context=context,
                      lengths_mm=tuple(parsed))
 

@@ -238,5 +238,15 @@ class ReproServer:
                 f"{type(exc).__name__}: {exc}"))
             return (500, "Internal Server Error",
                     payload.encode("utf-8"), _JSON_TYPE)
-        payload = json.dumps(ok_response(result))
+        try:
+            # Strict JSON: a finite query the model overflows on (an
+            # ``mc`` line of 1e300 mm) must not answer ``NaN``.
+            payload = json.dumps(ok_response(result), allow_nan=False)
+        except ValueError:
+            METRICS.count("serve.errors")
+            payload = json.dumps(error_response(
+                "result is not finite: the query lies outside the "
+                "model's numeric range"))
+            return 400, "Bad Request", payload.encode("utf-8"), \
+                _JSON_TYPE
         return 200, "OK", payload.encode("utf-8"), _JSON_TYPE

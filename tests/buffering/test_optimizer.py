@@ -165,3 +165,36 @@ class TestSearchInputValidation:
             self, model, upper_bound):
         with pytest.raises(ValueError, match="upper_bound"):
             max_feasible_length(model, ps(500), upper_bound=upper_bound)
+
+    @pytest.mark.parametrize("length", [float("nan"), float("inf")])
+    def test_searches_reject_non_finite_length(self, model, length):
+        with pytest.raises(ValueError, match="length"):
+            optimize_buffering(model, length)
+        with pytest.raises(ValueError, match="length"):
+            minimize_power_under_delay(model, length, ps(500))
+
+    def test_max_length_rejects_infinite_upper_bound(self, model):
+        with pytest.raises(ValueError, match="upper_bound"):
+            max_feasible_length(model, ps(500),
+                                upper_bound=float("inf"))
+
+    @pytest.mark.parametrize("input_slew", [float("nan"), float("inf")])
+    def test_searches_reject_non_finite_input_slew(self, model,
+                                                   input_slew):
+        with pytest.raises(ValueError, match="input_slew"):
+            optimize_buffering(model, mm(3), input_slew=input_slew)
+        with pytest.raises(ValueError, match="input_slew"):
+            minimize_power_under_delay(model, mm(3), ps(500),
+                                       input_slew=input_slew)
+        with pytest.raises(ValueError, match="input_slew"):
+            max_feasible_length(model, ps(500), input_slew=input_slew)
+
+    @pytest.mark.parametrize("max_size", [float("nan"), float("inf")])
+    def test_searches_reject_non_finite_max_size(self, model, max_size):
+        with pytest.raises(ValueError, match="max_size"):
+            optimize_buffering(model, mm(3), max_size=max_size)
+        with pytest.raises(ValueError, match="max_size"):
+            minimize_power_under_delay(model, mm(3), ps(500),
+                                       max_size=max_size)
+        with pytest.raises(ValueError, match="max_size"):
+            max_feasible_length(model, ps(500), max_size=max_size)

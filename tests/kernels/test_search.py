@@ -6,6 +6,7 @@ solution object contents; only the fractional weighted product may
 differ by one ulp of ``pow`` and gets a 1e-9 tolerance.
 """
 
+import math
 from dataclasses import dataclass
 
 import pytest
@@ -15,6 +16,7 @@ from repro.buffering.optimizer import (
     DEFAULT_MAX_SIZE,
     _count_candidates,
     max_feasible_length,
+    minimize_power_under_delay,
     minimize_power_under_delay_scalar,
     optimize_buffering,
     optimize_buffering_scalar,
@@ -99,6 +101,19 @@ class TestMinimizePowerUnderDelay:
         assert scalar is None
         assert kernel is None
 
+    @pytest.mark.parametrize("length_mm", [15.0, 18.0])
+    def test_lut_query_off_the_grid_takes_the_scalar_search(
+            self, lut90, length_mm):
+        """Past the grid's 14 mm edge no cell crossing serves the
+        query, and the dispatched search returns the lockstep one's
+        solution."""
+        length = mm(length_mm)
+        max_delay = 1.25 * lut90.tech.clock_period()
+        scalar, kernel = _both_minimize(lut90, length, max_delay)
+        assert scalar is not None
+        assert scalar == kernel == minimize_power_under_delay(
+            lut90, length, max_delay)
+
 
 @dataclass(frozen=True)
 class _ScalarOnly(BufferedInterconnectModel):
@@ -142,10 +157,34 @@ def proposed(request):
     return ModelSuite.for_node(node, style=style).proposed
 
 
+@pytest.fixture(scope="module", params=[
+    ("90nm", "bakoglu"), ("90nm", "pamunuwa"),
+    ("45nm", "bakoglu"), ("45nm", "pamunuwa")],
+    ids=lambda case: f"{case[0]}-{case[1]}")
+def baseline(request):
+    node, name = request.param
+    return getattr(ModelSuite.for_node(node), name)
+
+
+@pytest.fixture(scope="module")
+def pamunuwa32():
+    return ModelSuite.for_node("32nm", style=DesignStyle.SWSS).pamunuwa
+
+
+def _fastest_delay(model, length, max_size=DEFAULT_MAX_SIZE):
+    return optimize_buffering_scalar(
+        model, length, _count_candidates(length), 1.0,
+        DEFAULT_INPUT_SLEW, max_size, 1).delay
+
+
 class TestMaxFeasibleLength:
-    """Probing with the scalar search returns, bit for bit, what
-    bisecting with the model's own search (lockstep for the proposed
-    and LUT models) returns."""
+    """``max_feasible_length`` returns, bit for bit, what probing every
+    midpoint with the model's own search (lockstep for the proposed
+    and LUT models) returns, although it skips the probes whose
+    verdict its regula-falsi bracket and the count candidate lists
+    let it infer.  The inference assumes the fastest delay never
+    falls as the length grows within one candidate list; these cases
+    check it, including LUT cases where that assumption fails."""
 
     def test_kernel_and_scalar_agree(self, model):
         max_delay = model.tech.clock_period()
@@ -160,10 +199,75 @@ class TestMaxFeasibleLength:
         assert max_feasible_length(proposed, max_delay) == \
             _serial_max_feasible_length(proposed, max_delay)
 
-    def test_equals_serial_bisection_on_lut_model(self, lut90):
-        max_delay = lut90.tech.clock_period()
+    @pytest.mark.parametrize("periods", [0.5, 1.0, 3.0])
+    def test_equals_serial_bisection_on_baselines(self, baseline,
+                                                  periods):
+        max_delay = periods * baseline.tech.clock_period()
+        assert max_feasible_length(baseline, max_delay) == \
+            _serial_max_feasible_length(baseline, max_delay)
+
+    def test_feasibility_returns_past_the_edge(self, pamunuwa32):
+        """32 nm SWSS Pamunuwa at 0.7 clock periods fails from about
+        4.228 mm, then passes again from about 4.25 mm, where 17
+        repeaters join the candidate counts.  A bracket that trusted
+        its ends across candidate lists would return the second edge
+        near 4.258 mm; the serial bisection returns the first."""
+        max_delay = 0.7 * pamunuwa32.tech.clock_period()
+        assert _fastest_delay(pamunuwa32, mm(4.249)) > max_delay
+        assert _fastest_delay(pamunuwa32, mm(4.252)) <= max_delay
+        assert _count_candidates(mm(4.249)) != \
+            _count_candidates(mm(4.252))
+        longest = max_feasible_length(pamunuwa32, max_delay)
+        assert longest == _serial_max_feasible_length(pamunuwa32,
+                                                      max_delay)
+        assert mm(4.2) < longest < mm(4.249)
+
+    @pytest.mark.parametrize("periods", [0.5, 0.95, 1.0, 1.25])
+    def test_equals_serial_bisection_on_lut_model(self, lut90, periods):
+        """The crossings (about 7.4, 14.5 and 19.1 mm at 0.5, 0.95 and
+        1.25 periods) fall on both sides of the grid's 14 mm edge."""
+        max_delay = periods * lut90.tech.clock_period()
         assert max_feasible_length(lut90, max_delay) == \
             _serial_max_feasible_length(lut90, max_delay)
+
+    def test_lut_grid_edge_step(self, lut90):
+        """Past the grid's 14 mm edge the LUT falls back to the closed
+        form, about 9 ps faster there than the interpolated delay.
+        With the bound inside that step the line fails just below the
+        edge and passes again just above it.  The edge is also where
+        56 repeaters join the candidate counts, so the bisection
+        probes across the step instead of inferring over it."""
+        edge = lut90.artifact.spec.lengths[-1]
+        below = math.nextafter(edge, 0.0)
+        above = edge * (1.0 + 1e-9)
+        max_delay = 0.5 * (_fastest_delay(lut90, below)
+                           + _fastest_delay(lut90, above))
+        assert _fastest_delay(lut90, below) > max_delay
+        assert _fastest_delay(lut90, above) <= max_delay
+        assert _count_candidates(below) != _count_candidates(above)
+        longest = max_feasible_length(lut90, max_delay)
+        assert longest == _serial_max_feasible_length(lut90, max_delay)
+        assert mm(13.5) < longest < edge
+
+    def test_lut_length_node_spike(self, lut90):
+        """With ``max_size`` 1.5 the fastest delay exactly at the
+        8.08 mm length node, where the validity mask changes, is about
+        27 ps above its value 1 um either side, inside one candidate
+        list.  The inferred verdicts assume that cannot happen; the
+        bisection still matches probing every midpoint because none
+        lands on the node."""
+        node = lut90.artifact.spec.lengths[8]
+        near = (node - mm(0.001), node + mm(0.001))
+        max_delay = 0.5 * (_fastest_delay(lut90, node, 1.5)
+                           + _fastest_delay(lut90, near[1], 1.5))
+        assert _fastest_delay(lut90, node, 1.5) > max_delay
+        for length in near:
+            assert _fastest_delay(lut90, length, 1.5) <= max_delay
+            assert _count_candidates(length) == _count_candidates(node)
+        longest = max_feasible_length(lut90, max_delay, max_size=1.5)
+        assert longest == _serial_max_feasible_length(
+            lut90, max_delay, max_size=1.5)
+        assert node < longest < mm(8.25)
 
     def test_equals_serial_bisection_with_custom_bounds(self, model):
         max_delay = model.tech.clock_period()

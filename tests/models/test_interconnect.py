@@ -2,6 +2,13 @@
 
 import pytest
 
+from repro.characterization import RepeaterKind
+from repro.experiments.suite import ModelSuite
+from repro.models.interconnect import (
+    BufferedInterconnectModel,
+    InterconnectEstimate,
+)
+from repro.models.wire import WireCoefficients
 from repro.units import mm, ps
 
 
@@ -130,3 +137,77 @@ class TestAccuracyEnvelope:
         error = abs(estimate.delay - golden.total_delay) \
             / golden.total_delay
         assert error < 0.15
+
+
+def _stage_by_stage(model, length, num_repeaters, repeater_size,
+                    input_slew, receiver_cap=None):
+    """Reference evaluation: every stage computed, none copied."""
+    wire = WireCoefficients.from_config(model.config)
+    segment = length / num_repeaters
+    input_cap = model.repeater_model().input_capacitance(repeater_size)
+    if receiver_cap is None:
+        receiver_cap = input_cap
+    wn, wp = model.tech.inverter_widths(repeater_size)
+    delays = []
+    slew = input_slew
+    rising = True
+    for stage in range(num_repeaters):
+        next_cap = (input_cap if stage + 1 < num_repeaters
+                    else receiver_cap)
+        delay, slew = model.stage_delay(
+            wire, wp if rising else wn, slew, segment, next_cap, rising)
+        delays.append(delay)
+        if model.calibration.kind.inverting:
+            rising = not rising
+    p_dynamic, p_leak, a_repeaters, a_wire = model.power_and_area(
+        wire, length, num_repeaters, wn, wp, input_cap, 1)
+    return InterconnectEstimate(
+        delay=sum(delays), output_slew=slew, stage_delays=tuple(delays),
+        dynamic_power=p_dynamic, leakage_power=p_leak,
+        repeater_area=a_repeaters, wire_area=a_wire,
+        num_repeaters=num_repeaters, repeater_size=repeater_size,
+        length=length, bus_width=1)
+
+
+class TestPeriodicStages:
+    """``evaluate`` copies inner stages once their input slew repeats
+    the one two stages back; every field must equal computing each
+    stage.  Inverter chains alternate edges and buffer chains do not,
+    so both kinds pin the cycle's phase and period."""
+
+    @pytest.fixture(scope="class", params=[
+        (node, kind) for node in ("90nm", "45nm", "16nm")
+        for kind in (RepeaterKind.INVERTER, RepeaterKind.BUFFER)],
+        ids=lambda case: f"{case[0]}-{case[1].value}")
+    def model(self, request):
+        node, kind = request.param
+        return ModelSuite.for_node(node, kind=kind).proposed
+
+    @pytest.mark.parametrize("num_repeaters",
+                             [1, 2, 3, 4, 5, 13, 64, 120])
+    def test_equals_stage_by_stage(self, model, num_repeaters):
+        for length in (mm(1), mm(6), mm(15)):
+            for size in (4.0, 48.0):
+                for input_slew in (ps(20), ps(400)):
+                    for receiver_cap in (None, 200e-15):
+                        assert model.evaluate(
+                            length, num_repeaters, size, input_slew,
+                            receiver_cap=receiver_cap) == \
+                            _stage_by_stage(model, length,
+                                            num_repeaters, size,
+                                            input_slew, receiver_cap)
+
+    def test_long_line_copies_its_inner_stages(self, model,
+                                               monkeypatch):
+        calls = []
+        stage_delay = BufferedInterconnectModel.stage_delay
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return stage_delay(*args, **kwargs)
+
+        monkeypatch.setattr(BufferedInterconnectModel, "stage_delay",
+                            counting)
+        estimate = model.evaluate(mm(12), 120, 24.0, ps(100))
+        assert len(estimate.stage_delays) == 120
+        assert len(calls) < 60

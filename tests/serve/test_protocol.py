@@ -1,5 +1,7 @@
 """Query parsing and the wire schema."""
 
+import json
+
 import pytest
 
 from repro.serve.protocol import (
@@ -40,6 +42,18 @@ class TestParseDesign:
         with pytest.raises(QueryError):
             parse_query({"op": "design", "length_mm": True})
 
+    def test_non_finite_length_rejected(self):
+        """``json`` decodes ``Infinity``, ``NaN`` and ``1e400`` to
+        non-finite floats; an integer past a double's range does not
+        convert at all."""
+        for document in ('{"op": "design", "length_mm": Infinity}',
+                         '{"op": "design", "length_mm": NaN}',
+                         '{"op": "design", "length_mm": 1e400}',
+                         '{"op": "design", "length_mm": 1' + "0" * 400
+                         + "}"):
+            with pytest.raises(QueryError, match="length_mm"):
+                parse_query(json.loads(document))
+
 
 class TestParseBatch:
     def test_batch_query(self):
@@ -59,6 +73,13 @@ class TestParseBatch:
         with pytest.raises(QueryError):
             parse_query({"op": "design_batch",
                          "lengths_mm": [1.0, "two"]})
+
+    @pytest.mark.parametrize("entry", [float("inf"), float("nan"),
+                                       10**400])
+    def test_non_finite_entry_rejected(self, entry):
+        with pytest.raises(QueryError, match="lengths_mm"):
+            parse_query({"op": "design_batch",
+                         "lengths_mm": [1.0, entry]})
 
 
 class TestParseMc:
@@ -81,6 +102,12 @@ class TestParseMc:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(QueryError, match="estimator"):
             parse_query({"op": "mc", "estimator": "magic"})
+
+    @pytest.mark.parametrize("name", ["length_mm", "size", "slew_ps",
+                                      "critical_ps"])
+    def test_infinite_number_rejected(self, name):
+        with pytest.raises(QueryError, match=name):
+            parse_query(json.loads(f'{{"op": "mc", "{name}": Infinity}}'))
 
     def test_sample_floor(self):
         with pytest.raises(QueryError, match="samples"):

@@ -159,6 +159,15 @@ class TestHttpSurface:
                         reader, writer, {"op": "teleport"})
                     missing = await _roundtrip(
                         reader, writer, {"op": "design"})
+                    # json.dumps writes the infinity as ``Infinity``.
+                    infinite = await _roundtrip(
+                        reader, writer,
+                        {"op": "mc", "length_mm": float("inf")})
+                    # Finite, but the wire RC of a 1e297 m line
+                    # overflows: the samples come back NaN.
+                    overflow = await _roundtrip(
+                        reader, writer,
+                        {"op": "mc", "length_mm": 1e300})
                 finally:
                     writer.close()
 
@@ -178,15 +187,20 @@ class TestHttpSurface:
                     nowhere = await _read_simple(reader)
                 finally:
                     writer.close()
-                return bad_op, missing, health, metrics, nowhere
+                return bad_op, missing, infinite, overflow, health, \
+                    metrics, nowhere
             finally:
                 await server.close()
 
-        bad_op, missing, health, metrics, nowhere = \
-            asyncio.run(scenario())
+        bad_op, missing, infinite, overflow, health, metrics, \
+            nowhere = asyncio.run(scenario())
         assert bad_op["_status"] == 400 and bad_op["ok"] is False
         assert "op" in bad_op["error"]
         assert missing["_status"] == 400 and missing["ok"] is False
+        assert infinite["_status"] == 400 and infinite["ok"] is False
+        assert "length_mm" in infinite["error"]
+        assert overflow["_status"] == 400 and overflow["ok"] is False
+        assert "not finite" in overflow["error"]
         assert health[0] == 200
         assert json.loads(health[1])["ok"] is True
         assert metrics[0] == 200
