@@ -13,8 +13,8 @@ contract, not just speed:
   Python's shortest ``repr``, so equal here means bit-identical
   doubles;
 * **coalescing engaged** — the request-weighted ``serve.batch_size``
-  histogram's p50 must exceed 1 (the median request shared its kernel
-  batch with at least one peer);
+  histogram's p50 must exceed 1 (the median request shared its shard
+  job with at least one peer);
 * **no dropped requests** — every client request must be answered.
 
 Latency percentiles are client-observed (connect-to-parse), which is
@@ -129,8 +129,7 @@ def run_serve_bench(node: str = "90nm", quick: bool = False,
     if requests is None:
         requests = QUICK_REQUESTS if quick else DEFAULT_REQUESTS
     bus_width = 32
-    config = resolve_config(port=0, shards=2, window_ms=5,
-                            max_batch=64)
+    config = resolve_config(port=0, shards=2, max_batch=64)
 
     started = time.perf_counter()
     session = asyncio.run(_run_session(
@@ -170,7 +169,6 @@ def run_serve_bench(node: str = "90nm", quick: bool = False,
             "seed": seed,
             "bus_width": bus_width,
             "shards": config.shards,
-            "window_ms": config.window_ms,
             "max_batch": config.max_batch,
             "memo_entries": config.memo_entries,
         },

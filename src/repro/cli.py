@@ -470,8 +470,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = resolve_config(
             host=args.host, port=args.port, socket=args.socket,
-            shards=args.shards, window_ms=args.window_ms,
-            max_batch=args.max_batch, memo_entries=args.memo_entries)
+            shards=args.shards, max_batch=args.max_batch,
+            memo_entries=args.memo_entries)
     except ServeConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -486,7 +486,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             listening.append(f"unix:{config.socket}")
         print(f"repro serve: listening on {', '.join(listening)} "
               f"({config.shards} shard(s), "
-              f"window {config.window_ms} ms, "
               f"max batch {config.max_batch})", flush=True)
         try:
             await server.serve_forever()
@@ -873,14 +872,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="warm worker processes, 0 = compute "
                                 "in-process (default 2; "
                                 "REPRO_SERVE_SHARDS)")
-    serve_cmd.add_argument("--window-ms", type=int, default=None,
-                           metavar="MS",
-                           help="batch-coalescing window (default 2; "
-                                "REPRO_SERVE_WINDOW_MS)")
     serve_cmd.add_argument("--max-batch", type=int, default=None,
                            metavar="N",
-                           help="flush a window early at N queries "
-                                "(default 64; REPRO_SERVE_MAX_BATCH)")
+                           help="ship a batch parked behind a busy "
+                                "shard early at N queries (default 64; "
+                                "REPRO_SERVE_MAX_BATCH)")
     serve_cmd.add_argument("--memo-entries", type=int, default=None,
                            metavar="N",
                            help="per-context link-design LRU bound "

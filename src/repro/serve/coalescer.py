@@ -1,25 +1,26 @@
-"""Batch coalescing: window concurrent requests into shard jobs.
+"""Batch coalescing: ship concurrent requests as one shard job each.
 
 A shard round trip (pickling, pool IPC, the worker's metric payload)
 costs far more than a memoized link design, so one job carrying many
-designs beats many jobs carrying one.  The coalescer exploits that:
-the first ``design`` query for a context opens a short window
-(``window_ms``); every further ``design`` query for the same context
-arriving inside the window joins the same job; when the window closes
-(or the batch hits ``max_batch`` first) the whole bucket ships to the
-context's shard as one ``LinkDesigner.design_batch`` call, which
-designs the lengths one after another.
+designs beats many jobs carrying one.  The coalescer batches by shard
+occupancy, with no timer: a ``design`` query for a context with no
+design job in flight ships at once; one arriving while such a job is
+in flight parks in the context's bucket, and the bucket ships as one
+``LinkDesigner.design_batch`` call when that job returns (or sooner,
+once it holds ``max_batch`` queries).  Batches therefore form exactly
+while the shard is busy, and an idle context answers without waiting.
+
+One invariant keeps parked requests from stranding, since no timer
+will rescue them: a bucket parks only while a design job of its
+context is in flight, and every such job's completion ships the
+bucket, whether the job succeeds, raises or is cancelled.
 
 Only single-length ``design`` queries coalesce — ``design_batch``
 already *is* a batch, and ``max_feasible_length`` / ``mc`` answers
-don't batch — those dispatch immediately as singleton jobs.
-
-Coalescing is a latency/throughput trade the operator tunes:
-``window_ms=0`` flushes on the next event-loop turn (still merging
-whatever queued in the same turn), larger windows trade a bounded
-latency floor for bigger batches.  ``serve.batch_size`` (a histogram;
-its p50 is the acceptance gate for "coalescing demonstrably engaged")
-and ``serve.batches`` record what actually happened.
+don't batch — those dispatch immediately as singleton jobs and do not
+count as in flight.  ``serve.batch_size`` (a histogram; its p50 is the
+acceptance gate for "coalescing demonstrably engaged") and
+``serve.batches`` record what actually happened.
 
 ``serve.batch_size`` is **request-weighted**: every request records
 the size of the batch it rode in, so the p50 answers "how many peers
@@ -39,20 +40,19 @@ from repro.runtime import METRICS
 from repro.serve.pool import ShardedPool
 from repro.serve.protocol import ContextSpec, Query
 
-#: (query, future-to-resolve) pairs awaiting a window flush.
+#: (query, future-to-resolve) pairs parked behind an in-flight job.
 _Bucket = List[Tuple[Query, "asyncio.Future[Any]"]]
 
 
 class Coalescer:
-    """Windows concurrent ``design`` queries into per-context batches."""
+    """Batches ``design`` queries that arrive while their shard is busy."""
 
-    def __init__(self, pool: ShardedPool, window_seconds: float,
-                 max_batch: int) -> None:
+    def __init__(self, pool: ShardedPool, max_batch: int) -> None:
         self._pool = pool
-        self._window = window_seconds
         self._max_batch = max(1, max_batch)
         self._pending: Dict[ContextSpec, _Bucket] = {}
-        self._timers: Dict[ContextSpec, asyncio.TimerHandle] = {}
+        #: Design jobs in flight per context (absent = idle).
+        self._busy: Dict[ContextSpec, int] = {}
         self._inflight: Set["asyncio.Task[None]"] = set()
 
     async def submit(self, query: Query) -> Any:
@@ -66,46 +66,53 @@ class Coalescer:
         future: "asyncio.Future[Any]" = loop.create_future()
         bucket = self._pending.setdefault(query.context, [])
         bucket.append((query, future))
-        if len(bucket) >= self._max_batch:
-            self._flush(query.context)
-        elif len(bucket) == 1:
-            self._timers[query.context] = loop.call_later(
-                self._window, self._flush, query.context)
+        if query.context not in self._busy \
+                or len(bucket) >= self._max_batch:
+            self._ship(query.context)
         return await future
 
-    def _flush(self, context: ContextSpec) -> None:
-        """Close a context's window and ship its bucket as one job."""
-        timer = self._timers.pop(context, None)
-        if timer is not None:
-            timer.cancel()
+    def _ship(self, context: ContextSpec) -> None:
+        """Send a context's bucket to its shard as one job."""
         bucket = self._pending.pop(context, None)
         if not bucket:
             return
+        self._busy[context] = self._busy.get(context, 0) + 1
         task = asyncio.get_running_loop().create_task(
-            self._run_batch(bucket))
+            self._run_batch(context, bucket))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
 
-    async def _run_batch(self, bucket: _Bucket) -> None:
+    async def _run_batch(self, context: ContextSpec,
+                         bucket: _Bucket) -> None:
         for _ in bucket:
             METRICS.observe("serve.batch_size", float(len(bucket)))
         METRICS.count("serve.batches")
         try:
             results = await self._pool.run(
                 [query for query, _ in bucket])
-        except Exception as exc:  # pragma: no cover - pool never raises
+        except asyncio.CancelledError:
+            for _, future in bucket:
+                future.cancel()
+            raise
+        except Exception as exc:  # noqa: BLE001 - evaluation errors
+            # belong to the requests of this job, answered 500 each.
             for _, future in bucket:
                 if not future.done():
                     future.set_exception(exc)
-            return
-        for (_, future), result in zip(bucket, results):
-            if not future.done():
-                future.set_result(result)
+        else:
+            for (_, future), result in zip(bucket, results):
+                if not future.done():
+                    future.set_result(result)
+        finally:
+            self._busy[context] -= 1
+            if not self._busy[context]:
+                del self._busy[context]
+            self._ship(context)
 
     async def drain(self) -> None:
-        """Flush every open window and wait for in-flight batches."""
+        """Ship every parked bucket and wait for in-flight batches."""
         for context in list(self._pending):
-            self._flush(context)
+            self._ship(context)
         while self._inflight:
             await asyncio.gather(*list(self._inflight),
                                  return_exceptions=True)

@@ -34,7 +34,6 @@ DEFAULTS: Dict[str, Any] = {
     "port": 8787,
     "socket": None,
     "shards": 2,
-    "window_ms": 2,
     "max_batch": 64,
     "memo_entries": DEFAULT_MEMO_ENTRIES,
 }
@@ -44,8 +43,8 @@ DEFAULTS: Dict[str, Any] = {
 class ServeConfig:
     """Resolved service configuration.
 
-    ``window_ms`` is the coalescing window in milliseconds;
     ``shards`` counts warm worker processes (0 = compute in-process);
+    ``max_batch`` caps the design queries one shard job carries;
     ``memo_entries`` bounds each context's link-design LRU memo.
     """
 
@@ -53,14 +52,8 @@ class ServeConfig:
     port: int
     socket: Optional[str]
     shards: int
-    window_ms: int
     max_batch: int
     memo_entries: int
-
-    @property
-    def window_seconds(self) -> float:
-        """The coalescing window converted to seconds."""
-        return self.window_ms / 1000.0
 
 
 def _resolve(name: str, flag_value, env_name: str,
@@ -87,15 +80,13 @@ def resolve_config(*, host: Optional[str] = None,
                    port: Optional[int] = None,
                    socket: Optional[str] = None,
                    shards: Optional[int] = None,
-                   window_ms: Optional[int] = None,
                    max_batch: Optional[int] = None,
                    memo_entries: Optional[int] = None) -> ServeConfig:
     """Resolve every knob; raise :class:`ServeConfigError` on conflict.
 
     Arguments are the explicit CLI flag values (``None`` = not
     passed); the environment side is ``REPRO_SERVE_HOST``, ``_PORT``,
-    ``_SOCKET``, ``_SHARDS``, ``_WINDOW_MS``, ``_MAX_BATCH`` and
-    ``_MEMO_ENTRIES``.
+    ``_SOCKET``, ``_SHARDS``, ``_MAX_BATCH`` and ``_MEMO_ENTRIES``.
     """
     config = ServeConfig(
         host=_resolve("host", host, "REPRO_SERVE_HOST",
@@ -106,9 +97,6 @@ def resolve_config(*, host: Optional[str] = None,
                         runtime.env_str, DEFAULTS["socket"]),
         shards=_resolve("shards", shards, "REPRO_SERVE_SHARDS",
                         runtime.env_int, DEFAULTS["shards"]),
-        window_ms=_resolve("window_ms", window_ms,
-                           "REPRO_SERVE_WINDOW_MS", runtime.env_int,
-                           DEFAULTS["window_ms"]),
         max_batch=_resolve("max_batch", max_batch,
                            "REPRO_SERVE_MAX_BATCH", runtime.env_int,
                            DEFAULTS["max_batch"]),
@@ -123,8 +111,6 @@ def resolve_config(*, host: Optional[str] = None,
     if config.shards < 0:
         raise ServeConfigError("shards must be >= 0 "
                                "(0 = in-process compute)")
-    if config.window_ms < 0:
-        raise ServeConfigError("window_ms must be >= 0")
     if config.max_batch < 1:
         raise ServeConfigError("max_batch must be >= 1")
     if config.memo_entries < 1:

@@ -48,11 +48,19 @@ class _BadRequest(Exception):
     """An unparseable HTTP request (connection is closed after 400)."""
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One line; a line past the stream's limit is a bad request."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:
+        raise _BadRequest("request line or header too long") from exc
+
+
 async def _read_request(reader: asyncio.StreamReader
                         ) -> Optional[_Request]:
     """Parse one HTTP/1.1 request; ``None`` on clean EOF."""
     try:
-        line = await reader.readline()
+        line = await _readline(reader)
     except (ConnectionError, asyncio.IncompleteReadError):
         return None
     if not line:
@@ -63,7 +71,7 @@ async def _read_request(reader: asyncio.StreamReader
     method, path, _version = parts
     headers: Dict[str, str] = {}
     while True:
-        raw = await reader.readline()
+        raw = await _readline(reader)
         if raw in (b"\r\n", b"\n"):
             break
         if not raw:
@@ -110,8 +118,7 @@ class ReproServer:
         self.config = config
         self.pool = ShardedPool(config.shards,
                                 memo_entries=config.memo_entries)
-        self.coalescer = Coalescer(self.pool, config.window_seconds,
-                                   config.max_batch)
+        self.coalescer = Coalescer(self.pool, config.max_batch)
         self.port: Optional[int] = None
         self._servers: list = []
         self._closing = asyncio.Event()
@@ -166,6 +173,7 @@ class ReproServer:
                 try:
                     request = await _read_request(reader)
                 except _BadRequest as exc:
+                    METRICS.count("serve.errors")
                     body = json.dumps(
                         error_response(str(exc))).encode("utf-8")
                     writer.write(_encode_response(

@@ -10,8 +10,7 @@ from repro.serve.config import (
 
 _ENV_NAMES = ("REPRO_SERVE_HOST", "REPRO_SERVE_PORT",
               "REPRO_SERVE_SOCKET", "REPRO_SERVE_SHARDS",
-              "REPRO_SERVE_WINDOW_MS", "REPRO_SERVE_MAX_BATCH",
-              "REPRO_SERVE_MEMO_ENTRIES")
+              "REPRO_SERVE_MAX_BATCH", "REPRO_SERVE_MEMO_ENTRIES")
 
 
 @pytest.fixture(autouse=True)
@@ -27,7 +26,6 @@ class TestResolution:
         assert config.port == DEFAULTS["port"]
         assert config.socket is None
         assert config.shards == DEFAULTS["shards"]
-        assert config.window_ms == DEFAULTS["window_ms"]
         assert config.max_batch == DEFAULTS["max_batch"]
         assert config.memo_entries == DEFAULTS["memo_entries"]
 
@@ -56,22 +54,19 @@ class TestResolution:
             resolve_config(host="127.0.0.1")
 
     def test_unparseable_env_is_fatal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WINDOW_MS", "soon")
-        with pytest.raises(ServeConfigError, match="WINDOW_MS"):
+        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "soon")
+        with pytest.raises(ServeConfigError, match="MAX_BATCH"):
             resolve_config()
 
     def test_whitespace_env_means_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_HOST", "   ")
         assert resolve_config().host == DEFAULTS["host"]
 
-    def test_window_seconds(self):
-        assert resolve_config(window_ms=250).window_seconds == 0.25
-
 
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"port": -1}, {"port": 65536}, {"shards": -1},
-        {"window_ms": -1}, {"max_batch": 0}, {"memo_entries": 0},
+        {"max_batch": 0}, {"memo_entries": 0},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ServeConfigError):

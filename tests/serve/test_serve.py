@@ -70,13 +70,13 @@ def _assert_bit_identical(documents, responses):
 class TestBitEquality:
     def test_sharded_answers_match_direct_calls(self, suite90):
         """Worker-process answers are bit-identical to in-process."""
-        config = resolve_config(port=0, shards=1, window_ms=1)
+        config = resolve_config(port=0, shards=1)
         responses = asyncio.run(_serve_and_ask(config, DOCUMENTS))
         _assert_bit_identical(DOCUMENTS, responses)
 
     def test_inline_mode_answers_match_direct_calls(self, suite90):
         """``shards=0`` computes in-process; same bit-exact answers."""
-        config = resolve_config(port=0, shards=0, window_ms=0)
+        config = resolve_config(port=0, shards=0)
         responses = asyncio.run(_serve_and_ask(config, DOCUMENTS))
         _assert_bit_identical(DOCUMENTS, responses)
 
@@ -95,7 +95,7 @@ class TestCrashRecovery:
                                                           suite90):
         """The first job's worker dies; both answers still arrive,
         bit-identical, and the shard is rebuilt behind them."""
-        config = resolve_config(port=0, shards=1, window_ms=1)
+        config = resolve_config(port=0, shards=1)
         documents = ({"op": "design", "length_mm": 1.5},
                      {"op": "design", "length_mm": 3.0})
         before = dict(METRICS.counters)
@@ -110,7 +110,7 @@ class TestCrashRecovery:
         assert delta["serve.worker_restart"] == 1
 
     def test_mc_across_worker_crash_is_bit_identical(self, suite90):
-        config = resolve_config(port=0, shards=1, window_ms=1)
+        config = resolve_config(port=0, shards=1)
         documents = ({"op": "mc", "length_mm": 2.0, "samples": 16,
                       "seed": 2010, "engine": "kernel"},)
         with faults.inject("worker_crash", at=0):
@@ -125,8 +125,7 @@ class TestCoalescing:
         before_requests = METRICS.counters.get("serve.requests", 0)
 
         async def scenario():
-            config = resolve_config(port=0, shards=0, window_ms=25,
-                                    max_batch=64)
+            config = resolve_config(port=0, shards=0, max_batch=64)
             server = ReproServer(config)
             await server.start()
             try:
@@ -148,7 +147,7 @@ class TestCoalescing:
 class TestHttpSurface:
     def test_routes_and_errors(self, suite90):
         async def scenario():
-            config = resolve_config(port=0, shards=0, window_ms=0)
+            config = resolve_config(port=0, shards=0)
             server = ReproServer(config)
             await server.start()
             try:
@@ -206,6 +205,42 @@ class TestHttpSurface:
         assert metrics[0] == 200
         assert "serve_requests_total" in metrics[1].decode("utf-8")
         assert nowhere[0] == 404
+
+    def test_overlong_lines_answer_400(self):
+        """A request line or header past asyncio's 64 KiB line limit
+        is a counted 400, not a crashed connection handler."""
+        requests = (
+            b"GET /" + b"q" * 70_000 + b" HTTP/1.1\r\n"
+            b"Host: repro\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\n"
+            b"X-Padding: " + b"a" * 70_000 + b"\r\n\r\n",
+        )
+
+        async def scenario():
+            config = resolve_config(port=0, shards=0)
+            server = ReproServer(config)
+            await server.start()
+            try:
+                endpoint = tcp_endpoint(config.host, server.port)
+                replies = []
+                for request in requests:
+                    reader, writer = await _open(endpoint)
+                    try:
+                        writer.write(request)
+                        await writer.drain()
+                        replies.append(await _read_simple(reader))
+                    finally:
+                        writer.close()
+                return replies
+            finally:
+                await server.close()
+
+        before = METRICS.counters.get("serve.errors", 0)
+        replies = asyncio.run(scenario())
+        for status, body in replies:
+            assert status == 400
+            assert "too long" in json.loads(body)["error"]
+        assert METRICS.counters.get("serve.errors", 0) - before == 2
 
 
 async def _read_simple(reader):
