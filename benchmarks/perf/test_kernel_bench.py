@@ -1,11 +1,12 @@
 """Scalar-vs-kernel micro-benchmarks with equivalence asserts.
 
-Each benchmark times one vectorized hot path and first checks the
-kernel agrees with the scalar reference bit-for-bit
+Each benchmark times one vectorized hot path and, where a scalar
+reference exists, first checks the kernel agrees with it bit-for-bit
 (``EQUIVALENCE_RTOL`` is 0), so a perf regression hunt can never
-silently trade away correctness.  The ``repro bench`` CLI covers the same
-ground end-to-end; these isolate the kernel calls for
-pytest-benchmark's statistics.
+silently trade away correctness.  The Monte-Carlo ``"model"`` engine
+has no scalar twin; its answer is pinned by
+``benchmarks/results/kernel_monte_carlo.txt``.  These isolate the
+kernel calls for pytest-benchmark's statistics.
 """
 
 import numpy as np
@@ -41,25 +42,18 @@ def test_line_batch_matches_scalar(benchmark, suite90):
 
 def test_monte_carlo_kernel_engine(benchmark, suite90, line90,
                                    save_artifact):
-    """Kernel MC engine: bit-equal to the scalar model engine."""
+    """The closed-form MC engine: every draw a lane of one call."""
     from repro.signoff.variation import monte_carlo_line_delay
     model = suite90.proposed
 
-    def kernel_mc():
+    def model_mc():
         return monte_carlo_line_delay(line90, ps(100), samples=SAMPLES,
                                       seed=2010, workers=1,
-                                      engine="kernel", model=model)
+                                      engine="model", model=model)
 
-    scalar = monte_carlo_line_delay(line90, ps(100), samples=SAMPLES,
-                                    seed=2010, workers=1,
-                                    engine="model", model=model)
-    kernel = kernel_mc()
-    np.testing.assert_allclose(np.array(kernel.samples),
-                               np.array(scalar.samples),
-                               rtol=EQUIVALENCE_RTOL)
-    save_artifact("kernel_monte_carlo", kernel.format())
+    save_artifact("kernel_monte_carlo", model_mc().format())
 
-    benchmark(kernel_mc)
+    benchmark(model_mc)
 
 
 def test_batched_power_search(benchmark, suite90):

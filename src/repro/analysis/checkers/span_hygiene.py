@@ -100,10 +100,10 @@ class SpanHygieneChecker(Checker):
             return False
         value = func.value
         if isinstance(value, ast.Name):
-            return value.id in ("METRICS", "STATS") \
+            return value.id == "METRICS" \
                 or value.id.lower() in _METRIC_RECEIVERS
         if isinstance(value, ast.Attribute):
-            return value.attr in ("METRICS", "STATS")
+            return value.attr == "METRICS"
         return False
 
     @staticmethod

@@ -1,8 +1,7 @@
 """Scalar-vs-kernel benchmarks: the repo's tracked perf trajectory.
 
-``repro bench`` times the two hot paths that the vectorized kernels
-accelerate — Monte-Carlo variation analysis and link-design sweeps —
-once on the scalar reference path and once on the batched kernels,
+``repro bench`` times the min-power link-design sweep once on the
+scalar reference search and once on the lockstep kernel search,
 checks the results agree bit-for-bit (:data:`EQUIVALENCE_RTOL`), and
 writes ``BENCH_kernels.json``:
 
@@ -15,9 +14,9 @@ writes ``BENCH_kernels.json``:
       "quick": false,
       "env": {"python": "...", "platform": "...", "numpy": "..."},
       "results": [
-        {"op": "monte_carlo", "n": 10000,
-         "wall_s": {"scalar": 12.3, "kernel": 0.4},
-         "speedup": 30.7, "max_rel_diff": 0.0, "equivalent": true}
+        {"op": "link_sweep", "n": 8,
+         "wall_s": {"scalar": 0.3, "kernel": 0.4},
+         "speedup": 0.75, "max_rel_diff": 0.0, "equivalent": true}
       ]
     }
 
@@ -39,7 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.units import mm, ps
+from repro.units import mm
 
 #: Bump when the BENCH_kernels.json layout changes incompatibly.
 BENCH_SCHEMA = 1
@@ -47,10 +46,6 @@ BENCH_SCHEMA = 1
 #: Maximum allowed scalar-vs-kernel relative difference: the kernels
 #: run the models' own functions, so both paths must agree exactly.
 EQUIVALENCE_RTOL = 0.0
-
-#: Monte-Carlo sample counts (full / --quick).
-DEFAULT_SAMPLES = 10_000
-QUICK_SAMPLES = 2_000
 
 #: Link-sweep lengths in millimeters (full / --quick).
 SWEEP_LENGTHS_MM = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -114,65 +109,6 @@ def _max_rel_diff(reference: np.ndarray, candidate: np.ndarray) -> float:
     candidate = np.asarray(candidate, dtype=float)
     scale = np.maximum(np.abs(reference), 1e-300)
     return float(np.max(np.abs(candidate - reference) / scale))
-
-
-def run_monte_carlo_bench(node: str = "90nm",
-                          samples: int = DEFAULT_SAMPLES,
-                          seed: int = 2010,
-                          reps: int = 1) -> BenchResult:
-    """Time the closed-form Monte-Carlo at ``workers=1``, both paths.
-
-    The scalar path is the ``"model"`` engine (one Python stage chain
-    per draw); the kernel path evaluates the same factor matrix in one
-    batched call.  Both walk identical RNG streams, so the sample
-    vectors must match bit-for-bit — any drift beyond
-    :data:`EQUIVALENCE_RTOL` is a correctness failure.  ``reps``
-    repeats each timing; means and standard errors come from the
-    per-rep histograms.
-    """
-    from repro.experiments.suite import ModelSuite
-    from repro.runtime.metrics import METRICS, Histogram
-    from repro.signoff.extraction import extract_buffered_line
-    from repro.signoff.variation import monte_carlo_line_delay
-
-    suite = ModelSuite.for_node(node)
-    model = suite.proposed
-    # A 10 mm global link (20 repeaters) — the long-wire end of the
-    # paper's studied range, where per-draw scalar evaluation hurts.
-    line = extract_buffered_line(model.tech, model.config, mm(10), 20,
-                                 40.0)
-
-    scalar_walls = Histogram()
-    kernel_walls = Histogram()
-    scalar = kernel = None
-    for _ in range(max(1, reps)):
-        started = time.perf_counter()
-        scalar = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=1,
-                                        engine="model", model=model)
-        elapsed = time.perf_counter() - started
-        scalar_walls.observe(elapsed)
-        METRICS.observe("bench.monte_carlo.scalar_seconds", elapsed)
-
-        started = time.perf_counter()
-        kernel = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=1,
-                                        engine="kernel", model=model)
-        elapsed = time.perf_counter() - started
-        kernel_walls.observe(elapsed)
-        METRICS.observe("bench.monte_carlo.kernel_seconds", elapsed)
-
-    diff = _max_rel_diff(np.array(scalar.samples),
-                         np.array(kernel.samples))
-    diff = max(diff, _max_rel_diff(scalar.nominal_delay,
-                                   kernel.nominal_delay))
-    return BenchResult(op="monte_carlo", n=samples,
-                       scalar_wall_s=scalar_walls.mean,
-                       kernel_wall_s=kernel_walls.mean,
-                       max_rel_diff=diff,
-                       scalar_wall_se=scalar_walls.standard_error(),
-                       kernel_wall_se=kernel_walls.standard_error(),
-                       reps=scalar_walls.count)
 
 
 def run_link_sweep_bench(node: str = "90nm",
@@ -244,14 +180,13 @@ def run_link_sweep_bench(node: str = "90nm",
 
 
 def run_bench(node: str = "90nm", quick: bool = False,
-              samples: Optional[int] = None,
               output: str = "BENCH_kernels.json",
               reps: int = 1,
               history: Optional[str] = None
               ) -> "Tuple[int, Dict[str, Any]]":
-    """Run every benchmark, write ``output``, return (status, report).
+    """Run the benchmark, write ``output``, return (status, report).
 
-    Status is 0 when every comparison stayed within
+    Status is 0 when the comparison stayed within
     :data:`EQUIVALENCE_RTOL` and 1 on drift — the bench doubles as the
     CI equivalence gate.  Besides the snapshot ``output``, the run
     appends one record to the benchmark registry history (``history``
@@ -261,12 +196,9 @@ def run_bench(node: str = "90nm", quick: bool = False,
     from repro import bench_registry
     from repro.runtime.manifest import run_environment, utc_timestamp
 
-    if samples is None:
-        samples = QUICK_SAMPLES if quick else DEFAULT_SAMPLES
     lengths = QUICK_SWEEP_LENGTHS_MM if quick else SWEEP_LENGTHS_MM
 
     results: List[BenchResult] = [
-        run_monte_carlo_bench(node, samples=samples, reps=reps),
         run_link_sweep_bench(node, lengths_mm=lengths, reps=reps),
     ]
     report: Dict[str, Any] = {
@@ -282,7 +214,7 @@ def run_bench(node: str = "90nm", quick: bool = False,
         handle.write("\n")
     record = bench_registry.build_record(
         "kernels", node=node, quick=quick,
-        config={"node": node, "quick": quick, "samples": samples,
+        config={"node": node, "quick": quick,
                 "lengths_mm": list(lengths), "reps": reps},
         samples=[bench_registry.BenchSample(
             name=f"{result.op}.{variant}",

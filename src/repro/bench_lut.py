@@ -1,23 +1,19 @@
 """LUT-vs-closed-form benchmarks: the characterization tier's gate.
 
 ``repro bench lut`` builds a LUT artifact for the node, then times the
-two hot paths the tier accelerates — the min-power link-design sweep
-and the ``"model"``-engine Monte-Carlo — once against the closed-form
-model (the production path without the tier) and once against the
-LUT-served model, and writes ``BENCH_lut.json`` in the registry's
-``op`` schema (``wall_s`` maps ``scalar`` to the closed form and
-``kernel`` to the LUT).
+hot path the tier accelerates — the min-power link-design sweep —
+once against the closed-form model (the production path without the
+tier) and once against the LUT-served model, and writes
+``BENCH_lut.json`` in the registry's ``op`` schema (``wall_s`` maps
+``scalar`` to the closed form and ``kernel`` to the LUT).
 
 The run gates on the tier's whole contract, not just speed:
 
-* both speedups must clear :data:`SPEEDUP_FLOOR` (5x);
+* the speedup must clear :data:`SPEEDUP_FLOOR` (5x);
 * the artifact's measured cell-midpoint interpolation error must be
   within its grid's contract (it is re-validated at build time, so a
   violation here means the builder itself regressed);
-* every LUT-sweep design must meet the timing bound it was asked for;
-* the LUT Monte-Carlo lane must return bit-identical samples at
-  ``workers`` 1, 2 and 4 — lookups are pure table arithmetic, so any
-  worker dependence is a determinism bug, not noise.
+* every LUT-sweep design must meet the timing bound it was asked for.
 
 Timing runs at ``workers=1`` so the recorded speedup is algorithmic,
 not parallelism.
@@ -32,24 +28,17 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.units import mm, ps
+from repro.units import mm
 
 #: Bump when the BENCH_lut.json layout changes incompatibly.
 BENCH_SCHEMA = 1
 
-#: Minimum LUT-over-closed-form speedup on both benched paths.
+#: Minimum LUT-over-closed-form speedup on the benched path.
 SPEEDUP_FLOOR = 5.0
-
-#: Monte-Carlo sample counts (full / --quick).
-DEFAULT_SAMPLES = 4_000
-QUICK_SAMPLES = 800
 
 #: Link-sweep lengths in millimeters (full / --quick).
 SWEEP_LENGTHS_MM = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 QUICK_SWEEP_LENGTHS_MM = (1.0, 3.0, 5.0)
-
-#: Worker counts the reproducibility gate compares.
-WORKER_COUNTS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -175,69 +164,7 @@ def run_link_sweep_bench(model, lut, max_delay: float,
                           reps=closed_walls.count)
 
 
-def run_monte_carlo_bench(model, lut, samples: int, seed: int = 2010,
-                          reps: int = 1) -> LutBenchResult:
-    """Time the ``"model"``-engine Monte-Carlo, closed form vs LUT.
-
-    The closed form evaluates one Python stage chain per draw; the LUT
-    serves a tabulated nominal plus first-order sensitivities and
-    folds every draw into one batched inner product.  The gate:
-    bit-identical LUT samples at ``workers`` 1, 2 and 4 (the lane runs
-    in-process, so any divergence is a determinism bug), with
-    ``max_rel_diff`` recording the first-order-vs-exact spread.
-    """
-    from repro.runtime.metrics import METRICS, Histogram
-    from repro.signoff.extraction import extract_buffered_line
-    from repro.signoff.variation import monte_carlo_line_delay
-
-    line = extract_buffered_line(model.tech, model.config, mm(10), 20,
-                                 40.0)
-
-    closed_walls = Histogram()
-    lut_walls = Histogram()
-    closed = served = None
-    for _ in range(max(1, reps)):
-        started = time.perf_counter()
-        closed = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=1,
-                                        engine="model", model=model)
-        elapsed = time.perf_counter() - started
-        closed_walls.observe(elapsed)
-        METRICS.observe("bench.lut_monte_carlo.scalar_seconds",
-                        elapsed)
-
-        started = time.perf_counter()
-        served = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=1,
-                                        engine="model", model=lut)
-        elapsed = time.perf_counter() - started
-        lut_walls.observe(elapsed)
-        METRICS.observe("bench.lut_monte_carlo.kernel_seconds",
-                        elapsed)
-
-    reference = np.array(served.samples)
-    gate_ok = True
-    for workers in WORKER_COUNTS[1:]:
-        repeat = monte_carlo_line_delay(line, ps(100), samples=samples,
-                                        seed=seed, workers=workers,
-                                        engine="model", model=lut)
-        if not np.array_equal(np.array(repeat.samples), reference):
-            gate_ok = False
-    diff = _max_rel_diff(np.array(closed.samples), reference)
-    diff = max(diff, _max_rel_diff(closed.nominal_delay,
-                                   served.nominal_delay))
-    return LutBenchResult(op="monte_carlo", n=samples,
-                          scalar_wall_s=closed_walls.mean,
-                          kernel_wall_s=lut_walls.mean,
-                          max_rel_diff=diff,
-                          gate_ok=gate_ok,
-                          scalar_wall_se=closed_walls.standard_error(),
-                          kernel_wall_se=lut_walls.standard_error(),
-                          reps=closed_walls.count)
-
-
 def run_lut_bench(node: str = "90nm", quick: bool = False,
-                  samples: Optional[int] = None,
                   output: str = "BENCH_lut.json",
                   reps: int = 1,
                   history: Optional[str] = None
@@ -257,8 +184,6 @@ def run_lut_bench(node: str = "90nm", quick: bool = False,
     from repro.luts.model import serve
     from repro.runtime.manifest import run_environment, utc_timestamp
 
-    if samples is None:
-        samples = QUICK_SAMPLES if quick else DEFAULT_SAMPLES
     lengths = QUICK_SWEEP_LENGTHS_MM if quick else SWEEP_LENGTHS_MM
     spec = COARSE_GRID if quick else DEFAULT_GRID
 
@@ -273,7 +198,6 @@ def run_lut_bench(node: str = "90nm", quick: bool = False,
     results: List[LutBenchResult] = [
         run_link_sweep_bench(model, lut, suite.tech.clock_period(),
                              lengths_mm=lengths, reps=reps),
-        run_monte_carlo_bench(model, lut, samples=samples, reps=reps),
     ]
     report: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
@@ -296,7 +220,7 @@ def run_lut_bench(node: str = "90nm", quick: bool = False,
         handle.write("\n")
     record = bench_registry.build_record(
         "lut", node=node, quick=quick,
-        config={"node": node, "quick": quick, "samples": samples,
+        config={"node": node, "quick": quick,
                 "lengths_mm": list(lengths), "reps": reps,
                 "grid_points": spec.points},
         samples=[bench_registry.BenchSample(

@@ -49,7 +49,7 @@ EQUALITY_REPLAYS = 24
 PROBE_DOCUMENTS: Tuple[Dict[str, Any], ...] = (
     {"op": "design_batch", "lengths_mm": [1.0, 2.5, 4.0]},
     {"op": "mc", "length_mm": 2.0, "samples": 48, "seed": 2010,
-     "engine": "kernel", "estimator": "plain"},
+     "engine": "model", "estimator": "plain"},
 )
 
 

@@ -338,7 +338,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         output = args.output or "BENCH_lut.json"
         status, report = run_lut_bench(node=args.node,
                                        quick=args.quick,
-                                       samples=args.samples,
                                        output=output, reps=args.reps,
                                        history=args.history)
         for line in report["formatted"]:
@@ -347,8 +346,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"history record appended to {report['history_path']}")
         if status != 0:
             print("error: LUT speedup fell below the floor, the "
-                  "interpolation error broke its contract, or "
-                  "lookups were not worker-reproducible",
+                  "interpolation error broke its contract, or a "
+                  "LUT design missed its delay bound",
                   file=sys.stderr)
         return status
     if args.suite == "serve":
@@ -399,7 +398,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         from repro.bench import run_bench
         output = args.output or "BENCH_kernels.json"
         status, report = run_bench(node=args.node, quick=args.quick,
-                                   samples=args.samples,
                                    output=output, reps=args.reps,
                                    history=args.history)
         error = "kernel/scalar equivalence drifted beyond tolerance"
@@ -457,9 +455,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Exit codes: 2 on configuration conflicts (a CLI flag and its
     ``REPRO_SERVE_*`` variable disagreeing, or an out-of-range knob),
-    0 on a clean shutdown (Ctrl-C).
+    0 on a clean shutdown (Ctrl-C or SIGTERM).
     """
     import asyncio
+    import signal
 
     from repro.serve import (
         ReproServer,
@@ -478,25 +477,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _run() -> None:
         server = ReproServer(config)
-        await server.start()
-        listening = []
-        if config.host:
-            listening.append(f"http://{config.host}:{server.port}")
-        if config.socket:
-            listening.append(f"unix:{config.socket}")
-        print(f"repro serve: listening on {', '.join(listening)} "
-              f"({config.shards} shard(s), "
-              f"max batch {config.max_batch})", flush=True)
+        # SIGTERM takes the Ctrl-C path: cancel, then close, so no
+        # shard worker outlives the server.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         try:
+            await server.start()
+            listening = []
+            if config.host:
+                listening.append(f"http://{config.host}:{server.port}")
+            if config.socket:
+                listening.append(f"unix:{config.socket}")
+            print(f"repro serve: listening on {', '.join(listening)} "
+                  f"({config.shards} shard(s), "
+                  f"max batch {config.max_batch})", flush=True)
             await server.serve_forever()
         finally:
             await server.close()
 
     try:
         asyncio.run(_run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("repro serve: shutting down")
     return 0
+
+
+def _mc_engine(name: str) -> str:
+    """``repro mc --engine``: ``kernel`` is another name for
+    ``model``."""
+    return "model" if name == "kernel" else name
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
@@ -735,8 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="smaller sample counts (CI smoke)")
     bench_cmd.add_argument("--samples", type=int, default=None,
                            metavar="N",
-                           help="Monte-Carlo draws (kernels: default "
-                                "10000, 2000 with --quick; yield: "
+                           help="(yield) Monte-Carlo draws (default "
                                 "256, 64 with --quick)")
     bench_cmd.add_argument("--reps", type=int, default=1, metavar="N",
                            help="timing repetitions per kernels-suite "
@@ -826,8 +834,11 @@ def build_parser() -> argparse.ArgumentParser:
     mc_cmd.add_argument("--samples", type=int, default=64,
                         metavar="N", help="Monte-Carlo draws")
     mc_cmd.add_argument("--seed", type=int, default=2010)
-    mc_cmd.add_argument("--engine", default="kernel",
-                        choices=["golden", "model", "kernel"])
+    mc_cmd.add_argument("--engine", default="model",
+                        type=_mc_engine, choices=["golden", "model"],
+                        help="'golden' simulates every draw; 'model' "
+                             "(also accepted as 'kernel') evaluates "
+                             "the closed form")
     mc_cmd.add_argument("--estimator", default="plain",
                         choices=["plain", "importance",
                                  "importance-sn", "qmc",

@@ -18,8 +18,8 @@ thousands of scalar invocations:
 * :mod:`repro.kernels.variation` — perturbed line delay over a whole
   Monte-Carlo factor matrix in one call;
 * :mod:`repro.kernels.lut` — batched trilinear interpolation over the
-  characterization LUT tier (:mod:`repro.luts`), plus the first-order
-  Monte-Carlo lane and the LUT-served line evaluation.
+  characterization LUT tier (:mod:`repro.luts`), plus the LUT-served
+  line evaluation.
 
 Contracts:
 
@@ -49,7 +49,6 @@ from repro.kernels.line import (
 from repro.kernels.lut import (
     evaluate_line_lut,
     interpolate_trilinear,
-    line_delay_first_order,
 )
 from repro.kernels.search import (
     minimize_power_under_delay_batch,
@@ -65,7 +64,6 @@ __all__ = [
     "evaluate_line_batch",
     "evaluate_line_lut",
     "interpolate_trilinear",
-    "line_delay_first_order",
     "line_delay_batch",
     "minimize_power_under_delay_batch",
     "optimize_buffering_batch",

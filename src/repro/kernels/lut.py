@@ -1,15 +1,12 @@
 """Batched LUT interpolation lane (the characterization tier's hot path).
 
-Three public kernels:
+Two public kernels:
 
 * :func:`interpolate_trilinear` — gather + fused multilinear weights
   over the ``(size, length, count)`` grid, the batch mirror of
   :func:`repro.luts.interp.trilinear` (same bracketing, same lerp
   form, same count→length→size reduction order, so one-lane batched
   lookups match scalar lookups bit-for-bit);
-* :func:`line_delay_first_order` — the Monte-Carlo lane: nominal plus
-  the inner product of ``(factors - 1)`` with precomputed per-stage
-  sensitivity weights, all draws in one call;
 * :func:`evaluate_line_lut` — the LUT-served form of
   :func:`repro.kernels.line.evaluate_line_batch`: delay and slew from
   the tables, power and area from the base model's own
@@ -90,20 +87,6 @@ def interpolate_trilinear(
     c0 = _lerp(c00, c01, fl)
     c1 = _lerp(c10, c11, fl)
     return _lerp(c0, c1, fs)
-
-
-def line_delay_first_order(nominal: float, weights: np.ndarray,
-                           factors: np.ndarray) -> np.ndarray:
-    """Delays (s) of every factor row around a tabulated nominal.
-
-    ``factors`` has shape ``(samples, stages, 4)`` in the factor
-    order of :mod:`repro.signoff.variation`; ``weights`` is the
-    ``(stages, 4)`` sensitivity matrix (seconds per unit factor) from
-    :meth:`repro.luts.model.LUTInterconnectModel.mc_response`.  The
-    scalar form is :func:`repro.luts.model.first_order_line_delay`.
-    """
-    shift = factors - 1.0
-    return nominal + (shift * weights).sum(axis=(1, 2))
 
 
 def _served_lanes(model, sizes: np.ndarray, lengths: np.ndarray,

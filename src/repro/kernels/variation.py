@@ -5,8 +5,8 @@ within-die variation draws at once: the caller draws every
 perturbation factor with its own ``SeedSequence`` streams (preserving
 the bit-identical sample-vector contract) and hands the whole factor
 matrix here, where each Monte-Carlo sample becomes one lane of
-:func:`repro.signoff.variation._closed_form_line_delay`, the same
-chain the scalar ``"model"`` engine runs one draw at a time.
+:func:`repro.signoff.variation._closed_form_line_delay`.  This is the
+Monte-Carlo ``"model"`` engine.
 
 Kernels draw no random numbers — ``repro lint`` enforces it.
 """
@@ -35,8 +35,7 @@ def line_delay_batch(
     ``(n_drive, n_vth, p_drive, p_vth)`` — the multiplicative
     perturbations of each stage, in the scalar sampler's draw order.
     A row of ones is the nominal line.  A LUT-served model is
-    evaluated on its closed-form base (the LUT tier's Monte-Carlo lane
-    is :func:`repro.kernels.lut.line_delay_first_order`).
+    evaluated on its closed-form base.
     """
     from repro.signoff.variation import _closed_form_line_delay
 

@@ -1,11 +1,11 @@
 """Characterization LUT tier: precomputed closed-form tables.
 
 The sizing flow evaluates the same calibrated closed-form expressions
-millions of times across buffering searches, Monte-Carlo draws and NoC
-synthesis.  This package grids those models once per technology node
-over (repeater size, wire length, repeater count), stores the result
-as a versioned, content-hashed artifact, and serves hot-path queries
-by multilinear interpolation:
+millions of times across buffering searches and NoC synthesis.  This
+package grids those models once per technology node over (repeater
+size, wire length, repeater count), stores the result as a versioned,
+content-hashed artifact, and serves hot-path queries by multilinear
+interpolation:
 
 * :mod:`repro.luts.grid` — the axes and the interpolation-error
   contract (:class:`GridSpec`);
@@ -34,11 +34,7 @@ from repro.luts.artifact import (
 from repro.luts.build import build_artifact
 from repro.luts.check import DriftReport, check_drift
 from repro.luts.grid import COARSE_GRID, DEFAULT_GRID, GridSpec
-from repro.luts.model import (
-    LUTInterconnectModel,
-    first_order_line_delay,
-    serve,
-)
+from repro.luts.model import LUTInterconnectModel, serve
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -51,7 +47,6 @@ __all__ = [
     "LUTInterconnectModel",
     "build_artifact",
     "check_drift",
-    "first_order_line_delay",
     "load_artifact",
     "load_artifact_file",
     "save_artifact_file",

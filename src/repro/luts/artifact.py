@@ -39,43 +39,32 @@ from repro.runtime.cache import DiskCache, fingerprint
 from repro.runtime.metrics import METRICS
 
 #: Bump when the artifact payload layout changes incompatibly.
-ARTIFACT_SCHEMA = 1
+ARTIFACT_SCHEMA = 2
 
-#: Bump when the *builder arithmetic* changes (table semantics, new
-#: sensitivity scheme, ...): artifacts from other generator versions
-#: are refused on load.
+#: Bump when the *builder arithmetic* changes (table semantics,
+#: validity rules, ...): artifacts from other generator versions are
+#: refused on load.
 GENERATOR_VERSION = 1
 
 #: Every table an artifact carries, in payload order.  ``delay`` /
 #: ``output_slew`` are the design tables (default same-size gamma
-#: receiver); ``mc_delay`` and the four ``sens_*`` tables characterize
-#: the extraction-style line (c_gate same-size receiver) for the
-#: Monte-Carlo first-order lane.  ``valid`` is the serving mask (1.0
-#: where the closed form itself is physical — positive delays, a
-#: converging slew chain — AND the cell midpoint meets the grid's
-#: interpolation-error contract; see ``repro.luts.build``): serving
-#: requires every corner of the enclosing cell to be valid; everything
-#: else falls back to the closed form, which is how the builder
-#: *guarantees* the error contract rather than merely measuring it.
-TABLE_NAMES: Tuple[str, ...] = (
-    "delay",
-    "output_slew",
-    "mc_delay",
-    "sens_n_drive",
-    "sens_n_vth",
-    "sens_p_drive",
-    "sens_p_vth",
-    "valid",
-)
+#: receiver).  ``valid`` is the serving mask (1.0 where the closed
+#: form itself is physical — positive delays, a converging slew chain
+#: — AND the cell midpoint meets the grid's interpolation-error
+#: contract; see ``repro.luts.build``): serving requires every corner
+#: of the enclosing cell to be valid; everything else falls back to
+#: the closed form, which is how the builder *guarantees* the error
+#: contract rather than merely measuring it.
+TABLE_NAMES: Tuple[str, ...] = ("delay", "output_slew", "valid")
 
 #: Tables *served* through log-value interpolation (they are strictly
 #: positive wherever valid, and the closed form behaves like a power
 #: law in size near the small-size edge — linear in log space, so the
-#: error contract survives a committable grid density).  The signed
-#: ``sens_*`` tables and the ``valid`` mask interpolate linearly.
-#: Coordinates are logged to match: size and length queries bracket on
-#: log axes (counts stay linear — they are exact hits).
-LOG_TABLES: Tuple[str, ...] = ("delay", "output_slew", "mc_delay")
+#: error contract survives a committable grid density).  The ``valid``
+#: mask interpolates linearly.  Coordinates are logged to match: size
+#: and length queries bracket on log axes (counts stay linear — they
+#: are exact hits).
+LOG_TABLES: Tuple[str, ...] = ("delay", "output_slew")
 
 
 def _tables_payload(tables: Mapping[str, np.ndarray]) -> Dict[str, Any]:

@@ -11,13 +11,7 @@ produces one ``(sizes, lengths)`` slice of every table:
   :meth:`~repro.models.interconnect.BufferedInterconnectModel.evaluate`
   per grid point (grid points therefore reproduce the closed form
   *exactly*, which the round-trip tests pin);
-* ``mc_delay`` — the nominal delay of the extraction-style line
-  (c_gate same-size receiver, as
-  :func:`repro.signoff.extraction.extract_buffered_line` builds it),
-  evaluated with the closed-form variation chain over all grid lanes;
-* ``sens_*`` — central-difference sensitivities of ``mc_delay`` to a
-  *uniform* shift of each variation factor, feeding the Monte-Carlo
-  first-order lane (:func:`repro.kernels.lut.line_delay_first_order`).
+* ``valid`` — the serving mask (see below).
 
 Each shard also *accuracy-gates* its slice of the ``valid`` mask: it
 probes every ``(size, length)`` cell midpoint through the exact
@@ -43,10 +37,6 @@ from repro.runtime.metrics import METRICS
 from repro.runtime.parallel import parallel_map
 from repro.runtime.trace import span
 
-#: Uniform-factor columns, in the factor-row column order of
-#: :mod:`repro.signoff.variation` (n_drive, n_vth, p_drive, p_vth).
-_FACTOR_NAMES = ("n_drive", "n_vth", "p_drive", "p_vth")
-
 #: Output-slew sanity cap, as a multiple of the characterization input
 #: slew.  The calibrated closed form extrapolates nonphysically in
 #: degenerate corners of the rectangle (many minimum-size repeaters on
@@ -54,37 +44,6 @@ _FACTOR_NAMES = ("n_drive", "n_vth", "p_drive", "p_vth")
 #: grid points past this cap — or with non-positive delays — are
 #: marked invalid in the ``valid`` mask and never served.
 SLEW_VALIDITY_MULTIPLE = 5.0
-
-
-def _receiver_caps(model, sizes: np.ndarray) -> np.ndarray:
-    """Extraction-style same-size receiver capacitance per lane (F),
-    as :func:`repro.signoff.extraction.extract_buffered_line` computes
-    it for the Monte-Carlo testbench geometry."""
-    wn, wp = model.tech.inverter_widths(sizes)
-    return model.tech.nmos.c_gate * wn + model.tech.pmos.c_gate * wp
-
-
-def _perturbed_line_batch(
-    model,
-    lengths: np.ndarray,
-    count: int,
-    sizes: np.ndarray,
-    input_slew: float,
-    factors: Tuple[float, float, float, float],
-) -> np.ndarray:
-    """Line delay (s) per lane under a uniform factor perturbation.
-
-    The closed-form variation chain
-    (:func:`repro.signoff.variation._closed_form_line_delay`) with one
-    ``(n_drive, n_vth, p_drive, p_vth)`` tuple applied to every stage
-    and the extraction-style c_gate receiver.  The factors stay
-    scalars, so each effective width takes the C library's pow.
-    """
-    from repro.signoff.variation import _closed_form_line_delay
-    row = np.broadcast_to(np.asarray(factors, dtype=float), (count, 4))
-    return _closed_form_line_delay(
-        model, lengths, count, sizes, _receiver_caps(model, sizes),
-        input_slew, row)
 
 
 def _plane_serving(plane: np.ndarray, log_sizes: np.ndarray,
@@ -134,13 +93,9 @@ def _gate_accuracy(model, slices: Dict[str, np.ndarray],
         return
     exact = evaluate_line_batch(model, length_lanes, count,
                                 size_lanes, input_slew)
-    mc_exact = _perturbed_line_batch(model, length_lanes, count,
-                                     size_lanes, input_slew,
-                                     (1.0, 1.0, 1.0, 1.0))
     worst = np.zeros(size_lanes.shape)
     for name, reference in (("delay", exact.delay),
-                            ("output_slew", exact.output_slew),
-                            ("mc_delay", mc_exact)):
+                            ("output_slew", exact.output_slew)):
         plane = np.log(np.where(valid == 1.0, slices[name], 1.0))
         served = np.exp(_plane_serving(plane, log_sizes, log_lengths,
                                        log_size_lanes,
@@ -157,11 +112,11 @@ def _gate_accuracy(model, slices: Dict[str, np.ndarray],
 def _build_shard(task) -> Dict[str, np.ndarray]:
     """One count's ``(sizes, lengths)`` slice of every table.
 
-    ``task`` is ``(model, sizes, lengths, count, input_slew, step,
+    ``task`` is ``(model, sizes, lengths, count, input_slew,
     contract)`` with plain tuples for the axes so the payload pickles
     cheaply to pool workers.
     """
-    model, sizes, lengths, count, input_slew, step, contract = task
+    model, sizes, lengths, count, input_slew, contract = task
     size_axis = np.asarray(sizes, dtype=float)
     length_axis = np.asarray(lengths, dtype=float)
     shape = (size_axis.size, length_axis.size)
@@ -175,34 +130,14 @@ def _build_shard(task) -> Dict[str, np.ndarray]:
             delay[i, j] = estimate.delay
             output_slew[i, j] = estimate.output_slew
 
-    size_lanes = np.repeat(size_axis, length_axis.size)
-    length_lanes = np.tile(length_axis, size_axis.size)
-    mc_delay = _perturbed_line_batch(
-        model, length_lanes, count, size_lanes, input_slew,
-        (1.0, 1.0, 1.0, 1.0)).reshape(shape)
     slew_cap = SLEW_VALIDITY_MULTIPLE * input_slew
     valid = ((delay > 0.0) & (output_slew > 0.0)
-             & (output_slew <= slew_cap)
-             & (mc_delay > 0.0)).astype(float)
+             & (output_slew <= slew_cap)).astype(float)
     slices: Dict[str, np.ndarray] = {
         "delay": delay,
         "output_slew": output_slew,
-        "mc_delay": mc_delay,
         "valid": valid,
     }
-    for column, name in enumerate(_FACTOR_NAMES):
-        up = [1.0, 1.0, 1.0, 1.0]
-        down = [1.0, 1.0, 1.0, 1.0]
-        up[column] = 1.0 + step
-        down[column] = 1.0 - step
-        plus = _perturbed_line_batch(model, length_lanes, count,
-                                     size_lanes, input_slew,
-                                     tuple(up))
-        minus = _perturbed_line_batch(model, length_lanes, count,
-                                      size_lanes, input_slew,
-                                      tuple(down))
-        slices[f"sens_{name}"] = ((plus - minus)
-                                  / (2.0 * step)).reshape(shape)
     _gate_accuracy(model, slices, size_axis, length_axis, count,
                    input_slew, contract)
     return slices
@@ -258,16 +193,6 @@ def measure_interpolation_error(model, spec: GridSpec,
             error = (np.abs(served - reference)
                      / np.abs(reference))[servable]
             worst = max(worst, float(np.max(error)))
-        mc_exact = _perturbed_line_batch(
-            model, length_lanes, count, size_lanes, spec.input_slew,
-            (1.0, 1.0, 1.0, 1.0))
-        mc_served = np.exp(interpolate_trilinear(
-            serving["mc_delay"], log_size_axis, log_length_axis,
-            count_axis, log_size_lanes, log_length_lanes,
-            count_lanes))
-        error = (np.abs(mc_served - mc_exact)
-                 / np.abs(mc_exact))[servable]
-        worst = max(worst, float(np.max(error)))
     return worst
 
 
@@ -276,8 +201,7 @@ def build_tables(model, spec: GridSpec,
                  ) -> Dict[str, np.ndarray]:
     """All tables of one artifact, sharded over counts."""
     tasks = [(model, spec.sizes, spec.lengths, count,
-              spec.input_slew, spec.sensitivity_step,
-              spec.max_rel_error)
+              spec.input_slew, spec.max_rel_error)
              for count in spec.counts]
     shards: List[Dict[str, np.ndarray]] = parallel_map(
         _build_shard, tasks, workers=workers, label="luts.build_shard")

@@ -35,8 +35,7 @@ DEFAULT_DRIFT_THRESHOLD = 1e-9
 @dataclass(frozen=True)
 class TableDrift:
     """Drift of one table: relative to the table's own scale, so
-    near-zero entries of sensitivity tables cannot manufacture
-    infinite relative errors."""
+    near-zero entries cannot manufacture infinite relative errors."""
 
     name: str
     max_rel: float

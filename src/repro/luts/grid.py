@@ -2,9 +2,9 @@
 
 A :class:`GridSpec` pins down everything that shapes a table: the
 three axes (repeater size, wire length in meters, repeater count), the
-input slew the tables were characterized at (seconds), the finite-
-difference step of the sensitivity tables, and the interpolation-error
-contract the builder must validate against the closed form.
+input slew the tables were characterized at (seconds), and the
+interpolation-error contract the builder must validate against the
+closed form.
 
 The count axis is always a contiguous integer range, so every count a
 search probes inside the range is an *exact* grid hit — only size and
@@ -31,10 +31,6 @@ DEFAULT_ERROR_CONTRACT = 2e-2
 #: Looser contract for the coarse (CI smoke) grid.
 COARSE_ERROR_CONTRACT = 1e-1
 
-#: Finite-difference step (in factor units) for the sensitivity
-#: tables: central differences at ``1 +/- step``.
-DEFAULT_SENSITIVITY_STEP = 0.05
-
 
 def _geometric(low: float, high: float, points: int) -> Tuple[float, ...]:
     """A strictly increasing geometric axis from low to high."""
@@ -60,8 +56,7 @@ class GridSpec:
     ``sizes`` are dimensionless drive multiples, ``lengths`` meters,
     ``counts`` a contiguous integer range, ``input_slew`` seconds.
     ``max_rel_error`` is the interpolation-error contract the builder
-    validates (and refuses to ship past); ``sensitivity_step`` the
-    finite-difference step of the variation-sensitivity tables.
+    validates (and refuses to ship past).
     """
 
     sizes: Tuple[float, ...]
@@ -69,7 +64,6 @@ class GridSpec:
     counts: Tuple[int, ...]
     input_slew: float
     max_rel_error: float = DEFAULT_ERROR_CONTRACT
-    sensitivity_step: float = DEFAULT_SENSITIVITY_STEP
 
     def __post_init__(self) -> None:
         for name, axis in (("sizes", self.sizes),
@@ -93,8 +87,6 @@ class GridSpec:
             raise ValueError("input_slew must be positive (seconds)")
         if not 0 < self.max_rel_error < 1:
             raise ValueError("max_rel_error must lie in (0, 1)")
-        if not 0 < self.sensitivity_step < 0.5:
-            raise ValueError("sensitivity_step must lie in (0, 0.5)")
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -121,7 +113,6 @@ class GridSpec:
             "counts": [int(c) for c in self.counts],
             "input_slew": self.input_slew,
             "max_rel_error": self.max_rel_error,
-            "sensitivity_step": self.sensitivity_step,
         }
 
     @classmethod
@@ -132,7 +123,6 @@ class GridSpec:
             counts=tuple(int(v) for v in payload["counts"]),
             input_slew=float(payload["input_slew"]),
             max_rel_error=float(payload["max_rel_error"]),
-            sensitivity_step=float(payload["sensitivity_step"]),
         )
 
 

@@ -17,15 +17,12 @@ model class does not match the base model: a recalibrated node must
 rebuild its tables (``repro luts check`` tracks the drift), never
 serve stale ones.
 
-For the Monte-Carlo first-order lane, :meth:`mc_response` returns the
-tabulated nominal delay of the extraction-style line plus a per-stage
-sensitivity matrix; :func:`first_order_line_delay` is the scalar
-form of the batched :func:`repro.kernels.lut.line_delay_first_order`.
+Monte-Carlo draws on a LUT-served model run on its closed-form base
+(:func:`repro.kernels.variation.line_delay_batch`).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -36,22 +33,6 @@ from repro.models.interconnect import InterconnectEstimate
 from repro.models.wire import WireCoefficients
 from repro.runtime.cache import fingerprint
 from repro.runtime.metrics import METRICS
-
-
-def first_order_line_delay(nominal: float,
-                           weights: "np.ndarray",
-                           factors: "np.ndarray") -> float:
-    """One first-order delay (s): nominal plus the inner product of
-    ``(factors - 1)`` with the per-stage sensitivity ``weights``.
-
-    Scalar form of the batched
-    :func:`repro.kernels.lut.line_delay_first_order` (one factor row
-    here, many rows there).
-    """
-    response = math.fsum((value - 1.0) * weight
-                         for row, weight_row in zip(factors, weights)
-                         for value, weight in zip(row, weight_row))
-    return nominal + response
 
 
 class LUTInterconnectModel:
@@ -249,76 +230,6 @@ class LUTInterconnectModel:
         uniform split (stage delays of a long uniform chain are equal
         to within slew-convergence effects)."""
         return (delay / num_repeaters,) * num_repeaters
-
-    # -- Monte-Carlo first-order lane ------------------------------------
-
-    def mc_response(self, line, input_slew: float
-                    ) -> "Optional[Tuple[float, np.ndarray]]":
-        """(nominal delay, per-stage sensitivity weights) of an
-        extraction-style line, or ``None`` when the tables cannot
-        serve it.
-
-        The weights are a ``(stages, 4)`` matrix in the factor order
-        of :mod:`repro.signoff.variation` (nMOS drive, nMOS vth, pMOS
-        drive, pMOS vth): the tabulated uniform-shift sensitivity of
-        each factor, split evenly over the stages that factor drives
-        (rising stages pull from the pMOS columns, falling stages
-        from the nMOS columns, exactly as the scalar chain assigns
-        them).  Serving requires the line to match the
-        characterization testbench: same technology and wire
-        configuration, uniform sizing, the extraction-style same-size
-        c_gate receiver, the characterized input slew, and in-grid
-        geometry.
-        """
-        spec = self.artifact.spec
-        if input_slew != spec.input_slew:
-            return None
-        if line.tech != self.tech or line.config != self.config:
-            return None
-        sizes = {stage.driver_size for stage in line.stages}
-        if len(sizes) != 1:
-            return None
-        size = line.stages[0].driver_size
-        count = len(line.stages)
-        if not spec.covers(size, line.length, count):
-            return None
-        wn, wp = self.tech.inverter_widths(size)
-        expected_receiver = (self.tech.nmos.c_gate * wn
-                             + self.tech.pmos.c_gate * wp)
-        if line.receiver_cap != expected_receiver:
-            return None
-
-        query = (self._log_size_axis, self._log_length_axis,
-                 self._count_axis, float(np.log(size)),
-                 float(np.log(line.length)), count)
-        if trilinear(self.artifact.scalar_interp_table("valid"),
-                     *query) != 1.0:
-            return None
-        nominal = float(np.exp(trilinear(
-            self.artifact.scalar_interp_table("mc_delay"), *query)))
-        sens = {name: trilinear(
-                    self.artifact.scalar_interp_table(f"sens_{name}"),
-                    *query)
-                for name in ("n_drive", "n_vth", "p_drive", "p_vth")}
-
-        rising = True
-        inverting = self.calibration.kind.inverting
-        rising_stages = []
-        for _ in range(count):
-            rising_stages.append(rising)
-            if inverting:
-                rising = not rising
-        num_rising = sum(rising_stages)
-        num_falling = count - num_rising
-        weights = np.zeros((count, 4))
-        for stage, is_rising in enumerate(rising_stages):
-            if is_rising:
-                weights[stage, 2] = sens["p_drive"] / num_rising
-                weights[stage, 3] = sens["p_vth"] / num_rising
-            else:
-                weights[stage, 0] = sens["n_drive"] / num_falling
-                weights[stage, 1] = sens["n_vth"] / num_falling
-        return nominal, weights
 
 
 def serve(base, artifact: Optional[LUTArtifact]):

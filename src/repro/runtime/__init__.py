@@ -15,9 +15,8 @@ while provably preserving their serial results:
   (under ``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) that warm-starts
   link designs and calibration coefficients across processes;
 * :data:`repro.runtime.metrics.METRICS` — the process-wide counter /
-  wall-time registry surfaced by the ``--stats`` CLI flag
-  (:data:`STATS` is its compatibility alias), merged across worker
-  processes by ``parallel_map``;
+  wall-time registry surfaced by the ``--stats`` CLI flag, merged
+  across worker processes by ``parallel_map``;
 * :func:`repro.runtime.trace.span` / :data:`repro.runtime.trace.TRACER`
   — hierarchical span tracing with pluggable sinks (``--trace`` writes
   JSONL), free when no sink is attached;
@@ -74,7 +73,6 @@ from repro.runtime.profile import (
     collapse_stacks,
     write_flamegraph,
 )
-from repro.runtime.stats import STATS, RuntimeStats
 from repro.runtime.trace import (
     JsonlSink,
     SpanCollector,
@@ -97,8 +95,6 @@ __all__ = [
     "MemoryProfiler",
     "MetricsRegistry",
     "PROFILE_MODES",
-    "RuntimeStats",
-    "STATS",
     "SpanCollector",
     "TRACER",
     "TaskError",

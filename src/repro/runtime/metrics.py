@@ -17,10 +17,6 @@ a pure function of the *multiset* of observed values, independent of
 observation order, chunking or worker count.  That is the property the
 worker-count-invariance tests pin down.
 
-The registry subsumes the original ad-hoc ``STATS`` object;
-:mod:`repro.runtime.stats` re-exports :data:`METRICS` under its old
-name as a compatibility facade.
-
 Recording is cheap enough to stay always-on (two dict operations, one
 bisect for histograms); the CLI's ``--stats`` flag merely decides
 whether the footer is printed.  :meth:`MetricsRegistry.to_openmetrics`

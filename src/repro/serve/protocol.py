@@ -36,8 +36,9 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 #: Ops the service understands.
 OPS = ("design", "design_batch", "max_feasible_length", "mc")
 
-#: Engines/estimators ``mc`` queries may request (mirrors ``repro mc``).
-MC_ENGINES = ("golden", "model", "kernel")
+#: Engines/estimators ``mc`` queries may request (mirrors ``repro mc``;
+#: ``"kernel"`` is accepted as another name for ``"model"``).
+MC_ENGINES = ("golden", "model")
 MC_ESTIMATORS = ("plain", "importance", "importance-sn", "qmc",
                  "control-variate")
 
@@ -80,7 +81,7 @@ class Query:
     slew_ps: float = 100.0
     samples: int = 64
     seed: int = 2010
-    engine: str = "kernel"
+    engine: str = "model"
     estimator: str = "plain"
     critical_ps: Optional[float] = None
     extra: Mapping[str, Any] = field(default_factory=dict)
@@ -175,7 +176,9 @@ def parse_query(obj: Any) -> Query:
 
     # op == "mc"
     length = _number(obj, "length_mm", 2.0, minimum=0.0)
-    engine = obj.get("engine", "kernel")
+    engine = obj.get("engine", "model")
+    if engine == "kernel":
+        engine = "model"
     _require(engine in MC_ENGINES,
              f"'engine' must be one of {', '.join(MC_ENGINES)}")
     estimator = obj.get("estimator", "plain")

@@ -143,7 +143,8 @@ class ReproServer:
             await self.pool.warm()
 
     async def close(self) -> None:
-        """Stop accepting, drain in-flight batches, stop the pool."""
+        """Stop accepting, drain in-flight batches, stop the pool.
+        Idempotent: a second call finds nothing left to stop."""
         for server in self._servers:
             server.close()
         for server in self._servers:

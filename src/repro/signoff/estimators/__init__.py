@@ -10,7 +10,7 @@ closed-form model of PR 4 playing the stochastic-logical-effort role:
 * ``"plain"`` — the historical unweighted estimator (the baseline);
 * ``"importance"`` / ``"importance-sn"`` — model-guided mean shift
   with likelihood-ratio reweighting (:mod:`.importance`);
-* ``"qmc"`` — scrambled-Sobol lanes through the kernel batch path
+* ``"qmc"`` — scrambled-Sobol lanes through the batched model lane
   (:mod:`.qmc`);
 * ``"control-variate"`` — golden + model on common random numbers,
   corrected by the model's known expectation (:mod:`.control`).

@@ -1,8 +1,8 @@
 """Control variates: correct the golden mean with the cheap model.
 
-Evaluate the golden engine Y and the closed-form kernel X on *common
+Evaluate the golden engine Y and the closed-form model X on *common
 random numbers* (the very same factor rows), then exploit that X's
-expectation is knowable to near-arbitrary precision from cheap kernel
+expectation is knowable to near-arbitrary precision from cheap model
 draws alone:
 
     ``estimate = mean(Y) - beta * (mean(X) - E[X])``
@@ -15,9 +15,9 @@ closely, which is exactly the ISLE observation that a good proxy is
 worth more as a variance reducer than as a replacement.
 
 The reference expectation ``E[X]`` comes from ``prepass_samples``
-kernel draws on a labeled stream family; its residual standard error
+model draws on a labeled stream family; its residual standard error
 is folded into the reported error in quadrature.  When the *main*
-engine is itself closed-form ("model"/"kernel"), X == Y would make the
+engine is itself the closed form (``"model"``), X == Y would make the
 correction degenerate, so the control variate is instead a linear
 z-space surrogate fitted on the reference draws — its expectation is
 the fit intercept, exactly (E[z] = 0).
@@ -41,14 +41,14 @@ from repro.signoff.estimators.base import (
 
 def _reference_draws(request: EstimationRequest
                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """(z, kernel delays) of the labeled reference pre-pass."""
+    """(z, model delays) of the labeled reference pre-pass."""
     root = spawn_labeled_sequences(request.seed, "mc.control", 1)[0]
     z = np.random.default_rng(root).standard_normal(
         (request.prepass_samples, request.dimensions))
     factors = engines.factor_matrix(z, request.variation,
                                     request.stages)
     delays = engines.evaluate_factors(
-        "kernel", request.model, request.line, request.input_slew,
+        "model", request.model, request.line, request.input_slew,
         factors, workers=1)
     return z, delays
 
@@ -70,9 +70,9 @@ def run(request: EstimationRequest) -> EstimatedVariationResult:
     z_ref, x_ref = _reference_draws(request)
     draws = len(y)
     if request.engine == "golden":
-        # The control is the kernel engine on the same factor rows.
+        # The control is the model engine on the same factor rows.
         x = engines.evaluate_factors(
-            "kernel", request.model, request.line, request.input_slew,
+            "model", request.model, request.line, request.input_slew,
             factors, workers=1)
         control_mean = float(np.mean(x_ref))
         control_error = float(np.std(x_ref, ddof=1)

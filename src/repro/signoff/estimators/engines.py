@@ -3,25 +3,21 @@
 The estimators all work in *z-space*: a draw is a vector of
 ``4 * stages`` standard normals (per-stage nMOS drive, nMOS vth, pMOS
 drive, pMOS vth — the scalar sampler's draw order), mapped to
-multiplicative perturbation factors by :func:`factor_matrix` with
-exactly the operation sequence of the ``"kernel"`` engine — multiply by
-the tiled sigmas, add one, clip to physical ranges — so a zero-shift
-factor matrix built from the task streams is bit-identical to what the
-plain engines draw.  Working in z-space is what makes the estimators
-composable: an importance shift is a vector addition, a likelihood
-ratio is a Gaussian density ratio, and a Sobol lane is just another
-source of z rows.
+multiplicative perturbation factors by :func:`factor_matrix` — multiply
+by the tiled sigmas, add one, clip to physical ranges — so a
+zero-shift factor matrix built from the task streams is bit-identical
+to what the plain estimator draws.  Working in z-space is what makes
+the estimators composable: an importance shift is a vector addition,
+a likelihood ratio is a Gaussian density ratio, and a Sobol lane is
+just another source of z rows.
 
-:func:`evaluate_factors` then evaluates a factor matrix on any engine:
-one :func:`repro.kernels.variation.line_delay_batch` call for
-``"kernel"``, an order-preserving :func:`repro.runtime.parallel_map`
-over per-row tasks for ``"model"``, and for ``"golden"`` contiguous
-row blocks whose stages run as lanes of one Newton loop
-(:func:`repro.runtime.parallel_map_lanes`).  Each row goes
-through the same chain function the inline samplers of
-:mod:`repro.signoff.variation` use, so a ones row reproduces the
-nominal delay bit-for-bit and zero-shift rows reproduce the plain
-draws.
+:func:`evaluate_factors` then evaluates a factor matrix on either
+engine: one :func:`repro.kernels.variation.line_delay_batch` call for
+``"model"``, and for ``"golden"`` contiguous row blocks whose stages
+run as lanes of one Newton loop
+(:func:`repro.runtime.parallel_map_lanes`).  A ones row is the
+nominal line, so every estimator computes its nominal delay through
+the same call as its draws.
 """
 
 from __future__ import annotations
@@ -49,8 +45,8 @@ def standard_normal_rows(streams: Sequence[np.random.SeedSequence],
     """One row of ``dimensions`` standard normals per stream.
 
     Row ``i`` is exactly the draw sequence stream ``i``'s generator
-    would emit scalar-by-scalar — the bit-compatibility the kernel
-    engine's equivalence tests pin down.
+    would emit scalar-by-scalar, so a vectorized draw and a per-draw
+    sampler walk the same numbers.
     """
     rows = np.empty((len(streams), dimensions))
     for index, stream in enumerate(streams):
@@ -62,8 +58,7 @@ def standard_normal_rows(streams: Sequence[np.random.SeedSequence],
 def factor_matrix(z: np.ndarray,
                   variation: "_variation.VariationModel",
                   stages: int,
-                  shift: Optional[np.ndarray] = None,
-                  nominal_first: bool = False) -> np.ndarray:
+                  shift: Optional[np.ndarray] = None) -> np.ndarray:
     """Map z rows to a clipped ``(rows, stages, 4)`` factor matrix.
 
     Scale by the tiled sigmas, add 1.0, then clip drives to >= 0.5 and
@@ -71,17 +66,13 @@ def factor_matrix(z: np.ndarray,
     ``Generator.normal(1.0, sigma)`` would draw from the same ``z``.
     Every sampler builds its factor rows here.  ``shift``
     (an importance-sampling mean shift in z-space) is added to ``z``
-    *before* scaling, so a ``None``/zero shift changes nothing.  With
-    ``nominal_first`` row 0 is forced to the all-ones nominal row
-    after scaling, exactly as the kernel engine treats stream 0.
+    *before* scaling, so a ``None``/zero shift changes nothing.
     """
     z = np.asarray(z, dtype=float)
     if shift is not None:
         z = z + shift
     factors = z * sigma_vector(variation, stages)
     factors += 1.0
-    if nominal_first:
-        factors[0] = 1.0
     factors = factors.reshape(z.shape[0], stages, 4)
     factors[:, :, 0::2] = _variation._clip_drive(factors[:, :, 0::2])
     factors[:, :, 1::2] = _variation._clip_vth(factors[:, :, 1::2])
@@ -116,18 +107,6 @@ def _golden_factor_lanes(tasks) -> "List[Union[float, Exception]]":
             line, input_slew, np.array([row for _, _, row in tasks]))
 
 
-def _model_factor_task(task) -> float:
-    """One closed-form evaluation of an explicit factor row (seconds),
-    as a one-lane :func:`repro.signoff.variation._closed_form_line_delay`."""
-    model, line, input_slew, row = task
-    METRICS.count("variation.samples")
-    with METRICS.timer("variation.sample"):
-        count, size = _variation._uniform_geometry(line)
-        return float(_variation._closed_form_line_delay(
-            model, line.length, count, size, line.receiver_cap,
-            input_slew, np.asarray(row)[np.newaxis])[0])
-
-
 def evaluate_factors(
     engine: str,
     model,
@@ -138,46 +117,31 @@ def evaluate_factors(
 ) -> np.ndarray:
     """Line delay (seconds) of every factor row, on the chosen engine.
 
-    ``"kernel"`` evaluates all rows in one batched call; ``"model"``
-    maps the rows through :func:`parallel_map`, and ``"golden"``
-    through :func:`parallel_map_lanes` (one block of lanes per worker;
-    a single row runs as one :func:`_golden_factor_task`), under the
-    engines' usual ``variation.*`` task labels.  Either way the order,
-    and therefore the determinism contract, holds for any ``workers``
+    ``"model"`` evaluates all rows in one batched call; ``"golden"``
+    maps them through :func:`parallel_map_lanes` (one block of lanes
+    per worker; a single row runs as one :func:`_golden_factor_task`)
+    under the ``variation.golden_draw`` task label.  The order, and
+    therefore the determinism contract, holds for any ``workers``
     count, and a failed row's :class:`repro.runtime.TaskError` names
     that row.  ``input_slew`` is in seconds.
     """
     factors = np.asarray(factors, dtype=float)
-    if engine == "kernel":
+    if engine == "model":
         from repro.kernels.variation import line_delay_batch
         count, size = _variation._uniform_geometry(line)
         METRICS.count("variation.samples", factors.shape[0])
         return np.asarray(line_delay_batch(
             model, line.length, count, size, line.receiver_cap,
             input_slew, factors))
-    if engine == "model":
-        from repro.kernels.line import LUT, array_path
-        from repro.kernels.lut import line_delay_first_order
-        if array_path(model) == LUT:
-            response = model.mc_response(line, input_slew)
-            if response is not None:
-                nominal, weights = response
-                METRICS.count("variation.samples", factors.shape[0])
-                return np.asarray(line_delay_first_order(
-                    nominal, weights, factors))
-        tasks: List = [(model, line, input_slew, row)
-                       for row in factors]
-        delays = parallel_map(_model_factor_task, tasks,
+    if engine != "golden":
+        raise ValueError(f"unknown engine {engine!r}")
+    tasks = [(line, input_slew, row) for row in factors]
+    if len(tasks) == 1:  # nothing to stack: one per-draw task
+        delays = parallel_map(_golden_factor_task, tasks,
                               workers=workers,
-                              label="variation.model_draw")
+                              label="variation.golden_draw")
     else:
-        tasks = [(line, input_slew, row) for row in factors]
-        if len(tasks) == 1:  # nothing to stack: one per-draw task
-            delays = parallel_map(_golden_factor_task, tasks,
-                                  workers=workers,
-                                  label="variation.golden_draw")
-        else:
-            delays = parallel_map_lanes(_golden_factor_lanes, tasks,
-                                        workers=workers,
-                                        label="variation.golden_draw")
+        delays = parallel_map_lanes(_golden_factor_lanes, tasks,
+                                    workers=workers,
+                                    label="variation.golden_draw")
     return np.asarray(delays)

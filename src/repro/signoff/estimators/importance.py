@@ -3,8 +3,8 @@
 The ISLE recipe (Bayrakci, Demir & Tasiran): a cheap proxy locates the
 failure region, the expensive engine samples *there*, and
 likelihood-ratio weights restore unbiasedness under the nominal
-measure.  Here the proxy is the batched kernel engine (PR 4's
-closed-form model): a pre-pass of ``prepass_samples`` kernel draws
+measure.  Here the proxy is the ``"model"`` engine (the paper's
+closed-form model): a pre-pass of ``prepass_samples`` model draws
 finds the z-vectors whose model delay crosses the critical threshold
 (``critical_delay``, or the model's own mean + 3 sigma when none is
 given), and their centroid becomes the mean shift ``mu`` of the
@@ -51,7 +51,7 @@ def shift_vector(request: EstimationRequest, engine_nominal: float
     """The importance shift ``mu`` in z-space (sigmas, dimensionless)
     and the engine-space tail threshold it targets (seconds).
 
-    A kernel-engine pre-pass on its own labeled stream family (so the
+    A model-engine pre-pass on its own labeled stream family (so the
     per-draw task streams stay untouched) ranks ``prepass_samples``
     cheap draws against the critical threshold (``critical_delay``,
     or the model's pre-pass mean + 3 sigma); ``mu`` is the centroid
@@ -74,7 +74,7 @@ def shift_vector(request: EstimationRequest, engine_nominal: float
         return (np.zeros(request.dimensions),
                 request.critical_delay or 0.0)
     model_nominal = float(engines.evaluate_factors(
-        "kernel", request.model, request.line, request.input_slew,
+        "model", request.model, request.line, request.input_slew,
         engines.nominal_factors(request.stages), workers=1)[0])
     offset = model_nominal - engine_nominal
     root = spawn_labeled_sequences(request.seed, "mc.prepass", 1)[0]
@@ -83,7 +83,7 @@ def shift_vector(request: EstimationRequest, engine_nominal: float
     factors = engines.factor_matrix(z, request.variation,
                                     request.stages)
     delays = engines.evaluate_factors(
-        "kernel", request.model, request.line, request.input_slew,
+        "model", request.model, request.line, request.input_slew,
         factors, workers=1)
     if request.critical_delay is not None:
         threshold = request.critical_delay + offset

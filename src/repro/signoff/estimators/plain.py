@@ -1,7 +1,7 @@
 """The classic unweighted Monte-Carlo estimator.
 
 Exactly the historical :func:`monte_carlo_line_delay` flow — stream 0
-computes the nominal, streams 1..N the draws, on whichever engine was
+is the nominal, streams 1..N the draws, on whichever engine was
 requested — wrapped to return the extended result type.  The sample
 vector is bit-identical to what the pre-estimator code produced, which
 the equivalence tests rely on; the other estimators are judged against
@@ -14,8 +14,7 @@ from typing import List
 
 import numpy as np
 
-from repro.runtime import parallel_map, spawn_seed_sequences
-from repro.signoff import variation as _variation
+from repro.runtime import spawn_seed_sequences
 from repro.signoff.estimators import engines
 from repro.signoff.estimators.base import (
     EstimatedVariationResult,
@@ -28,38 +27,18 @@ def run(request: EstimationRequest) -> EstimatedVariationResult:
     """Plain Monte Carlo: one engine evaluation per draw, equal
     weights (delays in seconds)."""
     streams = spawn_seed_sequences(request.seed, request.samples + 1)
-    nominal_variation = _variation.VariationModel(0.0, 0.0)
-    if request.engine == "golden":
-        # Stream 0 is the nominal: a sigma-0 draw is the all-ones row.
-        nominal = float(engines.evaluate_factors(
-            "golden", None, request.line, request.input_slew,
-            engines.nominal_factors(request.stages), workers=1)[0])
-        z = engines.standard_normal_rows(streams[1:], request.dimensions)
-        # Draw i is row i, so a TaskError names the diverging draw.
-        draws: List[float] = engines.evaluate_factors(
-            "golden", None, request.line, request.input_slew,
-            engines.factor_matrix(z, request.variation, request.stages),
-            workers=request.workers).tolist()
-    elif request.engine == "model":
-        served = _variation._lut_monte_carlo(
-            request.model, request.line, request.input_slew,
-            request.variation, streams)
-        if served is not None:
-            nominal, draws = served
-        else:
-            nominal = _variation._model_sample_task(
-                (request.model, request.line, request.input_slew,
-                 nominal_variation, streams[0]))
-            tasks = [(request.model, request.line,
-                      request.input_slew, request.variation, stream)
-                     for stream in streams[1:]]
-            draws = parallel_map(_variation._model_sample_task, tasks,
-                                 workers=request.workers,
-                                 label="variation.model_draw")
-    else:
-        nominal, draws = _variation._kernel_monte_carlo(
-            request.model, request.line, request.input_slew,
-            request.variation, streams)
+    # Stream 0 is the nominal: a sigma-0 draw is the all-ones row.
+    nominal = float(engines.evaluate_factors(
+        request.engine, request.model, request.line,
+        request.input_slew, engines.nominal_factors(request.stages),
+        workers=1)[0])
+    z = engines.standard_normal_rows(streams[1:], request.dimensions)
+    # Draw i is row i, so a TaskError names the diverging draw.
+    draws: List[float] = engines.evaluate_factors(
+        request.engine, request.model, request.line,
+        request.input_slew,
+        engines.factor_matrix(z, request.variation, request.stages),
+        workers=request.workers).tolist()
     values = np.asarray(draws)
     error = float(np.std(values, ddof=1) / np.sqrt(len(values)))
     golden = len(values) if request.engine == "golden" else 0

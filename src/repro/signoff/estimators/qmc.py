@@ -10,7 +10,7 @@ unbiased lane mean, the estimate is the average of the lane means, and
 the standard error is their between-lane spread.  Every lane's points
 are generated up front from its own seed, so the sample vector is
 bit-identical for any ``workers`` count — the evaluation fan-out goes
-through the same order-preserving ``parallel_map``/kernel batch as
+through the same order-preserving ``parallel_map``/model batch as
 every other estimator.
 
 With ``lanes=1`` there is no between-lane spread to estimate, so the

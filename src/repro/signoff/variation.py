@@ -22,19 +22,16 @@ stream spawned from the root seed (``SeedSequence(seed).spawn``), so
 the sample vector is bit-identical for any ``workers`` count — the
 serial loop and a process pool walk the very same streams.
 
-Three evaluation engines share that contract:
+Two evaluation engines share that contract:
 
 * ``"golden"`` (default) — the nonlinear transient simulator, one
   stage simulation per perturbed repeater; the reference.
 * ``"model"`` — the closed-form proposed model, with variation mapped
   into an effective transition width through the alpha-power law
-  (:func:`_effective_width`); one stage chain per draw
-  (:func:`_closed_form_line_delay`).
-* ``"kernel"`` — the same chain evaluated by
-  :func:`repro.kernels.variation.line_delay_batch`: all draws become
-  lanes of one batched call.  Factor matrices are drawn from the very
-  same spawned streams, so the sample vector is bit-identical to the
-  ``"model"`` engine for any ``workers`` count.
+  (:func:`_effective_width`), evaluated by
+  :func:`repro.kernels.variation.line_delay_batch`: every draw is one
+  lane of a single stage chain (:func:`_closed_form_line_delay`).  A
+  LUT-served model is evaluated on its closed-form base.
 
 Orthogonally to the engine, the ``estimator`` argument picks the
 sampling strategy (:mod:`repro.signoff.estimators`): plain Monte
@@ -65,7 +62,7 @@ DEFAULT_DRIVE_SIGMA = 0.05
 DEFAULT_VTH_SIGMA = 0.03
 
 #: Evaluation engines accepted by :func:`monte_carlo_line_delay`.
-ENGINES = ("golden", "model", "kernel")
+ENGINES = ("golden", "model")
 
 #: Minimum gate overdrive under perturbation, as a fraction of vdd.
 OVERDRIVE_FLOOR = 0.05
@@ -253,13 +250,13 @@ def _effective_width(device: DeviceParameters, width, vdd: float,
 def _uniform_geometry(line: ExtractedLine) -> "Tuple[int, float]":
     """(num_repeaters, repeater_size) of a uniformly sized line.
 
-    The closed-form engines evaluate the model's uniform-line formula,
+    The closed-form engine evaluates the model's uniform-line formula,
     so every stage must share one driver size.
     """
     sizes = {stage.driver_size for stage in line.stages}
     if len(sizes) != 1:
         raise ValueError(
-            "model/kernel engines need a uniformly sized line, got "
+            "the model engine needs a uniformly sized line, got "
             f"driver sizes {sorted(sizes)}")
     return line.num_repeaters, line.stages[0].driver_size
 
@@ -272,8 +269,8 @@ def _closed_form_line_delay(model, length, count: int, size,
     The model's own stage chain with each stage's transition width
     mapped through :func:`_effective_width`.  ``factors`` has shape
     ``(..., count, 4)``: a ``(samples, count, 4)`` matrix gives one
-    lane per sample, which is how every closed-form engine evaluates
-    draws (a single draw goes as a one-row matrix, so all of them take
+    lane per sample, which is how the ``"model"`` engine evaluates
+    draws (a single draw goes as a one-row matrix, so every draw takes
     the vectorized pow).  ``length``, ``size`` and ``receiver_cap`` may
     also be lane arrays.
     """
@@ -304,120 +301,17 @@ def _closed_form_line_delay(model, length, count: int, size,
     return total
 
 
-def _model_sample_line_delay(
-    model,
-    line: ExtractedLine,
-    input_slew: float,
-    variation: VariationModel,
-    rng: np.random.Generator,
-) -> float:
-    """One closed-form Monte-Carlo draw (seconds): the factor row is
-    drawn in the golden sampler's order, then evaluated as a one-lane
-    :func:`_closed_form_line_delay`."""
-    count, size = _uniform_geometry(line)
-    row = variation.draw_factors(rng, count)
-    return float(_closed_form_line_delay(
-        model, line.length, count, size, line.receiver_cap, input_slew,
-        row[np.newaxis])[0])
-
-
-def _model_sample_task(task) -> float:
-    """One closed-form draw on its own spawned stream (pool-safe)."""
-    model, line, input_slew, variation, seed_sequence = task
-    METRICS.count("variation.samples")
-    with METRICS.timer("variation.sample"):
-        return _model_sample_line_delay(
-            model, line, input_slew, variation,
-            np.random.default_rng(seed_sequence))
-
-
-def _lut_monte_carlo(
-    model,
-    line: ExtractedLine,
-    input_slew: float,
-    variation: VariationModel,
-    streams: "List[np.random.SeedSequence]",
-) -> "Optional[Tuple[float, List[float]]]":
-    """(nominal, draws) through the LUT first-order lane, or ``None``.
-
-    Serves only LUT-backed models whose tables cover this line (see
-    :meth:`repro.luts.model.LUTInterconnectModel.mc_response`); the
-    caller falls back to the scalar closed-form chain otherwise.
-    Walks exactly the streams the scalar engines walk — stream 0 is
-    the nominal — so the factor draws stay aligned with the ``model``
-    engine; the per-draw stage chain is replaced by the tabulated
-    nominal plus a fused first-order response
-    (:func:`repro.kernels.lut.line_delay_first_order`), which makes
-    the draw loop O(samples) instead of O(samples * stages) and
-    worker-count independent by construction.
-    """
-    from repro.kernels.line import LUT, array_path
-    from repro.kernels.lut import line_delay_first_order
-    from repro.signoff.estimators.engines import (
-        factor_matrix,
-        standard_normal_rows,
-    )
-
-    if array_path(model) != LUT:
-        return None
-    response = model.mc_response(line, input_slew)
-    if response is None:
-        return None
-    nominal_delay, weights = response
-    count, _ = _uniform_geometry(line)
-    z = standard_normal_rows(streams, 4 * count)
-    factors = factor_matrix(z, variation, count, nominal_first=True)
-    METRICS.count("variation.samples", len(streams))
-    delays = line_delay_first_order(nominal_delay, weights, factors)
-    return float(delays[0]), [float(d) for d in delays[1:]]
-
-
-def _kernel_monte_carlo(
-    model,
-    line: ExtractedLine,
-    input_slew: float,
-    variation: VariationModel,
-    streams: "List[np.random.SeedSequence]",
-) -> "Tuple[float, List[float]]":
-    """(nominal, draws) via one batched kernel call.
-
-    Walks exactly the streams the scalar engines walk: stream ``i``'s
-    generator emits the same ``4 * stages`` normal draws (vectorized
-    draws from one generator are bit-identical to sequential scalar
-    draws), so the factor matrix — and therefore the sample vector —
-    matches the ``"model"`` engine bit-for-bit.
-    """
-    from repro.kernels.variation import line_delay_batch
-    from repro.signoff.estimators.engines import (
-        factor_matrix,
-        standard_normal_rows,
-    )
-
-    count, size = _uniform_geometry(line)
-    # Generator.normal(loc, scale) computes loc + scale * z in exactly
-    # the order factor_matrix applies, so building the factor matrix
-    # from the stacked raw draws keeps every factor bit-identical to
-    # per-stream normal() calls.  Stream 0 is the nominal: the
-    # nominal_first row is forced to 1.0 (a sigma-0 draw).
-    z = standard_normal_rows(streams, 4 * count)
-    factors = factor_matrix(z, variation, count, nominal_first=True)
-    METRICS.count("variation.samples", len(streams))
-    delays = line_delay_batch(model, line.length, count, size,
-                              line.receiver_cap, input_slew, factors)
-    return float(delays[0]), [float(d) for d in delays[1:]]
-
-
 def _require_closed_form_model(model) -> None:
     from repro.kernels.line import array_path
     if model is None:
         raise ValueError(
-            "the 'model'/'kernel' engines and the model-backed "
+            "the 'model' engine and the model-backed "
             "estimators (importance sampling, control variates) need "
             "the closed-form model; pass "
             "model=BufferedInterconnectModel(...)")
     if array_path(model) is None:
         raise TypeError(
-            "the closed-form engines and estimators evaluate the "
+            "the model engine and estimators evaluate the "
             "plain BufferedInterconnectModel formula (directly or "
             "beneath the LUT-served wrapper); got "
             f"{type(model).__name__}")
@@ -448,14 +342,13 @@ def monte_carlo_line_delay(
     a ramp of ``input_slew`` seconds.
 
     Deterministic for a given ``seed`` regardless of ``workers``:
-    stream 0 of the spawned root sequence computes the nominal delay
-    (variation disabled, sigma 0, sharing the same flow) and stream
-    ``i`` computes draw ``i``, whether it runs here or in a pool.
+    stream 0 of the spawned root sequence stands for the nominal delay
+    (the all-ones factor row, evaluated by the same flow) and stream
+    ``i`` draws row ``i``, whether it runs here or in a pool.
 
     ``engine`` selects the evaluator (see the module docstring);
-    ``"model"`` and ``"kernel"`` require the matching closed-form
-    ``model`` and a uniformly sized ``line``, and produce identical
-    sample vectors to each other.
+    ``"model"`` requires the closed-form ``model`` and a uniformly
+    sized ``line``.
 
     ``estimator`` selects the sampling strategy (see
     :mod:`repro.signoff.estimators`): ``"plain"`` reproduces the
@@ -466,7 +359,7 @@ def monte_carlo_line_delay(
     ``"control-variate"`` corrects the mean by the model's known
     expectation with coefficient ``beta`` (``None`` = estimated).
     The model-backed estimators spend ``prepass_samples`` cheap
-    kernel draws and therefore need ``model`` even on the golden
+    model draws and therefore need ``model`` even on the golden
     engine.  The result is a :class:`VariationResult` extended with a
     standard-error / effective-sample-size report.
 
@@ -476,7 +369,8 @@ def monte_carlo_line_delay(
     the target.  Doubling re-spawns a stream prefix, so the escalation
     is as deterministic as a single run.
 
-    Fault tolerance: because every draw owns its stream, a worker
+    Fault tolerance (the golden engine; the model engine is one
+    in-process call): because every draw owns its stream, a worker
     that dies mid-sweep is survived — ``parallel_map`` re-runs the
     unfinished draws and the distribution is bit-identical to an
     undisturbed run (``faults.worker_crash`` counts the recovery). A

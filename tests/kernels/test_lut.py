@@ -15,13 +15,8 @@ from repro.buffering.optimizer import (
     minimize_power_under_delay_scalar,
 )
 from repro.kernels.line import LUT, array_path, evaluate_line_batch
-from repro.kernels.lut import (
-    evaluate_line_lut,
-    interpolate_trilinear,
-    line_delay_first_order,
-)
+from repro.kernels.lut import evaluate_line_lut, interpolate_trilinear
 from repro.luts.interp import trilinear
-from repro.luts.model import first_order_line_delay
 from repro.units import mm
 
 
@@ -61,18 +56,6 @@ class TestTrilinearParity:
                 float(np.log(sizes[lane])),
                 float(np.log(lengths[lane])), int(counts[lane]))
             assert batch[lane] == scalar
-
-
-class TestFirstOrderParity:
-    def test_batch_matches_scalar_bitwise(self):
-        nominal = 3.2e-10
-        weights = 1e-12 * np.sin(np.arange(48.0)).reshape(12, 4)
-        factors = 1.0 + 0.08 * np.cos(
-            np.arange(1920.0)).reshape(40, 12, 4)
-        batch = line_delay_first_order(nominal, weights, factors)
-        for row in range(factors.shape[0]):
-            assert batch[row] == first_order_line_delay(
-                nominal, weights, factors[row])
 
 
 class TestLineEvaluateParity:

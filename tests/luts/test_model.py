@@ -5,12 +5,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 from repro.models.interconnect import InterconnectEstimate
 from repro.runtime.metrics import METRICS
-from repro.signoff.extraction import extract_buffered_line
-from repro.units import mm, ps
 
 
 def _midpoint_query(spec):
@@ -141,31 +137,3 @@ class TestCacheKey:
         key = lut90.cache_key()
         assert key["artifact"] == lut90.artifact.content_hash
         assert key["base"] is suite90.proposed
-
-
-class TestMcResponse:
-    def test_serves_extraction_style_line(self, suite90, lut90):
-        spec = lut90.artifact.spec
-        line = extract_buffered_line(suite90.proposed.tech,
-                                     suite90.proposed.config,
-                                     mm(5.0), 12, 24.0)
-        response = lut90.mc_response(line, spec.input_slew)
-        assert response is not None
-        nominal, weights = response
-        assert nominal > 0.0
-        assert weights.shape == (12, 4)
-        assert np.all(np.isfinite(weights))
-
-    def test_refuses_uncharacterized_slew(self, suite90, lut90):
-        line = extract_buffered_line(suite90.proposed.tech,
-                                     suite90.proposed.config,
-                                     mm(5.0), 12, 24.0)
-        assert lut90.mc_response(line, ps(250.0)) is None
-
-    def test_refuses_out_of_grid_line(self, suite90, lut90):
-        spec = lut90.artifact.spec
-        line = extract_buffered_line(suite90.proposed.tech,
-                                     suite90.proposed.config,
-                                     mm(5.0), 12,
-                                     4.0 * spec.sizes[-1])
-        assert lut90.mc_response(line, spec.input_slew) is None

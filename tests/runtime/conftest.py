@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import runtime
-from repro.runtime import STATS, TRACER, cache, faults
+from repro.runtime import METRICS, TRACER, cache, faults
 
 
 @pytest.fixture(autouse=True)
@@ -18,13 +18,13 @@ def _clean_runtime(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     runtime.reset_configuration()
-    STATS.reset()
+    METRICS.reset()
     TRACER.clear()
     faults.clear()
     cache.reset_degradation()
     yield
     runtime.reset_configuration()
-    STATS.reset()
+    METRICS.reset()
     TRACER.clear()
     faults.clear()
     cache.reset_degradation()

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro import runtime
-from repro.runtime import DiskCache, STATS, cache_dir, fingerprint
+from repro.runtime import DiskCache, METRICS, cache_dir, fingerprint
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,9 @@ class TestRoundTrip:
         cache.get({"k": 1})
         cache.put({"k": 1}, 42)
         cache.get({"k": 1})
-        assert STATS.counters["cache.miss"] == 1
-        assert STATS.counters["cache.hit"] == 1
-        assert STATS.cache_hit_rate() == 0.5
+        assert METRICS.counters["cache.miss"] == 1
+        assert METRICS.counters["cache.hit"] == 1
+        assert METRICS.cache_hit_rate() == 0.5
 
     def test_distinct_keys_do_not_collide(self):
         cache = DiskCache("designs")

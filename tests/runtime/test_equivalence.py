@@ -11,7 +11,7 @@ from repro.experiments import scaling, table2
 from repro.noc.link import LinkDesigner
 from repro.noc.testcases import dual_vopd
 from repro.noc.width_exploration import explore_widths
-from repro.runtime import STATS
+from repro.runtime import METRICS
 from repro.signoff.extraction import extract_buffered_line
 from repro.signoff.variation import monte_carlo_line_delay
 from repro.tech import DesignStyle
@@ -93,11 +93,11 @@ class TestWorkerStatsEquivalence:
         monkeypatch.setenv("REPRO_CACHE_DIR",
                            str(tmp_path / f"cache-w{workers}"))
         runtime.reset_configuration()
-        STATS.reset()
+        METRICS.reset()
         line = extract_buffered_line(tech90, swss90, mm(2), 2, 24.0)
         monte_carlo_line_delay(line, ps(100), samples=6, seed=77,
                                workers=workers)
-        counters = dict(STATS.counters)
+        counters = dict(METRICS.counters)
         # The fallback marker only appears where fork pools are
         # unsupported; it is an environment fact, not a workload one.
         counters.pop("parallel.pool_unavailable", None)
@@ -124,11 +124,11 @@ class TestWarmCacheEquivalence:
         cold_designs = [cold.design(length) for length in lengths]
         cold_max = cold.max_length()
 
-        STATS.reset()
+        METRICS.reset()
         warm = LinkDesigner(suite90.proposed, suite90.tech, 64)
         warm_designs = [warm.design(length) for length in lengths]
         assert warm.max_length() == cold_max
         assert warm_designs == cold_designs
-        assert STATS.counters.get("cache.hit", 0) > 0
-        hit_rate = STATS.cache_hit_rate()
+        assert METRICS.counters.get("cache.hit", 0) > 0
+        hit_rate = METRICS.cache_hit_rate()
         assert hit_rate is not None and hit_rate > 0

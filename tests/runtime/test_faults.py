@@ -504,7 +504,7 @@ class TestMonteCarloCrashEquivalence:
         samples, weights and corrected estimate."""
         from repro.signoff.variation import monte_carlo_line_delay
         from repro.units import ps
-        kwargs = dict(samples=8, seed=77, engine="model",
+        kwargs = dict(samples=8, seed=77, engine="golden",
                       model=suite90.proposed, estimator="importance",
                       prepass_samples=64)
         clean = monte_carlo_line_delay(line, ps(100), workers=1,

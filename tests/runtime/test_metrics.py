@@ -1,24 +1,11 @@
-"""The metrics registry, footer formatting, and the STATS facade."""
+"""The metrics registry and footer formatting."""
 
 import math
 import re
 
 import pytest
 
-from repro.runtime import (
-    Histogram,
-    METRICS,
-    MetricsRegistry,
-    RuntimeStats,
-    STATS,
-)
-
-
-class TestFacade:
-    def test_stats_is_metrics(self):
-        """Old and new import paths share one registry object."""
-        assert STATS is METRICS
-        assert RuntimeStats is MetricsRegistry
+from repro.runtime import Histogram, MetricsRegistry
 
 
 class TestCacheHitRate:

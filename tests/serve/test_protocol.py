@@ -91,13 +91,17 @@ class TestParseMc:
         assert query.slew_ps == 100.0
         assert query.samples == 64
         assert query.seed == 2010
-        assert query.engine == "kernel"
+        assert query.engine == "model"
         assert query.estimator == "plain"
         assert query.critical_ps is None
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(QueryError, match="engine"):
             parse_query({"op": "mc", "engine": "spice"})
+
+    def test_kernel_is_another_name_for_model(self):
+        assert parse_query({"op": "mc", "engine": "kernel"}) \
+            == parse_query({"op": "mc", "engine": "model"})
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(QueryError, match="estimator"):

@@ -10,9 +10,17 @@ floats means bit-identical doubles.
 
 import asyncio
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.runtime import METRICS, faults
 from repro.serve import ReproServer, resolve_config
 from repro.serve.core import execute_query
@@ -33,7 +41,7 @@ DOCUMENTS = (
     {"op": "design_batch", "lengths_mm": [1.0, 2.5, 250.0]},
     {"op": "max_feasible_length"},
     {"op": "mc", "length_mm": 2.0, "samples": 16, "seed": 2010,
-     "engine": "kernel"},
+     "engine": "model"},
 )
 
 
@@ -89,6 +97,42 @@ class TestBitEquality:
         # close() removed the socket file.
         assert not (tmp_path / "serve.sock").exists()
 
+    def test_kernel_engine_is_another_name_for_model(self, suite90):
+        """``"engine": "kernel"`` and ``"model"`` answer the same
+        bytes."""
+        documents = [{"op": "mc", "length_mm": 2.0, "samples": 16,
+                      "seed": 2010, "estimator": "importance",
+                      "engine": engine}
+                     for engine in ("kernel", "model")]
+
+        async def scenario():
+            config = resolve_config(port=0, shards=1)
+            server = ReproServer(config)
+            await server.start()
+            try:
+                reader, writer = await _open(
+                    tcp_endpoint(config.host, server.port))
+                try:
+                    bodies = []
+                    for document in documents:
+                        body = json.dumps(document).encode("utf-8")
+                        writer.write(
+                            b"POST /query HTTP/1.1\r\nHost: repro\r\n"
+                            b"Content-Length: %d\r\n\r\n" % len(body)
+                            + body)
+                        await writer.drain()
+                        bodies.append(await _read_simple(reader))
+                    return bodies
+                finally:
+                    writer.close()
+            finally:
+                await server.close()
+
+        kernel, model = asyncio.run(scenario())
+        assert kernel[0] == model[0] == 200
+        assert json.loads(model[1])["ok"] is True
+        assert kernel[1] == model[1]
+
 
 class TestCrashRecovery:
     def test_injected_worker_crash_does_not_drop_requests(self,
@@ -112,7 +156,7 @@ class TestCrashRecovery:
     def test_mc_across_worker_crash_is_bit_identical(self, suite90):
         config = resolve_config(port=0, shards=1)
         documents = ({"op": "mc", "length_mm": 2.0, "samples": 16,
-                      "seed": 2010, "engine": "kernel"},)
+                      "seed": 2010, "engine": "model"},)
         with faults.inject("worker_crash", at=0):
             responses = asyncio.run(_serve_and_ask(config, documents))
         _assert_bit_identical(documents, responses)
@@ -241,6 +285,73 @@ class TestHttpSurface:
             assert status == 400
             assert "too long" in json.loads(body)["error"]
         assert METRICS.counters.get("serve.errors", 0) - before == 2
+
+
+class TestShutdown:
+    def test_close_is_idempotent(self):
+        async def scenario():
+            server = ReproServer(resolve_config(port=0, shards=1))
+            await server.start()
+            await server.close()
+            await server.close()
+            return server.pool
+
+        pool = asyncio.run(scenario())
+        assert all(executor is None for executor in pool._executors)
+
+    def test_sigterm_stops_every_shard_worker(self, tmp_path):
+        """SIGTERM shuts the server down as Ctrl-C does: exit 0, no
+        shard worker left running, the port free to bind again."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).resolve().parents[1])]
+            + [entry for entry in [env.get("PYTHONPATH")] if entry])
+        errors = tmp_path / "stderr.txt"
+        with open(errors, "wb") as stderr:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve", "--port",
+                 "0", "--shards", "2"],
+                stdout=subprocess.PIPE, stderr=stderr, env=env)
+        try:
+            line = process.stdout.readline().decode("utf-8")
+            assert line.startswith("repro serve: listening on http://"), \
+                line + errors.read_text()
+            port = int(line.split("http://", 1)[1].split()[0]
+                       .rsplit(":", 1)[1])
+            workers = _children(process.pid)
+            assert len(workers) >= 2, workers
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0, errors.read_text()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        deadline = time.monotonic() + 10.0
+        while any(_alive(pid) for pid in workers) \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+        with socket.socket() as probe:
+            probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            probe.bind(("127.0.0.1", port))
+
+
+def _children(pid):
+    """Child PIDs of every thread of process ``pid`` (Linux /proc)."""
+    children = []
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        children.extend(int(child) for child in
+                        (task / "children").read_text().split())
+    return children
+
+
+def _alive(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 async def _read_simple(reader):

@@ -1,9 +1,9 @@
 """Fixtures for the signoff estimator suite.
 
 ``yield_reference`` is the ground truth the statistical tests compare
-against: a brute-force kernel-engine Monte Carlo of one million draws
-on the reference line, computed once per session.  The kernel batch
-path makes this affordable (a couple of seconds); every unbiasedness
+against: a brute-force model-engine Monte Carlo of one million draws
+on the reference line, computed once per session.  The batched model
+engine makes this affordable (a couple of seconds); every unbiasedness
 test then z-tests its estimator's replications against this mean /
 tail probability, with the reference's own standard error folded in.
 """
@@ -58,7 +58,7 @@ def estimator_line(suite90):
 
 @pytest.fixture(scope="session")
 def yield_reference(suite90, estimator_line) -> YieldReference:
-    """One-million-draw plain kernel Monte Carlo of the reference
+    """One-million-draw plain model-engine Monte Carlo of the reference
     line: the unbiasedness truth for mean delay and 3-sigma tail."""
     model = suite90.proposed
     variation = VariationModel()
@@ -66,7 +66,7 @@ def yield_reference(suite90, estimator_line) -> YieldReference:
     rng = np.random.default_rng(REFERENCE_SEED)
     z = rng.standard_normal((REFERENCE_DRAWS, 4 * stages))
     factors = engines.factor_matrix(z, variation, stages)
-    delays = engines.evaluate_factors("kernel", model, estimator_line,
+    delays = engines.evaluate_factors("model", model, estimator_line,
                                       ps(100), factors, workers=1)
     mean = float(np.mean(delays))
     sigma = float(np.std(delays, ddof=1))

@@ -37,11 +37,11 @@ DRAWS = 256
 REPS = 24
 
 
-def run_kernel(line, model, seed, estimator, samples=DRAWS, **kwargs):
-    """One kernel-engine estimator run on the reference line."""
+def run_model(line, model, seed, estimator, samples=DRAWS, **kwargs):
+    """One model-engine estimator run on the reference line."""
     return monte_carlo_line_delay(line, ps(100), samples=samples,
                                   seed=seed, workers=1,
-                                  engine="kernel", model=model,
+                                  engine="model", model=model,
                                   estimator=estimator, **kwargs)
 
 
@@ -65,7 +65,7 @@ class TestValidationOrder:
         with pytest.raises(ValueError, match="unknown estimator "
                                              "'importnace'"):
             monte_carlo_line_delay(nonuniform_line, ps(100),
-                                   samples=4, engine="kernel",
+                                   samples=4, engine="model",
                                    estimator="importnace")
 
     def test_bad_engine_on_nonuniform_line_names_the_engine(
@@ -83,18 +83,18 @@ class TestValidationOrder:
 
     def test_lanes_validated(self, estimator_line, suite90):
         with pytest.raises(ValueError, match="lanes"):
-            run_kernel(estimator_line, suite90.proposed, 1, "qmc",
-                       samples=4, lanes=0)
+            run_model(estimator_line, suite90.proposed, 1, "qmc",
+                      samples=4, lanes=0)
 
     def test_prepass_validated(self, estimator_line, suite90):
         with pytest.raises(ValueError, match="prepass_samples"):
-            run_kernel(estimator_line, suite90.proposed, 1,
-                       "importance", samples=4, prepass_samples=1)
+            run_model(estimator_line, suite90.proposed, 1,
+                      "importance", samples=4, prepass_samples=1)
 
     def test_target_ci_validated(self, estimator_line, suite90):
         with pytest.raises(ValueError, match="target_ci"):
-            run_kernel(estimator_line, suite90.proposed, 1, "plain",
-                       samples=4, target_ci=0.0)
+            run_model(estimator_line, suite90.proposed, 1, "plain",
+                      samples=4, target_ci=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,24 +107,24 @@ class TestUnbiasedness:
     def test_plain_mean_unbiased(self, estimator_line, suite90,
                                  yield_reference):
         assert_unbiased(
-            lambda seed: run_kernel(estimator_line, suite90.proposed,
-                                    seed, "plain").mean,
+            lambda seed: run_model(estimator_line, suite90.proposed,
+                                   seed, "plain").mean,
             yield_reference.mean, n_reps=stat_reps(REPS),
             truth_se=yield_reference.mean_se, label="plain mean")
 
     def test_qmc_mean_unbiased(self, estimator_line, suite90,
                                yield_reference):
         assert_unbiased(
-            lambda seed: run_kernel(estimator_line, suite90.proposed,
-                                    seed, "qmc").mean,
+            lambda seed: run_model(estimator_line, suite90.proposed,
+                                   seed, "qmc").mean,
             yield_reference.mean, n_reps=stat_reps(REPS),
             truth_se=yield_reference.mean_se, label="qmc mean")
 
     def test_control_variate_mean_unbiased(self, estimator_line,
                                            suite90, yield_reference):
         assert_unbiased(
-            lambda seed: run_kernel(estimator_line, suite90.proposed,
-                                    seed, "control-variate").mean,
+            lambda seed: run_model(estimator_line, suite90.proposed,
+                                   seed, "control-variate").mean,
             yield_reference.mean, n_reps=stat_reps(REPS),
             truth_se=yield_reference.mean_se,
             label="control-variate mean")
@@ -134,9 +134,9 @@ class TestUnbiasedness:
         threshold = yield_reference.threshold
 
         def tail(seed):
-            result = run_kernel(estimator_line, suite90.proposed,
-                                seed, "importance",
-                                critical_delay=threshold)
+            result = run_model(estimator_line, suite90.proposed,
+                               seed, "importance",
+                               critical_delay=threshold)
             return result.tail_probability(threshold).probability
 
         assert_unbiased(tail, yield_reference.tail_probability,
@@ -152,9 +152,9 @@ class TestUnbiasedness:
         # by test_self_normalized_bias_shrinks instead).
         mild = yield_reference.mean + yield_reference.sigma
         assert_unbiased(
-            lambda seed: run_kernel(estimator_line, suite90.proposed,
-                                    seed, "importance-sn",
-                                    critical_delay=mild).mean,
+            lambda seed: run_model(estimator_line, suite90.proposed,
+                                   seed, "importance-sn",
+                                   critical_delay=mild).mean,
             yield_reference.mean, n_reps=stat_reps(REPS),
             truth_se=yield_reference.mean_se,
             label="importance-sn mean (1-sigma shift)")
@@ -186,12 +186,12 @@ class TestDeterminism:
     @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_same_seed_reproduces(self, estimator_line, suite90,
                                   estimator):
-        first = run_kernel(estimator_line, suite90.proposed, 7,
+        first = run_model(estimator_line, suite90.proposed, 7,
+                          estimator, samples=16, lanes=2,
+                          prepass_samples=64)
+        second = run_model(estimator_line, suite90.proposed, 7,
                            estimator, samples=16, lanes=2,
                            prepass_samples=64)
-        second = run_kernel(estimator_line, suite90.proposed, 7,
-                            estimator, samples=16, lanes=2,
-                            prepass_samples=64)
         assert first.samples == second.samples
         assert first.mean == second.mean
 
@@ -204,20 +204,20 @@ class TestTargetCI:
     def test_doubles_until_interval_met(self, estimator_line,
                                         suite90):
         target = ps(0.4)
-        result = run_kernel(estimator_line, suite90.proposed, 2010,
-                            "plain", samples=8, target_ci=target)
+        result = run_model(estimator_line, suite90.proposed, 2010,
+                           "plain", samples=8, target_ci=target)
         assert len(result.samples) > 8
         assert CI_Z * result.report.standard_error <= target
 
     def test_keeps_samples_when_already_met(self, estimator_line,
                                             suite90):
-        result = run_kernel(estimator_line, suite90.proposed, 2010,
-                            "plain", samples=8, target_ci=ps(100))
+        result = run_model(estimator_line, suite90.proposed, 2010,
+                           "plain", samples=8, target_ci=ps(100))
         assert len(result.samples) == 8
 
     def test_rounds_are_bounded(self, estimator_line, suite90):
-        result = run_kernel(estimator_line, suite90.proposed, 2010,
-                            "plain", samples=4, target_ci=1e-18)
+        result = run_model(estimator_line, suite90.proposed, 2010,
+                           "plain", samples=4, target_ci=1e-18)
         assert len(result.samples) <= 4 * 2 ** MAX_TARGET_ROUNDS
 
 
@@ -228,9 +228,9 @@ class TestTargetCI:
 class TestReports:
     def test_importance_weights_positive_and_ess_bounded(
             self, estimator_line, suite90, yield_reference):
-        result = run_kernel(estimator_line, suite90.proposed, 2010,
-                            "importance",
-                            critical_delay=yield_reference.threshold)
+        result = run_model(estimator_line, suite90.proposed, 2010,
+                           "importance",
+                           critical_delay=yield_reference.threshold)
         weights = np.asarray(result.weights)
         assert np.all(weights > 0.0)
         assert 0.0 < result.report.ess <= len(result.samples)
@@ -238,11 +238,11 @@ class TestReports:
 
     def test_importance_reports_engine_space_threshold(
             self, estimator_line, suite90, yield_reference):
-        # The kernel engine IS the proxy, so the offset is exactly
+        # The model engine IS the proxy, so the offset is exactly
         # zero and the reported threshold is the requested one.
-        result = run_kernel(estimator_line, suite90.proposed, 2010,
-                            "importance",
-                            critical_delay=yield_reference.threshold)
+        result = run_model(estimator_line, suite90.proposed, 2010,
+                           "importance",
+                           critical_delay=yield_reference.threshold)
         assert result.report.critical_delay == pytest.approx(
             yield_reference.threshold, rel=1e-12)
 
@@ -250,16 +250,16 @@ class TestReports:
                                                 suite90,
                                                 yield_reference):
         threshold = yield_reference.threshold
-        result = run_kernel(estimator_line, suite90.proposed, 2010,
-                            "importance", critical_delay=threshold)
+        result = run_model(estimator_line, suite90.proposed, 2010,
+                           "importance", critical_delay=threshold)
         tail = result.tail_probability(threshold)
         # The acceptance bar: the same tail CI would cost plain MC
         # at least 10x the draws the IS run spent.
         assert tail.plain_equivalent_evals >= 10 * len(result.samples)
 
     def test_qmc_lane_structure(self, estimator_line, suite90):
-        result = run_kernel(estimator_line, suite90.proposed, 2010,
-                            "qmc", samples=100, lanes=8)
+        result = run_model(estimator_line, suite90.proposed, 2010,
+                           "qmc", samples=100, lanes=8)
         report = result.report
         assert report.lanes == 8
         assert report.per_lane >= 2
@@ -268,17 +268,17 @@ class TestReports:
         assert report.ess == len(result.samples)
 
     def test_qmc_tighter_than_plain(self, estimator_line, suite90):
-        plain = run_kernel(estimator_line, suite90.proposed, 2010,
-                           "plain")
-        qmc = run_kernel(estimator_line, suite90.proposed, 2010,
-                         "qmc")
+        plain = run_model(estimator_line, suite90.proposed, 2010,
+                          "plain")
+        qmc = run_model(estimator_line, suite90.proposed, 2010,
+                        "qmc")
         assert qmc.report.standard_error \
             < plain.report.standard_error
 
     def test_control_variate_reduces_variance(self, estimator_line,
                                               suite90):
-        result = run_kernel(estimator_line, suite90.proposed, 2010,
-                            "control-variate")
+        result = run_model(estimator_line, suite90.proposed, 2010,
+                           "control-variate")
         assert result.report.variance_reduction > 5.0
         assert result.report.standard_error > 0.0
 
@@ -296,8 +296,8 @@ class TestReports:
 
     def test_metrics_counters(self, estimator_line, suite90):
         METRICS.reset()
-        run_kernel(estimator_line, suite90.proposed, 2010,
-                   "importance", samples=16, prepass_samples=64)
+        run_model(estimator_line, suite90.proposed, 2010,
+                  "importance", samples=16, prepass_samples=64)
         counters = METRICS.counters
         assert counters["mc.estimator.importance"] == 1
         assert counters["mc.ess"] >= 1
@@ -320,9 +320,9 @@ class TestSelfNormalizedConsistency:
 
         def mean_bias(samples):
             estimates = [
-                run_kernel(estimator_line, suite90.proposed, seed,
-                           "importance-sn", samples=samples,
-                           critical_delay=threshold).mean
+                run_model(estimator_line, suite90.proposed, seed,
+                          "importance-sn", samples=samples,
+                          critical_delay=threshold).mean
                 for seed in seeds]
             return abs(float(np.mean(estimates))
                        - yield_reference.mean)

@@ -1,8 +1,8 @@
-"""The LUT first-order Monte-Carlo lane on the model engine."""
+"""Monte Carlo on a LUT-served model runs its closed-form base."""
 
 from __future__ import annotations
 
-import numpy as np
+import pytest
 
 from repro.signoff.extraction import extract_buffered_line
 from repro.signoff.variation import monte_carlo_line_delay
@@ -10,64 +10,32 @@ from repro.units import mm, ps
 
 
 def _served_line(model):
-    """A line the coarse artifact's MC tables cover."""
+    """A line the coarse artifact's tables cover."""
     return extract_buffered_line(model.tech, model.config, mm(5.0),
                                  12, 24.0)
 
 
-class TestWorkerInvariance:
-    def test_samples_bitwise_identical_across_workers(self, suite90,
-                                                      lut90):
-        line = _served_line(suite90.proposed)
-        runs = [monte_carlo_line_delay(line, ps(100), samples=200,
-                                       seed=2010, workers=w,
-                                       engine="model", model=lut90)
-                for w in (1, 2, 4)]
-        for other in runs[1:]:
-            assert np.array_equal(np.asarray(runs[0].samples),
-                                  np.asarray(other.samples))
-            assert other.nominal_delay == runs[0].nominal_delay
-
-
-class TestAccuracy:
-    def test_tracks_closed_form_model_engine(self, suite90, lut90):
-        """Stream-aligned draws: the LUT lane's first-order samples
-        track the full scalar stage chain sample-for-sample within
-        the coarse contract plus first-order error."""
-        line = _served_line(suite90.proposed)
-        lut_run = monte_carlo_line_delay(line, ps(100), samples=200,
-                                         seed=2010, engine="model",
-                                         model=lut90)
-        exact_run = monte_carlo_line_delay(line, ps(100),
-                                           samples=200, seed=2010,
-                                           engine="model",
-                                           model=suite90.proposed)
-        lut_samples = np.asarray(lut_run.samples)
-        exact_samples = np.asarray(exact_run.samples)
-        rel = np.abs(lut_samples - exact_samples) / exact_samples
-        assert float(rel.max()) <= 0.15
-        assert abs(lut_samples.mean() - exact_samples.mean()) \
-            <= 0.05 * exact_samples.mean()
-
-
 class TestEngineRouting:
-    def test_kernel_engine_unwraps_to_base(self, suite90, lut90):
-        """The kernel engine replays the exact stage chain — a LUT
+    @pytest.mark.parametrize("estimator", ["plain", "importance"])
+    def test_model_engine_unwraps_to_base(self, suite90, lut90,
+                                          estimator):
+        """The model engine replays the exact stage chain — a LUT
         wrapper must hand it the calibrated base, bit-for-bit."""
         line = _served_line(suite90.proposed)
-        wrapped = monte_carlo_line_delay(line, ps(100), samples=100,
-                                         seed=2010, engine="kernel",
-                                         model=lut90)
-        base = monte_carlo_line_delay(line, ps(100), samples=100,
-                                      seed=2010, engine="kernel",
-                                      model=suite90.proposed)
+        kwargs = dict(samples=100, seed=2010, engine="model",
+                      estimator=estimator)
+        wrapped = monte_carlo_line_delay(line, ps(100), model=lut90,
+                                         **kwargs)
+        base = monte_carlo_line_delay(line, ps(100),
+                                      model=suite90.proposed, **kwargs)
         assert wrapped.samples == base.samples
+        assert wrapped.weights == base.weights
         assert wrapped.nominal_delay == base.nominal_delay
+        assert wrapped.estimate == base.estimate
 
-    def test_uncovered_line_falls_back_to_scalar_chain(self, suite90,
-                                                       lut90):
-        """A line outside the grid serves nothing from the tables —
-        the model engine must produce exactly the closed-form run."""
+    def test_uncovered_line_runs_the_base(self, suite90, lut90):
+        """A line outside the grid gives exactly the closed-form run
+        as well."""
         spec = lut90.artifact.spec
         model = suite90.proposed
         line = extract_buffered_line(model.tech, model.config,

@@ -78,8 +78,8 @@ class TestMonteCarlo:
 
 
 class TestClosedFormEngines:
-    """The "model" (scalar) and "kernel" (batched) engines: bit-equal
-    to each other, deterministic, and workers-invariant."""
+    """The closed-form "model" engine: deterministic and
+    workers-invariant."""
 
     @pytest.fixture(scope="class")
     def model90(self, suite90):
@@ -99,31 +99,6 @@ class TestClosedFormEngines:
         estimate = model90.evaluate(line90.length, 10, 40.0, ps(100))
         assert result.nominal_delay == estimate.delay
 
-    def test_kernel_bit_equal_to_model_engine(self, model90, line90):
-        scalar = monte_carlo_line_delay(line90, ps(100), samples=64,
-                                        seed=9, engine="model",
-                                        model=model90)
-        kernel = monte_carlo_line_delay(line90, ps(100), samples=64,
-                                        seed=9, engine="kernel",
-                                        model=model90)
-        assert kernel.samples == scalar.samples
-        assert kernel.nominal_delay == scalar.nominal_delay
-
-    def test_factor_rows_bit_equal_across_engines(self, model90,
-                                                  line90):
-        """The estimators' path: one shifted factor matrix through the
-        per-row model engine and the batched kernel engine."""
-        from repro.signoff.estimators import engines
-        rng = np.random.default_rng(21)
-        z = rng.standard_normal((48, 40))
-        factors = engines.factor_matrix(z, VariationModel(), 10,
-                                        shift=np.full(40, 2.5))
-        model = engines.evaluate_factors("model", model90, line90,
-                                         ps(100), factors, workers=1)
-        kernel = engines.evaluate_factors("kernel", model90, line90,
-                                          ps(100), factors)
-        np.testing.assert_array_equal(model, kernel)
-
     def test_model_engine_workers_invariant(self, model90, line90):
         serial = monte_carlo_line_delay(line90, ps(100), samples=8,
                                         seed=4, workers=1,
@@ -133,11 +108,11 @@ class TestClosedFormEngines:
                                         engine="model", model=model90)
         assert serial.samples == pooled.samples
 
-    def test_kernel_engine_deterministic(self, model90, line90):
+    def test_model_engine_deterministic(self, model90, line90):
         a = monte_carlo_line_delay(line90, ps(100), samples=16, seed=2,
-                                   engine="kernel", model=model90)
+                                   engine="model", model=model90)
         b = monte_carlo_line_delay(line90, ps(100), samples=16, seed=2,
-                                   engine="kernel", model=model90)
+                                   engine="model", model=model90)
         assert a.samples == b.samples
 
     def test_unknown_engine_rejected(self, line90, model90):
@@ -148,7 +123,12 @@ class TestClosedFormEngines:
     def test_closed_form_engines_require_a_model(self, line90):
         with pytest.raises(ValueError):
             monte_carlo_line_delay(line90, ps(100), samples=4,
-                                   engine="kernel")
+                                   engine="model")
+
+    def test_kernel_is_not_an_api_engine(self, line90, model90):
+        with pytest.raises(ValueError):
+            monte_carlo_line_delay(line90, ps(100), samples=4,
+                                   engine="kernel", model=model90)
 
     def test_subclassed_model_rejected(self, suite90, line90):
         from repro.models.extensions import SlewAwareInterconnectModel
@@ -168,7 +148,7 @@ class TestClosedFormEngines:
         uneven = replace(line, stages=tuple(stages))
         with pytest.raises(ValueError):
             monte_carlo_line_delay(uneven, ps(100), samples=4,
-                                   engine="kernel", model=model90)
+                                   engine="model", model=model90)
 
 
 class TestAveragingEffect:

@@ -165,9 +165,20 @@ class TestMonteCarlo:
     def test_plain_kernel_run(self, capsys):
         assert main(["mc", "90nm", "--samples", "16"]) == 0
         output = capsys.readouterr().out
-        assert "kernel engine, plain estimator" in output
+        assert "model engine, plain estimator" in output
         assert "estimator plain" in output
         assert "P(delay >" in output
+
+    @pytest.mark.parametrize("estimator", ["plain", "importance"])
+    def test_kernel_engine_is_another_name_for_model(self, capsys,
+                                                     estimator):
+        outputs = []
+        for engine in ("kernel", "model"):
+            assert main(["mc", "90nm", "--samples", "16",
+                         "--estimator", estimator, "--prepass", "256",
+                         "--engine", engine]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_importance_reports_shift_and_budget(self, capsys):
         assert main(["mc", "90nm", "--samples", "16",

@@ -173,7 +173,7 @@ class TestEstimatorInvariants:
         from repro.signoff.variation import monte_carlo_line_delay
         return monte_carlo_line_delay(
             line, ps(100), samples=kwargs.pop("samples", 64),
-            seed=seed, workers=1, engine="kernel", model=model,
+            seed=seed, workers=1, engine="model", model=model,
             estimator=estimator, **kwargs)
 
     @pytest.fixture(scope="class")
@@ -228,7 +228,7 @@ class TestEstimatorInvariants:
     def test_qmc_single_lane_degenerates_to_kernel(self, suite90,
                                                    est_line, seed):
         """One Sobol lane has no between-lane error estimate, so it
-        must fall back to the existing kernel engine bit-for-bit."""
+        must fall back to the plain estimator bit-for-bit."""
         plain = self._run(est_line, suite90.proposed, seed, "plain")
         qmc = self._run(est_line, suite90.proposed, seed, "qmc",
                         lanes=1)
