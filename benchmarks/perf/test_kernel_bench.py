@@ -1,10 +1,10 @@
 """Scalar-vs-kernel micro-benchmarks with equivalence asserts.
 
 Each benchmark times one vectorized hot path and, where a scalar
-reference exists, first checks the kernel agrees with it bit-for-bit
-(``EQUIVALENCE_RTOL`` is 0), so a perf regression hunt can never
-silently trade away correctness.  The Monte-Carlo ``"model"`` engine
-has no scalar twin; its answer is pinned by
+reference exists, first checks the kernel agrees with it bit-for-bit,
+so a perf regression hunt can never silently trade away correctness.
+The Monte-Carlo ``"model"`` engine has no scalar twin; its answer is
+pinned by
 ``benchmarks/results/kernel_monte_carlo.txt``.  These isolate the
 kernel calls for pytest-benchmark's statistics.
 """
@@ -12,7 +12,6 @@ kernel calls for pytest-benchmark's statistics.
 import numpy as np
 import pytest
 
-from repro.bench import EQUIVALENCE_RTOL
 from repro.units import mm, ps
 
 SAMPLES = 2000
@@ -34,8 +33,7 @@ def test_line_batch_matches_scalar(benchmark, suite90):
     batch = evaluate_line_batch(model, mm(5), 8, sizes, ps(100))
     scalar = np.array([model.evaluate(mm(5), 8, size, ps(100)).delay
                        for size in sizes])
-    np.testing.assert_allclose(batch.delay, scalar,
-                               rtol=EQUIVALENCE_RTOL)
+    np.testing.assert_array_equal(batch.delay, scalar)
 
     benchmark(evaluate_line_batch, model, mm(5), 8, sizes, ps(100))
 

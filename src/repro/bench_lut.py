@@ -1,11 +1,10 @@
-"""LUT-vs-closed-form benchmarks: the characterization tier's gate.
+"""LUT-vs-closed-form benchmark: the characterization tier's gate.
 
 ``repro bench lut`` builds a LUT artifact for the node, then times the
 hot path the tier accelerates — the min-power link-design sweep —
 once against the closed-form model (the production path without the
 tier) and once against the LUT-served model, and writes
-``BENCH_lut.json`` in the registry's ``op`` schema (``wall_s`` maps
-``scalar`` to the closed form and ``kernel`` to the LUT).
+``BENCH_lut.json``.
 
 The run gates on the tier's whole contract, not just speed:
 
@@ -16,7 +15,8 @@ The run gates on the tier's whole contract, not just speed:
 * every LUT-sweep design must meet the timing bound it was asked for.
 
 Timing runs at ``workers=1`` so the recorded speedup is algorithmic,
-not parallelism.
+not parallelism.  Each side runs once, so the LUT side's time
+includes the one-off cost of its first lookups.
 """
 
 from __future__ import annotations
@@ -24,14 +24,14 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.units import mm
 
 #: Bump when the BENCH_lut.json layout changes incompatibly.
-BENCH_SCHEMA = 1
+BENCH_SCHEMA = 2
 
 #: Minimum LUT-over-closed-form speedup on the benched path.
 SPEEDUP_FLOOR = 5.0
@@ -45,8 +45,6 @@ QUICK_SWEEP_LENGTHS_MM = (1.0, 3.0, 5.0)
 class LutBenchResult:
     """One closed-form-vs-LUT timing comparison.
 
-    ``scalar_wall_s`` times the closed-form path, ``kernel_wall_s``
-    the LUT-served one (the registry's ``op`` schema names);
     ``max_rel_diff`` records how far the LUT answers drifted from the
     closed form (informational — the accuracy gate is the artifact's
     own interpolation-error contract, not this).
@@ -54,18 +52,15 @@ class LutBenchResult:
 
     op: str
     n: int
-    scalar_wall_s: float
-    kernel_wall_s: float
+    closed_wall_s: float
+    lut_wall_s: float
     max_rel_diff: float
     gate_ok: bool
-    scalar_wall_se: float = 0.0
-    kernel_wall_se: float = 0.0
-    reps: int = 1
 
     @property
     def speedup(self) -> float:
         """Closed-form wall time over LUT wall time (dimensionless)."""
-        return self.scalar_wall_s / self.kernel_wall_s
+        return self.closed_wall_s / self.lut_wall_s
 
     @property
     def passed(self) -> bool:
@@ -76,11 +71,8 @@ class LutBenchResult:
         return {
             "op": self.op,
             "n": self.n,
-            "wall_s": {"scalar": self.scalar_wall_s,
-                       "kernel": self.kernel_wall_s},
-            "wall_se": {"scalar": self.scalar_wall_se,
-                        "kernel": self.kernel_wall_se},
-            "reps": self.reps,
+            "wall_s": {"closed": self.closed_wall_s,
+                       "lut": self.lut_wall_s},
             "speedup": self.speedup,
             "speedup_floor": SPEEDUP_FLOOR,
             "max_rel_diff": self.max_rel_diff,
@@ -91,8 +83,8 @@ class LutBenchResult:
     def format(self) -> str:
         verdict = "ok" if self.passed else "FAIL"
         return (f"{self.op:<14} n={self.n:<6d} "
-                f"closed {self.scalar_wall_s:8.3f} s   "
-                f"lut {self.kernel_wall_s:8.3f} s   "
+                f"closed {self.closed_wall_s:8.3f} s   "
+                f"lut {self.lut_wall_s:8.3f} s   "
                 f"{self.speedup:7.1f}x   "
                 f"max rel diff {self.max_rel_diff:.2e} [{verdict}]")
 
@@ -106,8 +98,8 @@ def _max_rel_diff(reference: np.ndarray,
 
 
 def run_link_sweep_bench(model, lut, max_delay: float,
-                         lengths_mm: Tuple[float, ...],
-                         reps: int = 1) -> LutBenchResult:
+                         lengths_mm: Tuple[float, ...]
+                         ) -> LutBenchResult:
     """Time the min-power design sweep, closed form vs LUT.
 
     Both sides run their production search (the closed form runs the
@@ -118,27 +110,19 @@ def run_link_sweep_bench(model, lut, max_delay: float,
     records over delay and power of the designs.
     """
     from repro.buffering.optimizer import minimize_power_under_delay
-    from repro.runtime.metrics import METRICS, Histogram
+    from repro.runtime.metrics import METRICS
 
-    closed_walls = Histogram()
-    lut_walls = Histogram()
-    closed = served = None
-    for _ in range(max(1, reps)):
-        started = time.perf_counter()
-        closed = [minimize_power_under_delay(model, mm(length),
-                                             max_delay)
-                  for length in lengths_mm]
-        elapsed = time.perf_counter() - started
-        closed_walls.observe(elapsed)
-        METRICS.observe("bench.lut_link_sweep.scalar_seconds", elapsed)
+    started = time.perf_counter()
+    closed = [minimize_power_under_delay(model, mm(length), max_delay)
+              for length in lengths_mm]
+    closed_wall = time.perf_counter() - started
+    METRICS.observe("bench.lut_link_sweep.closed_seconds", closed_wall)
 
-        started = time.perf_counter()
-        served = [minimize_power_under_delay(lut, mm(length),
-                                             max_delay)
-                  for length in lengths_mm]
-        elapsed = time.perf_counter() - started
-        lut_walls.observe(elapsed)
-        METRICS.observe("bench.lut_link_sweep.kernel_seconds", elapsed)
+    started = time.perf_counter()
+    served = [minimize_power_under_delay(lut, mm(length), max_delay)
+              for length in lengths_mm]
+    lut_wall = time.perf_counter() - started
+    METRICS.observe("bench.lut_link_sweep.lut_seconds", lut_wall)
 
     gate_ok = True
     diff = 0.0
@@ -155,29 +139,22 @@ def run_link_sweep_bench(model, lut, max_delay: float,
         diff = max(diff, _max_rel_diff(reference.power,
                                        candidate.power))
     return LutBenchResult(op="link_sweep", n=len(lengths_mm),
-                          scalar_wall_s=closed_walls.mean,
-                          kernel_wall_s=lut_walls.mean,
+                          closed_wall_s=closed_wall,
+                          lut_wall_s=lut_wall,
                           max_rel_diff=diff,
-                          gate_ok=gate_ok,
-                          scalar_wall_se=closed_walls.standard_error(),
-                          kernel_wall_se=lut_walls.standard_error(),
-                          reps=closed_walls.count)
+                          gate_ok=gate_ok)
 
 
 def run_lut_bench(node: str = "90nm", quick: bool = False,
-                  output: str = "BENCH_lut.json",
-                  reps: int = 1,
-                  history: Optional[str] = None
+                  output: str = "BENCH_lut.json"
                   ) -> "Tuple[int, Dict[str, Any]]":
     """Run the LUT benchmarks, write ``output``, return (status, report).
 
     Builds the artifact in-process (the coarse grid with ``--quick``,
     the default grid otherwise) so the report always measures the
     generator at head, then gates as described in the module
-    docstring; status 1 on any gate failure.  Appends one ``"lut"``
-    record to the registry history for ``repro bench diff``.
+    docstring; status 1 on any gate failure.
     """
-    from repro import bench_registry
     from repro.experiments.suite import ModelSuite
     from repro.luts.build import build_artifact
     from repro.luts.grid import COARSE_GRID, DEFAULT_GRID
@@ -197,7 +174,7 @@ def run_lut_bench(node: str = "90nm", quick: bool = False,
 
     results: List[LutBenchResult] = [
         run_link_sweep_bench(model, lut, suite.tech.clock_period(),
-                             lengths_mm=lengths, reps=reps),
+                             lengths_mm=lengths),
     ]
     report: Dict[str, Any] = {
         "schema": BENCH_SCHEMA,
@@ -218,22 +195,6 @@ def run_lut_bench(node: str = "90nm", quick: bool = False,
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    record = bench_registry.build_record(
-        "lut", node=node, quick=quick,
-        config={"node": node, "quick": quick,
-                "lengths_mm": list(lengths), "reps": reps,
-                "grid_points": spec.points},
-        samples=[bench_registry.BenchSample(
-            name=f"{result.op}.{variant}",
-            value=wall, se=se, n=result.n)
-            for result in results
-            for variant, wall, se in (
-                ("scalar", result.scalar_wall_s,
-                 result.scalar_wall_se),
-                ("kernel", result.kernel_wall_s,
-                 result.kernel_wall_se))],
-        generated_at=report["generated_at"])
-    history_path = bench_registry.append_record(record, history)
     formatted = [
         f"artifact {artifact.content_hash[:12]} "
         f"({spec.points} grid points, built in {build_seconds:.1f} s, "
@@ -243,7 +204,6 @@ def run_lut_bench(node: str = "90nm", quick: bool = False,
     ]
     formatted.extend(result.format() for result in results)
     report["formatted"] = formatted
-    report["history_path"] = str(history_path)
     status = 0 if contract_ok and all(result.passed
                                       for result in results) else 1
     return status, report

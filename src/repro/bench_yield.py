@@ -12,8 +12,9 @@ the achieved CI width (``p * (1 - p) / se**2``).  The headline ratio
 
 is the paper-motivating claim in one number: the importance-sampling
 estimator resolves the same tail CI from >= 10x fewer golden
-simulations.  The bench exits non-zero if importance sampling does
-worse than plain Monte Carlo (saving < 1) — the CI regression gate.
+simulations, as the ISLE paper (Bayrakci/Demir/Tasiran) claims.  The
+bench exits non-zero when importance sampling saves less than that
+(:data:`MIN_IMPORTANCE_SAVING`) — the CI gate.
 
 The threshold is calibrated from the plain run itself (its mean +
 3 sigma), so every estimator answers the identical question; the plain
@@ -51,8 +52,9 @@ BENCH_ESTIMATORS = ("plain", "importance", "importance-sn", "qmc",
 PREPASS_SAMPLES = 4096
 
 #: The estimator saving (plain-equivalent / golden evals) the CI gate
-#: requires of importance sampling.
-MIN_IMPORTANCE_SAVING = 1.0
+#: requires of importance sampling: the documented "10x fewer golden
+#: runs".
+MIN_IMPORTANCE_SAVING = 10.0
 
 
 @dataclass(frozen=True)
@@ -137,18 +139,15 @@ def _bench_entry(estimator: str, line, model, draws: int,
 
 def run_yield_bench(node: str = "90nm", quick: bool = False,
                     samples: Optional[int] = None, seed: int = 2010,
-                    output: str = "BENCH_yield.json",
-                    history: Optional[str] = None
+                    output: str = "BENCH_yield.json"
                     ) -> "Tuple[int, Dict[str, Any]]":
     """Run the tail-yield bench, write ``output``, return
     ``(status, report)``.
 
     Status is 0 when the importance-sampling estimator achieves at
     least :data:`MIN_IMPORTANCE_SAVING` plain-equivalent draws per
-    golden evaluation, 1 otherwise.  Like the kernels bench, the run
-    appends one record to the benchmark registry history.
+    golden evaluation, 1 otherwise.
     """
-    from repro import bench_registry
     from repro.experiments.suite import ModelSuite
     from repro.runtime.manifest import run_environment, utc_timestamp
     from repro.signoff.extraction import extract_buffered_line
@@ -210,16 +209,6 @@ def run_yield_bench(node: str = "90nm", quick: bool = False,
     with open(output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    record = bench_registry.build_record(
-        "yield", node=node, quick=quick,
-        config={"node": node, "quick": quick, "samples": samples,
-                "seed": seed},
-        samples=[bench_registry.BenchSample(
-            name=f"{entry.estimator}.wall", value=entry.wall_s,
-            se=0.0, n=entry.draws) for entry in entries],
-        generated_at=report["generated_at"])
-    history_path = bench_registry.append_record(record, history)
-    report["history_path"] = str(history_path)
     # Human-readable lines for the CLI; not part of the JSON artifact.
     report["formatted"] = [
         f"3-sigma tail threshold: {threshold * 1e12:.1f} ps "

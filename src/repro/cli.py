@@ -11,8 +11,7 @@ Installed as the ``repro`` console script::
     repro staggering | runtime | leakage-area
     repro report trace.jsonl            # summarize a recorded trace
     repro lint src tests                # project-specific AST lint
-    repro bench --quick                 # scalar-vs-kernel benchmarks
-    repro bench yield --quick           # tail-yield estimator bench
+    repro bench yield --quick           # tail-yield estimator gate
     repro bench lut --quick             # LUT-vs-closed-form gate
     repro luts build 90nm --output benchmarks/luts/90nm.json
                                         # grid the calibrated model
@@ -20,7 +19,8 @@ Installed as the ``repro`` console script::
     repro mc 90nm --estimator importance --samples 200
                                         # variance-reduced Monte Carlo
     repro serve --port 8787             # interconnect-model service
-    repro bench serve --quick           # serving latency + bit gate
+    python -m repro.serve.loadgen --port 8787
+                                        # seeded load against it
 
 Every subcommand prints the same artifacts the benchmark suite saves.
 
@@ -331,123 +331,30 @@ def _cmd_luts(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "diff":
-        return _cmd_bench_diff(args)
     if args.suite == "lut":
         from repro.bench_lut import run_lut_bench
         output = args.output or "BENCH_lut.json"
         status, report = run_lut_bench(node=args.node,
                                        quick=args.quick,
-                                       output=output, reps=args.reps,
-                                       history=args.history)
-        for line in report["formatted"]:
-            print(line)
-        print(f"report written to {output}")
-        print(f"history record appended to {report['history_path']}")
-        if status != 0:
-            print("error: LUT speedup fell below the floor, the "
-                  "interpolation error broke its contract, or a "
-                  "LUT design missed its delay bound",
-                  file=sys.stderr)
-        return status
-    if args.suite == "serve":
-        from repro.bench_serve import run_serve_bench
-        output = args.output or "BENCH_serve.json"
-        status, report = run_serve_bench(node=args.node,
-                                         quick=args.quick,
-                                         clients=args.clients,
-                                         requests=args.requests,
-                                         seed=args.seed,
-                                         output=output,
-                                         history=args.history)
-        for line in report["formatted"]:
-            print(line)
-        print(f"report written to {output}")
-        print(f"history record appended to {report['history_path']}")
-        if status != 0:
-            print("error: served answers diverged from the direct "
-                  "in-process call, coalescing never engaged, or "
-                  "requests were dropped", file=sys.stderr)
-        return status
-    if args.suite == "lint":
-        from repro.bench_lint import run_lint_bench
-        output = args.output or "BENCH_lint.json"
-        status, report = run_lint_bench(quick=args.quick,
-                                        output=output,
-                                        history=args.history)
-        for line in report["formatted"]:
-            print(line)
-        print(f"report written to {output}")
-        print(f"history record appended to {report['history_path']}")
-        if status != 0:
-            print("error: warm lint pass missed the cache or fell "
-                  "below the incremental speedup floor",
-                  file=sys.stderr)
-        return status
-    if args.suite == "yield":
+                                       output=output)
+        error = ("LUT speedup fell below the floor, the interpolation "
+                 "error broke its contract, or a LUT design missed its "
+                 "delay bound")
+    else:
         from repro.bench_yield import run_yield_bench
         output = args.output or "BENCH_yield.json"
         status, report = run_yield_bench(node=args.node,
                                          quick=args.quick,
                                          samples=args.samples,
-                                         output=output,
-                                         history=args.history)
-        error = ("importance sampling needed more golden evals than "
-                 "plain MC for the reference tail")
-    else:
-        from repro.bench import run_bench
-        output = args.output or "BENCH_kernels.json"
-        status, report = run_bench(node=args.node, quick=args.quick,
-                                   output=output, reps=args.reps,
-                                   history=args.history)
-        error = "kernel/scalar equivalence drifted beyond tolerance"
+                                         output=output)
+        error = ("importance sampling saved fewer golden evals than "
+                 "the floor demands for the reference tail")
     for line in report["formatted"]:
         print(line)
     print(f"report written to {output}")
-    print(f"history record appended to {report['history_path']}")
     if status != 0:
         print(f"error: {error}", file=sys.stderr)
     return status
-
-
-def _cmd_bench_diff(args: argparse.Namespace) -> int:
-    """``repro bench diff``: gate the latest history records.
-
-    Diffs every requested suite's newest history record against the
-    committed ``BENCH_*.json`` baseline (or, with ``--against
-    previous``, the preceding same-environment record).  Exits 1 on
-    any regression unless ``--warn-only``; exits 2 when nothing was
-    comparable at all — a gate that silently gates nothing is a
-    misconfiguration, not a pass.
-    """
-    from repro import bench_registry
-
-    suites = ([args.diff_suite] if args.diff_suite
-              else ["kernels", "yield", "lut"])
-    reports = []
-    for suite in suites:
-        report = bench_registry.diff_latest(
-            suite,
-            history=args.history,
-            baseline=args.baseline,
-            against=args.against,
-            rel_threshold=args.threshold / 100.0)
-        if report is None:
-            print(f"bench diff: no {suite} history record or no "
-                  f"{args.against} reference to compare against")
-            continue
-        print(report.format())
-        reports.append(report)
-    if not reports:
-        print("error: nothing to diff (run 'repro bench' first)",
-              file=sys.stderr)
-        return 2
-    regressions = sum(len(report.regressions) for report in reports)
-    if regressions and args.warn_only:
-        print(f"warning: {regressions} regression(s) "
-              f"(--warn-only, not failing)")
-        return 0
-    return 1 if regressions else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -723,21 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd.set_defaults(func=_cmd_lint)
 
     bench_cmd = add_parser(
-        "bench", help="tracked benchmark suites")
-    bench_cmd.add_argument("suite", nargs="?", default="kernels",
-                           choices=["kernels", "yield", "lint",
-                                    "lut", "serve", "diff"],
-                           help="'kernels' times scalar vs vectorized "
-                                "paths; 'yield' compares tail-yield "
+        "bench", help="gated benchmark reports (yield, lut)")
+    bench_cmd.add_argument("suite", choices=["yield", "lut"],
+                           help="'yield' compares tail-yield "
                                 "estimators on the golden engine; "
-                                "'lint' times cold vs warm "
-                                "incremental lint; 'lut' gates the "
-                                "characterization LUT tier against "
-                                "the closed form; 'serve' load-tests "
-                                "the query service and gates served "
-                                "answers on bit-equality; 'diff' "
-                                "gates the latest history record "
-                                "against a reference")
+                                "'lut' gates the characterization LUT "
+                                "tier against the closed form")
     bench_cmd.add_argument("--node", default="90nm",
                            help="technology node (default 90nm)")
     bench_cmd.add_argument("--quick", action="store_true",
@@ -746,47 +644,9 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="N",
                            help="(yield) Monte-Carlo draws (default "
                                 "256, 64 with --quick)")
-    bench_cmd.add_argument("--reps", type=int, default=1, metavar="N",
-                           help="timing repetitions per kernels-suite "
-                                "comparison; >1 records standard "
-                                "errors for the diff's noise gate")
     bench_cmd.add_argument("--output", default=None, metavar="FILE",
                            help="benchmark report destination "
                                 "(default BENCH_<suite>.json)")
-    bench_cmd.add_argument("--history", default=None, metavar="FILE",
-                           help="registry history file (default "
-                                "benchmarks/results/history.jsonl)")
-    bench_cmd.add_argument("--clients", type=int, default=None,
-                           metavar="N",
-                           help="(serve) concurrent load-generator "
-                                "clients (default 32, 8 with "
-                                "--quick)")
-    bench_cmd.add_argument("--requests", type=int, default=None,
-                           metavar="N",
-                           help="(serve) requests per client "
-                                "(default 8, 4 with --quick)")
-    bench_cmd.add_argument("--seed", type=int, default=2010,
-                           help="(serve) load-generator root seed")
-    bench_cmd.add_argument("--suite", dest="diff_suite", default=None,
-                           choices=["kernels", "yield", "lut",
-                                    "serve"],
-                           help="(diff) restrict to one suite "
-                                "(default: all)")
-    bench_cmd.add_argument("--baseline", default=None, metavar="FILE",
-                           help="(diff) reference report (default "
-                                "BENCH_<suite>.json)")
-    bench_cmd.add_argument("--against", default="baseline",
-                           choices=["baseline", "previous"],
-                           help="(diff) compare against the committed "
-                                "baseline or the previous "
-                                "same-environment history record")
-    bench_cmd.add_argument("--threshold", type=float, default=20.0,
-                           metavar="PCT",
-                           help="(diff) regression threshold in "
-                                "percent (default 20)")
-    bench_cmd.add_argument("--warn-only", action="store_true",
-                           help="(diff) report regressions but "
-                                "exit 0")
     bench_cmd.set_defaults(func=_cmd_bench)
 
     luts_cmd = add_parser(

@@ -84,9 +84,6 @@ class LUTArtifact:
     measured_rel_error: float
     build_seconds: float = 0.0
     generator_version: int = GENERATOR_VERSION
-    #: Cached nested-tuple copies for the scalar interpolation path.
-    _scalar_tables: Dict[str, tuple] = field(default_factory=dict,
-                                             repr=False, compare=False)
     #: Cached serving-form (log-value) numpy tables.
     _interp_tables: Dict[str, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False)
@@ -119,10 +116,6 @@ class LUTArtifact:
             "tables": _tables_payload(self.tables),
         })
 
-    def scalar_table(self, name: str) -> tuple:
-        """The nested-tuple view of one *raw* table, cached."""
-        return self._nested(("raw", name), self.tables[name])
-
     def interp_table(self, name: str) -> np.ndarray:
         """The serving form of one table, cached: log values for
         :data:`LOG_TABLES` (invalid grid points are pinned to
@@ -136,17 +129,6 @@ class LUTArtifact:
                     self.tables["valid"] == 1.0, table, 1.0))
             self._interp_tables[name] = table
         return self._interp_tables[name]
-
-    def scalar_interp_table(self, name: str) -> tuple:
-        """The nested-tuple view of :meth:`interp_table`, cached."""
-        return self._nested(("interp", name), self.interp_table(name))
-
-    def _nested(self, key, array: np.ndarray) -> tuple:
-        if key not in self._scalar_tables:
-            self._scalar_tables[key] = tuple(
-                tuple(tuple(row) for row in plane)
-                for plane in array.tolist())
-        return self._scalar_tables[key]
 
     # -- serialization --------------------------------------------------
 

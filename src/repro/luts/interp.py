@@ -8,16 +8,21 @@ scalar lookup and a one-lane batched lookup agree bit-for-bit, which
 
 Queries are *clamped* to the grid: callers that must not serve
 clamped answers (the LUT model's closed-form fallback) check
-:meth:`repro.luts.grid.GridSpec.covers` first.  Tables are nested
-tuples ``table[size_index][length_index][count_index]`` of floats —
-the scalar path stays numpy-free so single lookups cost no array
-overhead.
+:meth:`repro.luts.grid.GridSpec.covers` first.  Tables are the
+artifact's serving-form arrays
+(:meth:`repro.luts.artifact.LUTArtifact.interp_table`), indexed
+``table[size_index, length_index, count_index]``; each corner is read
+with ``ndarray.item``, which returns a plain Python float, so the
+arithmetic below never touches numpy scalars and no per-artifact copy
+of the tables is needed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from typing import Sequence, Tuple
+
+import numpy as np
 
 
 def bracket(axis: Sequence[float], value: float) -> Tuple[int, float]:
@@ -39,7 +44,7 @@ def _lerp(low: float, high: float, frac: float) -> float:
 
 
 def trilinear(
-    table: Sequence[Sequence[Sequence[float]]],
+    table: np.ndarray,
     size_axis: Sequence[float],
     length_axis: Sequence[float],
     count_axis: Sequence[float],
@@ -60,10 +65,11 @@ def trilinear(
     i1 = i + 1
     j1 = j + 1
     k1 = k + 1
-    c00 = _lerp(table[i][j][k], table[i][j][k1], fc)
-    c01 = _lerp(table[i][j1][k], table[i][j1][k1], fc)
-    c10 = _lerp(table[i1][j][k], table[i1][j][k1], fc)
-    c11 = _lerp(table[i1][j1][k], table[i1][j1][k1], fc)
+    item = table.item
+    c00 = _lerp(item(i, j, k), item(i, j, k1), fc)
+    c01 = _lerp(item(i, j1, k), item(i, j1, k1), fc)
+    c10 = _lerp(item(i1, j, k), item(i1, j, k1), fc)
+    c11 = _lerp(item(i1, j1, k), item(i1, j1, k1), fc)
     c0 = _lerp(c00, c01, fl)
     c1 = _lerp(c10, c11, fl)
     return _lerp(c0, c1, fs)

@@ -152,7 +152,7 @@ class LUTInterconnectModel:
                 or not spec.covers(repeater_size, length,
                                    num_repeaters):
             return False
-        return trilinear(self.artifact.scalar_interp_table("valid"),
+        return trilinear(self.artifact.interp_table("valid"),
                          self._log_size_axis, self._log_length_axis,
                          self._count_axis,
                          float(np.log(repeater_size)),
@@ -196,11 +196,11 @@ class LUTInterconnectModel:
         log_size = float(np.log(repeater_size))
         log_length = float(np.log(length))
         delay = float(np.exp(trilinear(
-            artifact.scalar_interp_table("delay"),
+            artifact.interp_table("delay"),
             self._log_size_axis, self._log_length_axis,
             self._count_axis, log_size, log_length, num_repeaters)))
         slew = float(np.exp(trilinear(
-            artifact.scalar_interp_table("output_slew"),
+            artifact.interp_table("output_slew"),
             self._log_size_axis, self._log_length_axis,
             self._count_axis, log_size, log_length, num_repeaters)))
         wn, wp = self.tech.inverter_widths(repeater_size)

@@ -66,12 +66,12 @@ def environment_info() -> Dict[str, Any]:
 
 
 def run_environment() -> Dict[str, Any]:
-    """The full environment block benchmark records embed.
+    """The full environment block benchmark reports embed.
 
     Python and platform identity on top of :func:`environment_info` —
-    the one shape ``BENCH_kernels.json``, ``BENCH_yield.json`` and the
-    benchmark registry history all share, so records are comparable
-    (and env-keyable) across every writer.
+    the one shape ``BENCH_yield.json`` and ``BENCH_lut.json`` share, so
+    a report says which interpreter, platform and numpy build produced
+    its timings.
     """
     return {
         "python": sys.version.split()[0],

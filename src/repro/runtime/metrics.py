@@ -27,7 +27,6 @@ numbers unchanged.
 
 from __future__ import annotations
 
-import math
 import re
 import time
 from bisect import bisect_left
@@ -61,7 +60,7 @@ class Histogram:
 
     Besides bucket counts the histogram tracks exact ``count``,
     ``sum``, ``sum_squares``, ``min`` and ``max``, giving an exact
-    mean and a standard error without storing samples.  Values at or
+    mean without storing samples.  Values at or
     below the first edge (including any stray negatives) land in
     bucket 0; values above the last edge land in the overflow bucket
     and quantiles there interpolate up to the observed maximum.
@@ -95,15 +94,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def standard_error(self) -> float:
-        """Standard error of the mean (0.0 below two observations)."""
-        if self.count < 2:
-            return 0.0
-        mean = self.sum / self.count
-        variance = max(0.0, self.sum_squares / self.count - mean * mean)
-        variance *= self.count / (self.count - 1)
-        return math.sqrt(variance / self.count)
 
     def quantile(self, q: float) -> Optional[float]:
         """The ``q``-quantile, interpolated within its bucket.

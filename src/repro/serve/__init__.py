@@ -20,8 +20,8 @@ LUT tier:
   processes, with crash recovery riding on the fault-tolerance layer;
 * :mod:`repro.serve.server` — the asyncio front-end (JSON over HTTP
   on TCP and/or a local Unix socket, OpenMetrics on ``/metrics``);
-* :mod:`repro.serve.loadgen` — the load generator behind
-  ``repro bench serve``.
+* :mod:`repro.serve.loadgen` — the seeded load generator
+  (``python -m repro.serve.loadgen``) the serve tests drive.
 
 Every served answer is bit-identical to the direct in-process call —
 the same contract the kernel and LUT tiers honour — and a worker

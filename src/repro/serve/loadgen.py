@@ -4,7 +4,7 @@ Drives N concurrent keep-alive clients against a running server, each
 issuing a seeded stream of queries, and reports per-request latencies
 plus every (query document, response) pair so callers can replay the
 documents through :func:`repro.serve.core.execute_query` and assert
-bit-equality — the contract ``repro bench serve`` gates on.
+bit-equality — the contract ``tests/serve/test_serve.py`` gates on.
 
 The query stream is deterministic (``numpy`` Generator seeded per
 client from one root seed): lengths are drawn from a short grid of

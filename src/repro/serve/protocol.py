@@ -24,7 +24,7 @@ Responses are ``{"ok": true, "result": ...}`` or ``{"ok": false,
 "error": "..."}``.  All floats ride through ``json`` with Python's
 shortest-round-trip ``repr``, so a served number parses back to the
 *bit-identical* double the in-process call returns — the property the
-bit-equality gate in ``repro bench serve`` checks end to end.
+bit-equality asserts in ``tests/serve/test_serve.py`` check end to end.
 """
 
 from __future__ import annotations

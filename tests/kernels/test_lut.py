@@ -43,7 +43,6 @@ class TestTrilinearParity:
         artifact = lut90.artifact
         size_axis, length_axis, count_axis = lut90.axes()
         table = artifact.interp_table("delay")
-        scalar_table = artifact.scalar_interp_table("delay")
         lengths, counts, sizes = _lane_queries(artifact.spec)
         log_sizes = np.log(sizes)
         log_lengths = np.log(lengths)
@@ -52,7 +51,7 @@ class TestTrilinearParity:
             log_sizes, log_lengths, counts.astype(float))
         for lane in range(lengths.size):
             scalar = trilinear(
-                scalar_table, size_axis, length_axis, count_axis,
+                table, size_axis, length_axis, count_axis,
                 float(np.log(sizes[lane])),
                 float(np.log(lengths[lane])), int(counts[lane]))
             assert batch[lane] == scalar

@@ -101,6 +101,17 @@ class TestMinimizePowerUnderDelay:
         assert scalar is None
         assert kernel is None
 
+    @pytest.mark.parametrize("length_mm", [1.0, 2.0, 3.0, 4.0, 5.0,
+                                           6.0, 7.0, 8.0])
+    def test_link_sweep_at_the_clock_period_bit_equal(
+            self, suite90, model, length_mm):
+        """The min-power link-design sweep (1-8 mm under one clock
+        period): both searches pick the same design, bit for bit."""
+        scalar, kernel = _both_minimize(model, mm(length_mm),
+                                        suite90.tech.clock_period())
+        assert scalar is not None
+        assert scalar == kernel
+
     @pytest.mark.parametrize("length_mm", [15.0, 18.0])
     def test_lut_query_off_the_grid_takes_the_scalar_search(
             self, lut90, length_mm):

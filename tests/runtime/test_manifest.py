@@ -1,6 +1,7 @@
 """Run manifests: provenance records and the environment block."""
 
 import json
+import platform
 
 import numpy
 
@@ -8,6 +9,7 @@ from repro.runtime.manifest import (
     build_manifest,
     environment_info,
     manifest_path_for,
+    run_environment,
     utc_timestamp,
     write_manifest,
 )
@@ -27,6 +29,16 @@ class TestEnvironmentInfo:
 
     def test_json_serializable(self):
         json.dumps(environment_info())
+
+    def test_run_environment_adds_interpreter_and_platform(self):
+        """The block both bench reports embed: everything
+        :func:`environment_info` records, plus python and platform."""
+        info = run_environment()
+        assert info["python"] == platform.python_version()
+        assert info["platform"] == platform.platform()
+        assert {key: value for key, value in info.items()
+                if key not in ("python", "platform")} == environment_info()
+        json.dumps(info)
 
 
 class TestBuildManifest:

@@ -158,14 +158,6 @@ class TestHistogram:
         for q in (0.5, 0.95, 0.99):
             assert left.quantile(q) == whole.quantile(q)
 
-    def test_standard_error(self):
-        histogram = Histogram()
-        histogram.observe(1.0)
-        assert histogram.standard_error() == 0.0
-        histogram.observe(3.0)
-        # Sample variance of {1, 3} is 2; SE = sqrt(2 / 2) = 1.
-        assert histogram.standard_error() == pytest.approx(1.0)
-
     def test_payload_round_trip(self):
         histogram = Histogram()
         for value in (0.1, 0.2, 5.0):

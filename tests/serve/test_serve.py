@@ -15,6 +15,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from repro.serve.loadgen import (
     tcp_endpoint,
     unix_endpoint,
 )
+from repro.serve.loadgen import main as loadgen_main
 from repro.serve.protocol import parse_query
 
 #: One short design plus the other three ops — every op the wire
@@ -163,29 +165,84 @@ class TestCrashRecovery:
 
 
 class TestCoalescing:
-    def test_concurrent_designs_share_jobs(self, suite90):
-        """Concurrent clients' design queries merge into fewer jobs."""
-        before_batches = METRICS.counters.get("serve.batches", 0)
-        before_requests = METRICS.counters.get("serve.requests", 0)
+    @pytest.mark.parametrize("shards, clients, requests_per_client, seed",
+                             [(0, 6, 2, 11), (2, 8, 4, 2010)])
+    def test_concurrent_designs_share_jobs(self, suite90, shards,
+                                           clients,
+                                           requests_per_client, seed):
+        """Concurrent clients' design queries merge into fewer jobs,
+        every request is answered, and every served answer (the load
+        plus one query of each op) equals the direct call."""
+        # serve.batch_size accumulates over the whole process; its p50
+        # must describe this load alone.
+        METRICS.reset()
 
         async def scenario():
-            config = resolve_config(port=0, shards=0, max_batch=64)
+            config = resolve_config(port=0, shards=shards,
+                                    max_batch=64)
             server = ReproServer(config)
             await server.start()
             try:
-                return await run_load(
-                    tcp_endpoint(config.host, server.port),
-                    clients=6, requests_per_client=2, seed=11)
+                endpoint = tcp_endpoint(config.host, server.port)
+                report = await run_load(
+                    endpoint, clients=clients,
+                    requests_per_client=requests_per_client,
+                    seed=seed)
+                load_metrics = (
+                    METRICS.counters["serve.requests"],
+                    METRICS.counters["serve.batches"],
+                    METRICS.quantile("serve.batch_size", 0.5))
+                reader, writer = await _open(endpoint)
+                try:
+                    probes = [await _roundtrip(reader, writer, document)
+                              for document in DOCUMENTS]
+                finally:
+                    writer.close()
+                return report, load_metrics, probes
             finally:
                 await server.close()
 
-        report = asyncio.run(scenario())
+        report, (requests, batches, batch_p50), probes = \
+            asyncio.run(scenario())
+        expected = clients * requests_per_client
+        assert report.requests == requests == expected
         assert report.failures == 0
-        requests = METRICS.counters["serve.requests"] \
-            - before_requests
-        batches = METRICS.counters["serve.batches"] - before_batches
-        assert requests == 12
         assert batches < requests
+        # Request-weighted: the median request shared its shard job
+        # with at least one peer.
+        assert batch_p50 > 1.0
+        assert len(report.exchanges) == expected
+        _assert_bit_identical(
+            [document for document, _ in report.exchanges],
+            [response for _, response in report.exchanges])
+        _assert_bit_identical(DOCUMENTS, probes)
+
+
+class TestLoadgenCli:
+    def test_main_drives_a_live_server_and_prints_a_summary(
+            self, suite90, capsys):
+        """``python -m repro.serve.loadgen`` against a server on its
+        own event loop: every request answered, exit status 0."""
+        loop = asyncio.new_event_loop()
+        server = ReproServer(resolve_config(port=0, shards=0))
+        loop.run_until_complete(server.start())
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        try:
+            status = loadgen_main(["--port", str(server.port),
+                                   "--clients", "3", "--requests", "2"])
+        finally:
+            asyncio.run_coroutine_threadsafe(server.close(),
+                                             loop).result(timeout=60)
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=60)
+            loop.close()
+        summary = json.loads(capsys.readouterr().out)
+        assert status == 0
+        assert summary["requests"] == 6
+        assert summary["failures"] == 0
+        assert summary["throughput_rps"] > 0
+        assert 0 < summary["latency_p50_ms"] <= summary["latency_p99_ms"]
 
 
 class TestHttpSurface:

@@ -16,6 +16,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("suite", [[], ["kernels"], ["lint"],
+                                       ["serve"], ["diff"]],
+                             ids=["none", "kernels", "lint", "serve",
+                                  "diff"])
+    def test_bench_takes_only_yield_or_lut(self, suite, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["bench", *suite])
+        assert exited.value.code == 2
+        assert "yield" in capsys.readouterr().err
+
 
 class TestNodes:
     def test_lists_all_nodes(self, capsys):
@@ -210,7 +220,7 @@ class TestMonteCarlo:
 
 
 class TestObservability:
-    """--profile / --metrics / report --flamegraph / bench diff."""
+    """--profile / --metrics / report --flamegraph."""
 
     def test_profile_time_prints_table(self, capsys):
         assert main(["nodes", "--profile", "time"]) == 0
@@ -257,52 +267,6 @@ class TestObservability:
         total = sum(int(line.rsplit(" ", 1)[1])
                     for line in flame.read_text().splitlines())
         assert abs(total - root_us) <= 0.01 * root_us
-
-    def _seed_diff_inputs(self, tmp_path, current_s):
-        import json
-
-        from repro.bench_registry import (
-            BenchSample,
-            append_record,
-            build_record,
-        )
-        history = tmp_path / "history.jsonl"
-        baseline = tmp_path / "baseline.json"
-        record = build_record(
-            "kernels", node="90nm", quick=True, config={},
-            samples=[BenchSample("monte_carlo.scalar", current_s,
-                                 0.001, 2000)])
-        append_record(record, history)
-        baseline.write_text(json.dumps({"results": [{
-            "op": "monte_carlo", "n": 2000,
-            "wall_s": {"scalar": 1.0},
-        }]}))
-        return ["bench", "diff", "--suite", "kernels",
-                "--history", str(history),
-                "--baseline", str(baseline)]
-
-    def test_bench_diff_regression_exits_nonzero(self, tmp_path,
-                                                 capsys):
-        args = self._seed_diff_inputs(tmp_path, current_s=1.3)
-        assert main(args) == 1
-        assert "[regression]" in capsys.readouterr().out
-
-    def test_bench_diff_warn_only_exits_zero(self, tmp_path, capsys):
-        args = self._seed_diff_inputs(tmp_path, current_s=1.3)
-        assert main(args + ["--warn-only"]) == 0
-        assert "warning" in capsys.readouterr().out
-
-    def test_bench_diff_unchanged_exits_zero(self, tmp_path, capsys):
-        args = self._seed_diff_inputs(tmp_path, current_s=1.0)
-        assert main(args) == 0
-        assert "[ok]" in capsys.readouterr().out
-
-    def test_bench_diff_nothing_to_diff_exits_two(self, tmp_path,
-                                                  capsys):
-        assert main(["bench", "diff",
-                     "--history",
-                     str(tmp_path / "absent.jsonl")]) == 2
-        assert "nothing to diff" in capsys.readouterr().err
 
 
 class TestLuts:
