@@ -376,8 +376,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         config = resolve_config(
             host=args.host, port=args.port, socket=args.socket,
-            shards=args.shards, max_batch=args.max_batch,
-            memo_entries=args.memo_entries)
+            shards=args.shards)
     except ServeConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -396,8 +395,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if config.socket:
                 listening.append(f"unix:{config.socket}")
             print(f"repro serve: listening on {', '.join(listening)} "
-                  f"({config.shards} shard(s), "
-                  f"max batch {config.max_batch})", flush=True)
+                  f"({config.shards} shard(s))", flush=True)
             await server.serve_forever()
         finally:
             await server.close()
@@ -437,13 +435,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     print("  " + result.format())
     if result.report is not None:
         print("  " + result.report.format())
-    threshold = critical
-    if threshold is None and result.report is not None \
-            and result.report.critical_delay:
-        threshold = result.report.critical_delay
-    if threshold is None:
-        threshold = result.mean + 3.0 * result.sigma
-    print("  " + result.tail_probability(threshold).format())
+    tail = result.tail_probability(result.tail_threshold(critical))
+    print("  " + tail.format())
     return 0
 
 
@@ -743,16 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="warm worker processes, 0 = compute "
                                 "in-process (default 2; "
                                 "REPRO_SERVE_SHARDS)")
-    serve_cmd.add_argument("--max-batch", type=int, default=None,
-                           metavar="N",
-                           help="ship a batch parked behind a busy "
-                                "shard early at N queries (default 64; "
-                                "REPRO_SERVE_MAX_BATCH)")
-    serve_cmd.add_argument("--memo-entries", type=int, default=None,
-                           metavar="N",
-                           help="per-context link-design LRU bound "
-                                "(default 4096; "
-                                "REPRO_SERVE_MEMO_ENTRIES)")
     serve_cmd.set_defaults(func=_cmd_serve)
 
     return parser

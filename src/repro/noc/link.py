@@ -17,7 +17,6 @@ maximum link length.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -41,11 +40,6 @@ LINK_INPUT_SLEW = ps(100)
 #: whose lengths round to the same quantum share one buffering design.
 _LENGTH_QUANTUM = 0.05e-3
 
-#: Default bound on the per-instance link-design memo (entries).  A
-#: synthesis run touches a few hundred distinct quanta; a long-running
-#: server would otherwise grow the memo without limit.
-DEFAULT_MEMO_ENTRIES = 4096
-
 
 def quantize_length(length: float, max_length: float) -> int:
     """The memo/disk key (quantum index) for a requested length.
@@ -62,47 +56,6 @@ def quantize_length(length: float, max_length: float) -> int:
     if key * _LENGTH_QUANTUM > max_length:
         key = max(1, int(length / _LENGTH_QUANTUM))
     return key
-
-
-class _LRUMemo:
-    """A bounded least-recently-used memo of quantum -> design.
-
-    ``None`` values (infeasible lengths) are first-class entries, so
-    lookups distinguish "memoized as infeasible" from "never seen" via
-    the ``_MISS`` sentinel.  Evictions are counted under
-    ``link.memo_evicted`` so a server whose working set exceeds the
-    bound is visible in ``--stats``.
-    """
-
-    __slots__ = ("entries", "_data")
-
-    def __init__(self, entries: int):
-        if entries < 1:
-            raise ValueError("memo_entries must be >= 1")
-        self.entries = entries
-        self._data: "OrderedDict[int, Optional[LinkDesign]]" \
-            = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: int) -> bool:
-        return key in self._data
-
-    def lookup(self, key: int):
-        """The memoized design, or the :data:`_MISS` sentinel."""
-        if key not in self._data:
-            return _MISS
-        self._data.move_to_end(key)
-        return self._data[key]
-
-    def store(self, key: int,
-              design: "Optional[LinkDesign]") -> None:
-        self._data[key] = design
-        self._data.move_to_end(key)
-        while len(self._data) > self.entries:
-            self._data.popitem(last=False)
-            METRICS.count("link.memo_evicted")
 
 
 #: Sentinel distinguishing a memo miss from a memoized ``None``
@@ -249,27 +202,33 @@ def design_link(model, tech: TechnologyParameters, bus_width: int,
 class LinkDesigner:
     """Designs and caches links for one (model, clock) context.
 
-    Two cache levels: a per-instance LRU memo keyed on the length
-    quantum (bounded by ``memo_entries`` so a long-running server
-    cannot grow it without limit), and (when the runtime cache is
-    enabled) the persistent :class:`repro.runtime.DiskCache`, so
-    repeated CLI invocations, pool workers and serve shards warm-start
-    each other's link designs.  The computation itself lives in the
-    stateless :func:`design_link` core.
+    Two cache levels: a per-instance memo keyed on the length quantum,
+    and (when the runtime cache is enabled) the persistent
+    :class:`repro.runtime.DiskCache`, so repeated CLI invocations, pool
+    workers and serve shards warm-start each other's link designs.
+    The computation itself lives in the stateless :func:`design_link`
+    core.
+
+    The memo is a plain dict bounded by its key space: :meth:`design`
+    answers ``None`` for any length past :meth:`max_length` before it
+    computes a key, and :func:`quantize_length` never keys a feasible
+    length past that edge, so the memo holds at most
+    ``max(1, max_length() / _LENGTH_QUANTUM)`` entries (600 at the
+    feasibility bisection's 30 mm upper bound), however long a server
+    runs.
     """
 
     def __init__(self, model, tech: TechnologyParameters,
                  bus_width: int,
                  utilization: float = DEFAULT_UTILIZATION,
-                 use_disk_cache: bool = True,
-                 memo_entries: int = DEFAULT_MEMO_ENTRIES):
+                 use_disk_cache: bool = True):
         if not 0.0 < utilization <= 1.0:
             raise ValueError("utilization must lie in (0, 1]")
         self.model = model
         self.tech = tech
         self.bus_width = bus_width
         self.utilization = utilization
-        self._memo = _LRUMemo(memo_entries)
+        self._memo: Dict[int, Optional[LinkDesign]] = {}
         self._max_length: Optional[float] = None
         self._disk: Optional[DiskCache] = None
         self._context_hash: Optional[str] = None
@@ -340,12 +299,11 @@ class LinkDesigner:
         if not self.is_feasible(length):
             return None
         key = quantize_length(length, self.max_length())
-        memoized = self._memo.lookup(key)
+        memoized = self._memo.get(key, _MISS)
         if memoized is not _MISS:
             METRICS.count("link.memo_hit")
             return memoized
-        design = self._design_cached_on_disk(key)
-        self._memo.store(key, design)
+        design = self._memo[key] = self._design_cached_on_disk(key)
         return design
 
     def design_batch(self, lengths: "list[float]"

@@ -59,21 +59,19 @@ class Histogram:
     on how observations were split across worker processes.
 
     Besides bucket counts the histogram tracks exact ``count``,
-    ``sum``, ``sum_squares``, ``min`` and ``max``, giving an exact
-    mean without storing samples.  Values at or
-    below the first edge (including any stray negatives) land in
-    bucket 0; values above the last edge land in the overflow bucket
-    and quantiles there interpolate up to the observed maximum.
+    ``sum``, ``min`` and ``max``, giving an exact mean without storing
+    samples.  Values at or below the first edge (including any stray
+    negatives) land in bucket 0; values above the last edge land in
+    the overflow bucket and quantiles there interpolate up to the
+    observed maximum.
     """
 
-    __slots__ = ("counts", "count", "sum", "sum_squares",
-                 "minimum", "maximum")
+    __slots__ = ("counts", "count", "sum", "minimum", "maximum")
 
     def __init__(self) -> None:
         self.counts: Dict[int, int] = {}
         self.count = 0
         self.sum = 0.0
-        self.sum_squares = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
 
@@ -83,7 +81,6 @@ class Histogram:
         self.counts[index] = self.counts.get(index, 0) + 1
         self.count += 1
         self.sum += value
-        self.sum_squares += value * value
         if self.minimum is None or value < self.minimum:
             self.minimum = value
         if self.maximum is None or value > self.maximum:
@@ -133,7 +130,6 @@ class Histogram:
                        for index, amount in self.counts.items()},
             "count": self.count,
             "sum": self.sum,
-            "sum_squares": self.sum_squares,
             "min": self.minimum,
             "max": self.maximum,
         }
@@ -144,7 +140,6 @@ class Histogram:
             self.counts[index] = self.counts.get(index, 0) + amount
         self.count += payload.get("count", 0)
         self.sum += payload.get("sum", 0.0)
-        self.sum_squares += payload.get("sum_squares", 0.0)
         other_min = payload.get("min")
         if other_min is not None and (self.minimum is None
                                       or other_min < self.minimum):

@@ -13,9 +13,8 @@ LUT tier:
 * :mod:`repro.serve.core` — the stateless evaluate core every worker
   process runs: per-process warm contexts over the shared
   :class:`repro.runtime.DiskCache` memo;
-* :mod:`repro.serve.coalescer` — batches the requests that arrive
-  while their shard is busy into one job each
-  (``LinkDesigner.design_batch``);
+* :mod:`repro.serve.coalescer` — batches the ``design`` requests
+  that arrive while their shard is busy into one job each;
 * :mod:`repro.serve.pool` — the sharded pool of warm worker
   processes, with crash recovery riding on the fault-tolerance layer;
 * :mod:`repro.serve.server` — the asyncio front-end (JSON over HTTP

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro import runtime
-from repro.noc.link import DEFAULT_MEMO_ENTRIES
 
 
 class ServeConfigError(ValueError):
@@ -34,8 +33,6 @@ DEFAULTS: Dict[str, Any] = {
     "port": 8787,
     "socket": None,
     "shards": 2,
-    "max_batch": 64,
-    "memo_entries": DEFAULT_MEMO_ENTRIES,
 }
 
 
@@ -43,17 +40,13 @@ DEFAULTS: Dict[str, Any] = {
 class ServeConfig:
     """Resolved service configuration.
 
-    ``shards`` counts warm worker processes (0 = compute in-process);
-    ``max_batch`` caps the design queries one shard job carries;
-    ``memo_entries`` bounds each context's link-design LRU memo.
+    ``shards`` counts warm worker processes (0 = compute in-process).
     """
 
     host: str
     port: int
     socket: Optional[str]
     shards: int
-    max_batch: int
-    memo_entries: int
 
 
 def _resolve(name: str, flag_value, env_name: str,
@@ -66,8 +59,8 @@ def _resolve(name: str, flag_value, env_name: str,
     if flag_value is not None and env_value is not None \
             and flag_value != env_value:
         raise ServeConfigError(
-            f"conflicting settings for {name}: --{name.replace('_', '-')}"
-            f"={flag_value!r} but {env_name}={env_value!r}; drop one "
+            f"conflicting settings for {name}: --{name}={flag_value!r} "
+            f"but {env_name}={env_value!r}; drop one "
             f"(they may also agree)")
     if flag_value is not None:
         return flag_value
@@ -79,14 +72,12 @@ def _resolve(name: str, flag_value, env_name: str,
 def resolve_config(*, host: Optional[str] = None,
                    port: Optional[int] = None,
                    socket: Optional[str] = None,
-                   shards: Optional[int] = None,
-                   max_batch: Optional[int] = None,
-                   memo_entries: Optional[int] = None) -> ServeConfig:
+                   shards: Optional[int] = None) -> ServeConfig:
     """Resolve every knob; raise :class:`ServeConfigError` on conflict.
 
     Arguments are the explicit CLI flag values (``None`` = not
     passed); the environment side is ``REPRO_SERVE_HOST``, ``_PORT``,
-    ``_SOCKET``, ``_SHARDS``, ``_MAX_BATCH`` and ``_MEMO_ENTRIES``.
+    ``_SOCKET`` and ``_SHARDS``.
     """
     config = ServeConfig(
         host=_resolve("host", host, "REPRO_SERVE_HOST",
@@ -97,13 +88,6 @@ def resolve_config(*, host: Optional[str] = None,
                         runtime.env_str, DEFAULTS["socket"]),
         shards=_resolve("shards", shards, "REPRO_SERVE_SHARDS",
                         runtime.env_int, DEFAULTS["shards"]),
-        max_batch=_resolve("max_batch", max_batch,
-                           "REPRO_SERVE_MAX_BATCH", runtime.env_int,
-                           DEFAULTS["max_batch"]),
-        memo_entries=_resolve("memo_entries", memo_entries,
-                              "REPRO_SERVE_MEMO_ENTRIES",
-                              runtime.env_int,
-                              DEFAULTS["memo_entries"]),
     )
     if config.port < 0 or config.port > 65535:
         raise ServeConfigError("port must lie in [0, 65535] "
@@ -111,8 +95,4 @@ def resolve_config(*, host: Optional[str] = None,
     if config.shards < 0:
         raise ServeConfigError("shards must be >= 0 "
                                "(0 = in-process compute)")
-    if config.max_batch < 1:
-        raise ServeConfigError("max_batch must be >= 1")
-    if config.memo_entries < 1:
-        raise ServeConfigError("memo_entries must be >= 1")
     return config

@@ -18,9 +18,8 @@ the single evaluation path both sides run.
 :func:`run_job` is the worker-side entry (picklable, module-level):
 it resets the worker's metrics registry, fires any armed
 fault-injection specs addressed to this job's ordinal, evaluates the
-job's queries — coalesced ``design`` queries go through one
-``LinkDesigner.design_batch`` call — and ships the results back with
-the worker's metrics payload.  :func:`run_job_inline` is the
+job's queries one by one through :func:`execute_query` and ships the
+results back with the worker's metrics payload.  :func:`run_job_inline` is the
 parent-side twin used for in-process compute and crash recovery; it
 never fires injected faults, which is what makes crash-then-recover
 terminate.
@@ -29,11 +28,11 @@ terminate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.noc.link import DEFAULT_MEMO_ENTRIES, LinkDesigner
+from repro.noc.link import LinkDesigner
 from repro.runtime import METRICS, faults, span
-from repro.serve.protocol import Query, design_payload
+from repro.serve.protocol import ContextSpec, Query, design_payload
 from repro.units import mm, ps
 
 
@@ -45,8 +44,8 @@ class ServeContext:
     designer: LinkDesigner
 
 
-#: Per-process warm contexts, keyed on (spec, memo_entries).
-_CONTEXTS: Dict[Tuple[Any, int], ServeContext] = {}
+#: Per-process warm contexts, keyed on their spec.
+_CONTEXTS: Dict[ContextSpec, ServeContext] = {}
 
 
 def reset_contexts() -> None:
@@ -54,11 +53,9 @@ def reset_contexts() -> None:
     _CONTEXTS.clear()
 
 
-def get_context(spec, memo_entries: int = DEFAULT_MEMO_ENTRIES
-                ) -> ServeContext:
+def get_context(spec: ContextSpec) -> ServeContext:
     """The warm context for ``spec``, built on first use."""
-    key = (spec, memo_entries)
-    context = _CONTEXTS.get(key)
+    context = _CONTEXTS.get(spec)
     if context is None:
         from repro.experiments.suite import ModelSuite
         with span("serve.context_build", node=spec.node,
@@ -67,10 +64,9 @@ def get_context(spec, memo_entries: int = DEFAULT_MEMO_ENTRIES
             suite = ModelSuite.for_node(spec.node)
             designer = LinkDesigner(suite.proposed, suite.tech,
                                     spec.bus_width,
-                                    utilization=spec.utilization,
-                                    memo_entries=memo_entries)
-        context = _CONTEXTS[key] = ServeContext(suite=suite,
-                                                designer=designer)
+                                    utilization=spec.utilization)
+        context = _CONTEXTS[spec] = ServeContext(suite=suite,
+                                                 designer=designer)
     return context
 
 
@@ -89,13 +85,7 @@ def _mc_result(query: Query, context: ServeContext) -> Dict[str, Any]:
         line, ps(query.slew_ps), samples=query.samples,
         seed=query.seed, engine=query.engine, model=model,
         estimator=query.estimator, critical_delay=critical)
-    threshold = critical
-    if threshold is None and result.report is not None \
-            and result.report.critical_delay:
-        threshold = result.report.critical_delay
-    if threshold is None:
-        threshold = result.mean + 3.0 * result.sigma
-    tail = result.tail_probability(threshold)
+    tail = result.tail_probability(result.tail_threshold(critical))
     payload: Dict[str, Any] = {
         "mean": result.mean,
         "sigma": result.sigma,
@@ -121,10 +111,9 @@ def _mc_result(query: Query, context: ServeContext) -> Dict[str, Any]:
     return payload
 
 
-def execute_query(query: Query,
-                  memo_entries: int = DEFAULT_MEMO_ENTRIES) -> Any:
+def execute_query(query: Query) -> Any:
     """Evaluate one query; the single path server and workers share."""
-    context = get_context(query.context, memo_entries)
+    context = get_context(query.context)
     METRICS.count(f"serve.op.{query.op}")
     if query.op == "design":
         design = context.designer.design(mm(query.lengths_mm[0]))
@@ -140,35 +129,8 @@ def execute_query(query: Query,
     return _mc_result(query, context)
 
 
-def _execute_batch(queries: Sequence[Query],
-                   memo_entries: int) -> List[Any]:
-    """Evaluate a job's queries, batching coalesced designs.
-
-    When every query is a single-length ``design`` for one shared
-    context — the shape the coalescer produces — the lengths go
-    through ``LinkDesigner.design_batch`` in one call, which designs
-    them one after another under one span.  ``design_batch`` consults
-    and fills the same memo with the same quantization keys as scalar
-    ``design``, so the results (and the cache-counter attribution) are
-    identical either way; anything else falls back to query-by-query
-    evaluation.
-    """
-    if len(queries) > 1 \
-            and all(q.op == "design" for q in queries) \
-            and len({q.context for q in queries}) == 1:
-        context = get_context(queries[0].context, memo_entries)
-        METRICS.count("serve.op.design", len(queries))
-        designs = context.designer.design_batch(
-            [mm(q.lengths_mm[0]) for q in queries])
-        return [{"feasible": design is not None,
-                 "design": design_payload(design)}
-                for design in designs]
-    return [execute_query(query, memo_entries) for query in queries]
-
-
-#: (job ordinal, memo bound, queries, armed worker fault specs)
-JobPayload = Tuple[int, int, Tuple[Query, ...],
-                   Tuple[faults.FaultSpec, ...]]
+#: (job ordinal, queries, armed worker fault specs)
+JobPayload = Tuple[int, Tuple[Query, ...], Tuple[faults.FaultSpec, ...]]
 
 
 def run_job(payload: JobPayload
@@ -185,13 +147,13 @@ def run_job(payload: JobPayload
     """
     from repro.runtime import parallel
 
-    ordinal, memo_entries, queries, specs = payload
+    ordinal, queries, specs = payload
     parallel._IN_WORKER = True
     METRICS.reset()
     try:
         faults.fire_chunk_faults(specs, ordinal)
         with span("serve.job", queries=len(queries), job=ordinal):
-            results = _execute_batch(queries, memo_entries)
+            results = [execute_query(query) for query in queries]
     finally:
         parallel._IN_WORKER = False
     return results, METRICS.to_payload()
@@ -203,13 +165,13 @@ def run_job_inline(payload: JobPayload) -> List[Any]:
     Records straight into the parent registry and never fires
     injected faults — re-running a job whose worker was crashed by an
     armed ``worker_crash`` spec must not crash the parent too.  The
-    evaluation path is byte-for-byte the same ``_execute_batch``, so
-    recovered responses are bit-identical to undisturbed ones.
+    evaluation path is byte-for-byte the same :func:`execute_query`,
+    so recovered responses are bit-identical to undisturbed ones.
     """
-    ordinal, memo_entries, queries, _specs = payload
+    ordinal, queries, _specs = payload
     with span("serve.job", queries=len(queries), job=ordinal,
               inline=True):
-        return _execute_batch(queries, memo_entries)
+        return [execute_query(query) for query in queries]
 
 
 def ping() -> int:

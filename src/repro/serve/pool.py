@@ -3,7 +3,7 @@
 Each shard is a single-worker :class:`ProcessPoolExecutor` built by
 :func:`repro.runtime.new_pool` — one long-lived process that keeps its
 :class:`~repro.serve.core.ServeContext` (model suite, link designer,
-LRU memo) warm across jobs.  A query routes to its shard by the CRC-32
+link memo) warm across jobs.  A query routes to its shard by the CRC-32
 of its context fingerprint, so every query for one context lands on
 the same warm process and its memo actually accumulates; CRC-32 is
 process-stable, unlike the salted builtin ``hash``, so routing is
@@ -30,7 +30,6 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, List, Optional, Sequence
 
-from repro.noc.link import DEFAULT_MEMO_ENTRIES
 from repro.runtime import METRICS, faults, fingerprint, new_pool
 from repro.serve.core import ping, run_job, run_job_inline
 from repro.serve.protocol import ContextSpec, Query
@@ -51,10 +50,8 @@ class ShardedPool:
     evaluate core, just without process isolation.
     """
 
-    def __init__(self, shards: int,
-                 memo_entries: int = DEFAULT_MEMO_ENTRIES) -> None:
+    def __init__(self, shards: int) -> None:
         self.shards = max(0, shards)
-        self.memo_entries = memo_entries
         self._executors: List[Optional[ProcessPoolExecutor]] = []
         self._ordinal = 0
         for _ in range(self.shards):
@@ -104,8 +101,7 @@ class ShardedPool:
         """
         ordinal = self._ordinal
         self._ordinal += 1
-        payload = (ordinal, self.memo_entries, tuple(queries),
-                   faults.worker_faults())
+        payload = (ordinal, tuple(queries), faults.worker_faults())
         index = shard_index(queries[0].context, self.shards)
         executor = (self._executors[index]
                     if index < len(self._executors) else None)

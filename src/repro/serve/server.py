@@ -116,9 +116,8 @@ class ReproServer:
 
     def __init__(self, config: ServeConfig) -> None:
         self.config = config
-        self.pool = ShardedPool(config.shards,
-                                memo_entries=config.memo_entries)
-        self.coalescer = Coalescer(self.pool, config.max_batch)
+        self.pool = ShardedPool(config.shards)
+        self.coalescer = Coalescer(self.pool)
         self.port: Optional[int] = None
         self._servers: list = []
         self._closing = asyncio.Event()

@@ -191,6 +191,16 @@ class EstimatedVariationResult(VariationResult):
             return self.report.ess
         return float(len(self.samples))
 
+    def tail_threshold(self, critical: Optional[float]) -> float:
+        """The delay (seconds) a tail query asks about: ``critical``
+        when given, else the threshold the estimator targeted, else
+        the 3-sigma delay."""
+        if critical is not None:
+            return critical
+        if self.report is not None and self.report.critical_delay:
+            return self.report.critical_delay
+        return self.three_sigma_delay()
+
     def tail_probability(self, threshold: float) -> TailEstimate:
         """Estimate P(delay > ``threshold`` seconds) from this run.
 

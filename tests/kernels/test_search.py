@@ -8,12 +8,15 @@ differ by one ulp of ``pow`` and gets a 1e-9 tolerance.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.buffering.optimizer import (
     DEFAULT_INPUT_SLEW,
     DEFAULT_MAX_SIZE,
+    _best_size_for_count,
     _count_candidates,
     max_feasible_length,
     minimize_power_under_delay,
@@ -25,6 +28,7 @@ from repro.experiments.suite import ModelSuite
 from repro.kernels import (
     minimize_power_under_delay_batch,
     optimize_buffering_batch,
+    search,
 )
 from repro.models.interconnect import BufferedInterconnectModel
 from repro.tech import DesignStyle
@@ -73,6 +77,40 @@ class TestOptimizeBuffering:
             model, mm(3), COUNTS, 0.5, DEFAULT_INPUT_SLEW,
             DEFAULT_MAX_SIZE, 1)
         assert auto == explicit
+
+
+#: A (delay, power) pair that ties every objective comparison.
+FLAT_DELAY, FLAT_POWER = ps(200), 1e-3
+
+
+class _FlatModel:
+    """Every buffering of every line costs the same."""
+
+    def evaluate(self, length, count, size, input_slew, bus_width=1):
+        return SimpleNamespace(delay=FLAT_DELAY, total_power=FLAT_POWER)
+
+
+class TestTieBreak:
+    """A flat objective ties every golden-section comparison, so the
+    lockstep search lands on the scalar search's size only if it
+    breaks ties the same way (``f1 <= f2`` keeps the lower probe)."""
+
+    @pytest.mark.parametrize("weight", [1.0, 0.5, 0.0])
+    def test_flat_objective_picks_the_scalar_size(self, monkeypatch,
+                                                  weight):
+        def flat(model, length, counts, sizes, input_slew, bus_width):
+            return (np.full(sizes.shape, FLAT_DELAY),
+                    np.full(sizes.shape, FLAT_POWER))
+
+        monkeypatch.setattr(search, "_evaluate", flat)
+        counts = np.arange(1, 9)
+        sizes, _, _ = search._best_sizes_for_counts(
+            None, mm(5), counts, DEFAULT_INPUT_SLEW, weight,
+            DEFAULT_MAX_SIZE, 1)
+        scalar = [_best_size_for_count(
+            _FlatModel(), mm(5), int(count), DEFAULT_INPUT_SLEW, weight,
+            DEFAULT_MAX_SIZE, 1).repeater_size for count in counts]
+        assert sizes.tolist() == scalar
 
 
 class TestMinimizePowerUnderDelay:

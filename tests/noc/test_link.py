@@ -4,8 +4,6 @@ import pytest
 
 from repro.noc.link import (
     _LENGTH_QUANTUM,
-    _LRUMemo,
-    _MISS,
     LinkDesign,
     LinkDesigner,
     quantize_length,
@@ -170,55 +168,29 @@ class TestQuantizeLength:
         assert quantize_length(2.03e-3, 2.04e-3) == 40
 
 
-class TestLRUMemo:
-    def test_none_is_a_first_class_entry(self):
-        memo = _LRUMemo(4)
-        memo.store(7, None)
-        assert memo.lookup(7) is None
-        assert memo.lookup(8) is _MISS
-
-    def test_evicts_least_recently_used(self):
-        memo = _LRUMemo(2)
-        memo.store(1, "a")
-        memo.store(2, "b")
-        memo.lookup(1)          # 1 is now most recently used
-        memo.store(3, "c")      # evicts 2
-        assert memo.lookup(2) is _MISS
-        assert memo.lookup(1) == "a"
-        assert memo.lookup(3) == "c"
-        assert len(memo) == 2
-
-    def test_eviction_counted(self):
-        before = METRICS.counters.get("link.memo_evicted", 0)
-        memo = _LRUMemo(1)
-        memo.store(1, "a")
-        memo.store(2, "b")
-        memo.store(3, "c")
-        assert METRICS.counters["link.memo_evicted"] - before == 2
-
-    def test_bound_validated(self):
-        with pytest.raises(ValueError):
-            _LRUMemo(0)
-
-
-class TestMemoBound:
-    def test_designer_memo_respects_the_bound(self, suite90):
-        """Six distinct quanta through a 4-entry memo stay at 4."""
+class TestMemoKeySpace:
+    def test_memo_is_bounded_by_its_key_space(self, suite90):
+        """Every half quantum up to twice the feasibility edge keys at
+        most one memo entry per quantum below the edge."""
         designer = LinkDesigner(suite90.proposed, suite90.tech, 128,
-                                memo_entries=4)
-        lengths = [mm(value) for value in
-                   (1.0, 1.5, 2.0, 2.5, 3.0, 3.5)]
-        for length in lengths:
-            designer.design(length)
-        assert len(designer._memo) == 4
+                                use_disk_cache=False)
+        edge = designer.max_length()
+        steps = int(4 * edge / _LENGTH_QUANTUM)
+        for step in range(1, steps + 1):
+            designer.design(step * _LENGTH_QUANTUM / 2)
+        assert 0 < len(designer._memo) <= edge / _LENGTH_QUANTUM
 
-    def test_evicted_entry_recomputes_identically(self, suite90):
+    def test_memoized_none_is_a_hit(self, suite90):
         designer = LinkDesigner(suite90.proposed, suite90.tech, 128,
-                                memo_entries=1)
-        first = designer.design(mm(1.0))
-        designer.design(mm(2.0))    # evicts the 1.0 mm entry
-        again = designer.design(mm(1.0))
-        assert again == first
+                                use_disk_cache=False)
+        designer._memo[quantize_length(mm(1.0),
+                                       designer.max_length())] = None
+        hits = METRICS.counters.get("link.memo_hit", 0)
+        attempts = METRICS.counters.get("link.design_attempts", 0)
+        assert designer.design(mm(1.0)) is None
+        assert METRICS.counters["link.memo_hit"] == hits + 1
+        assert METRICS.counters.get("link.design_attempts", 0) \
+            == attempts
 
 
 class TestBatchScalarParity:

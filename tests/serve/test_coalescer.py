@@ -16,7 +16,7 @@ import asyncio
 
 import pytest
 
-from repro.serve.coalescer import Coalescer
+from repro.serve.coalescer import MAX_BATCH, Coalescer
 from repro.serve.protocol import parse_query
 
 #: Hang guard for every scenario; a passing run takes milliseconds.
@@ -25,6 +25,11 @@ HANG_GUARD_S = 10.0
 
 def _design(length_mm):
     return parse_query({"op": "design", "length_mm": length_mm})
+
+
+def _designs(count):
+    """``count`` design queries of distinct lengths."""
+    return [_design(1.0 + 0.05 * index) for index in range(count)]
 
 
 class HeldJob:
@@ -79,7 +84,7 @@ class TestOccupancyBatching:
 
         async def scenario():
             pool = HeldPool()
-            coalescer = Coalescer(pool, max_batch=64)
+            coalescer = Coalescer(pool)
             loop = asyncio.get_running_loop()
             # ``call_later`` goes through ``call_at`` too; the hang
             # guard armed its own timer before this point.
@@ -102,7 +107,7 @@ class TestOccupancyBatching:
 
         async def scenario():
             pool = HeldPool()
-            coalescer = Coalescer(pool, max_batch=64)
+            coalescer = Coalescer(pool)
             tasks = _submit_all(coalescer, queries)
             first = await pool.jobs.get()
             assert pool.jobs.empty()
@@ -116,11 +121,11 @@ class TestOccupancyBatching:
         assert shipped == [queries[:1], queries[1:]]
 
     def test_full_bucket_ships_while_busy(self):
-        queries = [_design(length) for length in (1.0, 1.5, 2.0)]
+        queries = _designs(1 + MAX_BATCH)
 
         async def scenario():
             pool = HeldPool()
-            coalescer = Coalescer(pool, max_batch=2)
+            coalescer = Coalescer(pool)
             tasks = _submit_all(coalescer, queries)
             first = await pool.jobs.get()
             # The first job is still held: the second ships because
@@ -135,18 +140,20 @@ class TestOccupancyBatching:
         assert shipped == [queries[:1], queries[1:]]
 
     def test_raising_job_fails_its_futures_and_ships_parked_bucket(self):
-        queries = [_design(length) for length in (1.0, 1.5, 2.0, 2.5)]
+        queries = _designs(1 + MAX_BATCH + 1)
+        full = queries[1:1 + MAX_BATCH]
         failure = RuntimeError("shard fell over")
 
         async def scenario():
             pool = HeldPool()
-            coalescer = Coalescer(pool, max_batch=2)
-            # d1 ships alone; d2+d3 fill a bucket and ship while d1
-            # is busy; d4 parks behind both.
+            coalescer = Coalescer(pool)
+            # The first design ships alone; the next MAX_BATCH fill a
+            # bucket and ship while it is busy; the last parks behind
+            # both.
             tasks = _submit_all(coalescer, queries)
             first = await pool.jobs.get()
             second = await pool.jobs.get()
-            assert second.queries == queries[1:3]
+            assert second.queries == full
             second.finish(failure)
             third = await pool.jobs.get()
             third.finish()
@@ -155,15 +162,16 @@ class TestOccupancyBatching:
                     pool.shipped)
 
         outcomes, shipped = _run(scenario)
-        assert outcomes == [queries[0], failure, failure, queries[3]]
-        assert shipped == [queries[:1], queries[1:3], queries[3:]]
+        assert outcomes == [queries[0]] + [failure] * MAX_BATCH \
+            + [queries[-1]]
+        assert shipped == [queries[:1], full, queries[-1:]]
 
     def test_drain_ships_bucket_parked_behind_inflight_job(self):
         queries = [_design(length) for length in (1.0, 1.5)]
 
         async def scenario():
             pool = HeldPool()
-            coalescer = Coalescer(pool, max_batch=64)
+            coalescer = Coalescer(pool)
             tasks = _submit_all(coalescer, queries)
             first = await pool.jobs.get()
             draining = asyncio.ensure_future(coalescer.drain())
@@ -190,7 +198,7 @@ def test_other_ops_ship_as_singletons_beside_busy_designs(op_document):
 
     async def scenario():
         pool = HeldPool()
-        coalescer = Coalescer(pool, max_batch=64)
+        coalescer = Coalescer(pool)
         tasks = _submit_all(coalescer, [design, other])
         # Both jobs reach the pool before either finishes.
         first = await pool.jobs.get()

@@ -1,16 +1,18 @@
 """Knob resolution: CLI flags vs ``REPRO_SERVE_*`` environment."""
 
+import dataclasses
+
 import pytest
 
 from repro.serve.config import (
     DEFAULTS,
+    ServeConfig,
     ServeConfigError,
     resolve_config,
 )
 
 _ENV_NAMES = ("REPRO_SERVE_HOST", "REPRO_SERVE_PORT",
-              "REPRO_SERVE_SOCKET", "REPRO_SERVE_SHARDS",
-              "REPRO_SERVE_MAX_BATCH", "REPRO_SERVE_MEMO_ENTRIES")
+              "REPRO_SERVE_SOCKET", "REPRO_SERVE_SHARDS")
 
 
 @pytest.fixture(autouse=True)
@@ -26,8 +28,8 @@ class TestResolution:
         assert config.port == DEFAULTS["port"]
         assert config.socket is None
         assert config.shards == DEFAULTS["shards"]
-        assert config.max_batch == DEFAULTS["max_batch"]
-        assert config.memo_entries == DEFAULTS["memo_entries"]
+        assert [field.name for field in dataclasses.fields(ServeConfig)] \
+            == ["host", "port", "socket", "shards"]
 
     def test_flag_wins_when_env_unset(self):
         assert resolve_config(port=9999).port == 9999
@@ -54,9 +56,18 @@ class TestResolution:
             resolve_config(host="127.0.0.1")
 
     def test_unparseable_env_is_fatal(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_MAX_BATCH", "soon")
-        with pytest.raises(ServeConfigError, match="MAX_BATCH"):
+        monkeypatch.setenv("REPRO_SERVE_SHARDS", "soon")
+        with pytest.raises(ServeConfigError, match="SHARDS"):
             resolve_config()
+
+    @pytest.mark.parametrize("name, value", [
+        ("REPRO_SERVE_MAX_BATCH", "soon"),
+        ("REPRO_SERVE_MEMO_ENTRIES", "0"),
+    ])
+    def test_removed_knob_env_is_ignored(self, monkeypatch, name,
+                                         value):
+        monkeypatch.setenv(name, value)
+        assert resolve_config() == ServeConfig(**DEFAULTS)
 
     def test_whitespace_env_means_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVE_HOST", "   ")
@@ -66,7 +77,6 @@ class TestResolution:
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"port": -1}, {"port": 65536}, {"shards": -1},
-        {"max_batch": 0}, {"memo_entries": 0},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ServeConfigError):
@@ -92,3 +102,14 @@ class TestCliExitCode:
         status = main(["serve"])
         assert status == 2
         assert "REPRO_SERVE_SHARDS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-batch", "--memo-entries"])
+    def test_removed_flags_exit_2(self, monkeypatch, capsys, flag):
+        from repro.cli import main
+        # Should the flag ever parse again, the invalid port fails the
+        # test at once instead of starting a server.
+        monkeypatch.setenv("REPRO_SERVE_PORT", "-1")
+        with pytest.raises(SystemExit) as exited:
+            main(["serve", flag, "8"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

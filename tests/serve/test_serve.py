@@ -178,8 +178,7 @@ class TestCoalescing:
         METRICS.reset()
 
         async def scenario():
-            config = resolve_config(port=0, shards=shards,
-                                    max_batch=64)
+            config = resolve_config(port=0, shards=shards)
             server = ReproServer(config)
             await server.start()
             try:

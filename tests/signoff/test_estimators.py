@@ -23,7 +23,12 @@ import numpy as np
 import pytest
 
 from repro.runtime import METRICS
-from repro.signoff.estimators import CI_Z, ESTIMATORS
+from repro.signoff.estimators import (
+    CI_Z,
+    ESTIMATORS,
+    EstimatedVariationResult,
+    EstimatorReport,
+)
 from repro.signoff.variation import MAX_TARGET_ROUNDS, \
     monte_carlo_line_delay
 from repro.units import ps
@@ -303,6 +308,32 @@ class TestReports:
         assert counters["mc.ess"] >= 1
         assert counters["mc.model_evals"] >= 16
         assert counters["mc.golden_evals"] == 0
+
+
+class TestTailThreshold:
+    """The one rule ``repro mc`` and the serve ``mc`` op share."""
+
+    def _result(self, targeted=0.0):
+        report = EstimatorReport(estimator="plain", standard_error=0.0,
+                                 ess=4.0, golden_evals=0,
+                                 model_evals=4, critical_delay=targeted)
+        return EstimatedVariationResult(
+            samples=(ps(100), ps(110), ps(120), ps(130)),
+            nominal_delay=ps(100), report=report)
+
+    def test_explicit_critical_delay_wins(self):
+        assert self._result(ps(125)).tail_threshold(ps(105)) == ps(105)
+
+    def test_targeted_threshold_when_none_is_given(self):
+        assert self._result(ps(125)).tail_threshold(None) == ps(125)
+
+    def test_three_sigma_when_nothing_is_targeted(self):
+        result = self._result()
+        assert result.tail_threshold(None) \
+            == result.mean + 3.0 * result.sigma
+        unreported = dataclasses.replace(result, report=None)
+        assert unreported.tail_threshold(None) \
+            == result.mean + 3.0 * result.sigma
 
 
 # ---------------------------------------------------------------------------
