@@ -15,8 +15,9 @@ The run gates on the tier's whole contract, not just speed:
 * every LUT-sweep design must meet the timing bound it was asked for.
 
 Timing runs at ``workers=1`` so the recorded speedup is algorithmic,
-not parallelism.  Each side runs once, so the LUT side's time
-includes the one-off cost of its first lookups.
+not parallelism.  The two sides alternate for :data:`TIMING_REPEATS`
+sweeps each and each keeps its fastest, so one busy moment on a shared
+host does not decide the gate (a single LUT sweep takes milliseconds).
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ BENCH_SCHEMA = 2
 
 #: Minimum LUT-over-closed-form speedup on the benched path.
 SPEEDUP_FLOOR = 5.0
+
+#: Timed sweeps per side; the fastest of them is recorded (count).
+TIMING_REPEATS = 5
 
 #: Link-sweep lengths in millimeters (full / --quick).
 SWEEP_LENGTHS_MM = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -107,21 +111,26 @@ def run_link_sweep_bench(model, lut, max_delay: float,
     gate: every length feasible on the closed form must be feasible on
     the LUT *and* meet ``max_delay`` — the LUT may pick a slightly
     different size (interpolated surface), which ``max_rel_diff``
-    records over delay and power of the designs.
+    records over delay and power of the designs.  Each side's wall
+    time is its fastest of :data:`TIMING_REPEATS` sweeps.
     """
     from repro.buffering.optimizer import minimize_power_under_delay
     from repro.runtime.metrics import METRICS
 
-    started = time.perf_counter()
-    closed = [minimize_power_under_delay(model, mm(length), max_delay)
-              for length in lengths_mm]
-    closed_wall = time.perf_counter() - started
-    METRICS.observe("bench.lut_link_sweep.closed_seconds", closed_wall)
+    def sweep(served_model):
+        started = time.perf_counter()
+        designs = [minimize_power_under_delay(served_model, mm(length),
+                                              max_delay)
+                   for length in lengths_mm]
+        return designs, time.perf_counter() - started
 
-    started = time.perf_counter()
-    served = [minimize_power_under_delay(lut, mm(length), max_delay)
-              for length in lengths_mm]
-    lut_wall = time.perf_counter() - started
+    closed_wall = lut_wall = float("inf")
+    for _ in range(TIMING_REPEATS):
+        closed, wall = sweep(model)
+        closed_wall = min(closed_wall, wall)
+        served, wall = sweep(lut)
+        lut_wall = min(lut_wall, wall)
+    METRICS.observe("bench.lut_link_sweep.closed_seconds", closed_wall)
     METRICS.observe("bench.lut_link_sweep.lut_seconds", lut_wall)
 
     gate_ok = True

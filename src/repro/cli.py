@@ -46,6 +46,7 @@ Every subcommand also accepts the shared runtime flags:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -413,6 +414,20 @@ def _mc_engine(name: str) -> str:
     return "model" if name == "kernel" else name
 
 
+def _positive_ps(text: str) -> float:
+    """``repro mc --critical-ps``/``--target-ci``: a finite number of
+    picoseconds above zero, as the serve ``mc`` op requires."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number of picoseconds above 0, "
+            f"got {text!r}")
+    return value
+
+
 def _cmd_mc(args: argparse.Namespace) -> int:
     from repro.experiments.suite import ModelSuite
     from repro.signoff.extraction import extract_buffered_line
@@ -422,8 +437,8 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     line = extract_buffered_line(suite.tech, model.config,
                                  mm(args.length_mm), args.repeaters,
                                  args.size)
-    critical = ps(args.critical_ps) if args.critical_ps else None
-    target = ps(args.target_ci) if args.target_ci else None
+    critical = None if args.critical_ps is None else ps(args.critical_ps)
+    target = None if args.target_ci is None else ps(args.target_ci)
     result = monte_carlo_line_delay(
         line, ps(args.slew_ps), samples=args.samples, seed=args.seed,
         engine=args.engine, model=model, estimator=args.estimator,
@@ -698,12 +713,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  "control-variate"],
                         help="sampling strategy (see "
                              "docs/yield-estimation.md)")
-    mc_cmd.add_argument("--critical-ps", type=float, default=None,
+    mc_cmd.add_argument("--critical-ps", type=_positive_ps, default=None,
                         metavar="PS",
                         help="critical delay (ps) the tail estimate "
                              "and the importance shift target "
                              "(default: mean + 3 sigma)")
-    mc_cmd.add_argument("--target-ci", type=float, default=None,
+    mc_cmd.add_argument("--target-ci", type=_positive_ps, default=None,
                         metavar="PS",
                         help="keep doubling draws until the 95%% CI "
                              "half-width on the mean is below PS "

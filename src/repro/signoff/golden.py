@@ -14,6 +14,11 @@ stage by stage, the way a sign-off timer propagates timing:
    at the far end of the wire becomes the next stage's input slew.
    Signal polarity alternates through the inverter chain.
 
+A stage's simulation ends at the first step where its output has
+settled (:class:`repro.spice.transient.SettleRule`): the delay and the
+slew read first crossings, which all come before that step, so the
+rest of the stop-time window would not change them.
+
 Uniform lines converge to a periodic steady state after a few stages
 (the slew entering stage ``k`` equals the slew that entered stage
 ``k - 2``), so once two consecutive same-parity stages agree the
@@ -37,6 +42,7 @@ from repro.signoff.extraction import ExtractedLine
 from repro.spice.netlist import Circuit
 from repro.spice.elements import ramp
 from repro.spice.transient import (
+    SettleRule,
     TransientResult,
     simulate_lanes,
     simulate_transient,
@@ -88,8 +94,14 @@ def _build_stage_circuit(
     load_cap: float,
     input_slew: float,
     rising_input: bool,
-) -> Tuple[Circuit, float]:
-    """One repeater stage driving its wire; returns (circuit, stop time)."""
+) -> Tuple[Circuit, float, SettleRule]:
+    """One repeater stage driving its wire; returns (circuit, stop
+    time, settle rule).
+
+    The output has settled once it is within 2% of ``vdd`` of its rail
+    (an inverter's output falls on a rising input) with the input ramp
+    over: ``ramp`` holds its end value from ``start + input_slew`` on.
+    """
     wn, wp = tech.inverter_widths(driver_size)
     vdd = tech.vdd
 
@@ -114,15 +126,16 @@ def _build_stage_circuit(
     elmore = (drive_resistance * (wire_capacitance + load_cap)
               + wire_resistance * (0.5 * wire_capacitance + load_cap))
     stop_time = start + input_slew + 8.0 * elmore + 20e-12
-    return circuit, stop_time
+    settle = SettleRule("out", 0.0 if rising_input else vdd, 0.02 * vdd,
+                        start + input_slew)
+    return circuit, stop_time, settle
 
 
-def _settled(result: TransientResult, vdd: float,
-             rising_input: bool) -> bool:
-    """Whether the stage output reached its rail (within 2% of
-    ``vdd``) by the end of the simulation."""
-    target = 0.0 if rising_input else vdd  # inverter output rail
-    return result.waveform("out").settled(target, 0.02 * vdd)
+def _settled(result: TransientResult, settle: SettleRule) -> bool:
+    """Whether the last sample of the stage output is inside its
+    settle band."""
+    return result.waveform(settle.node).settled(settle.target,
+                                                settle.tolerance)
 
 
 def _stage_timing(result: TransientResult, vdd: float,
@@ -155,18 +168,18 @@ def simulate_stage(
 
     ``driver_size`` is a dimensionless multiple of the minimum
     inverter; the wire parasitics are ohms and farads and
-    ``input_slew`` seconds.  Retries with a longer stop time if the
-    output has not settled —
-    the stop-time estimate is heuristic and long resistive wires can
-    exceed it.
+    ``input_slew`` seconds.  The simulation stops where the output
+    has settled, or else at the stop time and retries with a doubled
+    one — the stop-time estimate is heuristic and long resistive wires
+    can exceed it.
     """
-    circuit, stop_time = _build_stage_circuit(
+    circuit, stop_time, settle = _build_stage_circuit(
         tech, driver_size, wire_resistance, wire_capacitance, load_cap,
         input_slew, rising_input)
     for attempt in range(max_retries + 1):
         result = simulate_transient(circuit, stop_time,
-                                    record=["in", "out"])
-        if _settled(result, tech.vdd, rising_input):
+                                    record=["in", "out"], settle=settle)
+        if _settled(result, settle):
             break
         stop_time *= 2.0
     else:  # pragma: no cover - defensive
@@ -188,30 +201,30 @@ def simulate_stages(
     simulate_lanes`).
 
     The stages share the driver size, the wire and the load; each
-    lane keeps its own stop time, step count and settle retries, and
-    measures exactly what :func:`simulate_stage` measures for it.  A
-    lane that fails holds the exception :func:`simulate_stage` would
-    raise for it.
+    lane keeps its own stop time, step count, settle stop and settle
+    retries, and measures exactly what :func:`simulate_stage` measures
+    for it.  A lane that fails holds the exception
+    :func:`simulate_stage` would raise for it.
     """
     built = [_build_stage_circuit(tech, driver_size, wire_resistance,
                                   wire_capacitance, load_cap, slew,
                                   rising_input)
              for tech, slew in zip(techs, input_slews)]
-    stop_times = [stop_time for _, stop_time in built]
+    stop_times = [stop_time for _, stop_time, _ in built]
     timings: List[Union[StageTiming, Exception, None]] = [None] * len(built)
     pending = list(range(len(built)))
     for _attempt in range(MAX_SETTLE_RETRIES + 1):
         results = simulate_lanes([built[k][0] for k in pending],
                                  [stop_times[k] for k in pending],
-                                 record=["in", "out"])
+                                 record=["in", "out"],
+                                 settle=[built[k][2] for k in pending])
         unsettled = []
         for k, result in zip(pending, results):
-            vdd = techs[k].vdd
             if isinstance(result, Exception):
                 timings[k] = result
-            elif _settled(result, vdd, rising_input):
-                timings[k] = _stage_timing(result, vdd, input_slews[k],
-                                           rising_input)
+            elif _settled(result, built[k][2]):
+                timings[k] = _stage_timing(result, techs[k].vdd,
+                                           input_slews[k], rising_input)
             else:
                 stop_times[k] *= 2.0
                 unsettled.append(k)

@@ -35,6 +35,11 @@ products and solves call the same BLAS/LAPACK kernels per lane as the
 two-dimensional calls, device terms accumulate in the order a dense
 per-device stamp adds them, and the residual keeps the full ``n x n``
 matrix-vector product.
+
+A lane may also carry a :class:`SettleRule`: it then stops at the
+first step where its sources are constant and one node is inside a
+band around a target voltage, and returns its trace up to that step:
+a prefix, bit for bit, of the trace the full window computes.
 """
 
 from __future__ import annotations
@@ -82,6 +87,25 @@ class TransientResult:
     def final_voltage(self, node: str) -> float:
         """Last sample of ``node``'s trace."""
         return float(self.voltages[node][-1])
+
+
+@dataclass(frozen=True)
+class SettleRule:
+    """When a lane may stop before its stop time.
+
+    The lane stops at the first step at or after ``quiet_time``
+    (seconds; every source of the circuit is constant from then on)
+    where ``abs(v(node) - target) <= tolerance`` (volts), the check
+    :meth:`~repro.spice.waveform.Waveform.settled` applies to a last
+    sample.  Stopping there rests on a premise, not a proof: a node
+    inside the band with its inputs quiet stays inside it, so the
+    full window would end settled too.
+    """
+
+    node: str
+    target: float
+    tolerance: float
+    quiet_time: float
 
 
 def _index(indices: np.ndarray) -> "Union[slice, np.ndarray]":
@@ -399,6 +423,7 @@ def simulate_transient(
     newton_tol: float = 1e-6,
     max_newton_iterations: int = 60,
     method: str = "be",
+    settle: Optional[SettleRule] = None,
 ) -> TransientResult:
     """Run a transient simulation from a DC start.
 
@@ -421,6 +446,10 @@ def simulate_transient(
         ``"trap"`` (trapezoidal — second-order accurate, undamped; can
         ring on very stiff nets but converges faster with step
         refinement).
+    settle:
+        Stop at the first step that meets this rule (see
+        :class:`SettleRule`) instead of at ``stop_time``; the result
+        is then the full run's result cut after that step.
 
     Raises :class:`ConvergenceError` when a Newton solve fails.
     """
@@ -428,7 +457,8 @@ def simulate_transient(
         [circuit], [stop_time],
         None if time_step is None else [time_step], record=record,
         newton_tol=newton_tol,
-        max_newton_iterations=max_newton_iterations, method=method)
+        max_newton_iterations=max_newton_iterations, method=method,
+        settle=None if settle is None else [settle])
     if isinstance(result, ConvergenceError):
         raise result
     return result
@@ -442,19 +472,20 @@ def simulate_lanes(
     newton_tol: float = 1e-6,
     max_newton_iterations: int = 60,
     method: str = "be",
+    settle: Optional[Sequence[SettleRule]] = None,
 ) -> List[Union[TransientResult, ConvergenceError]]:
     """Transient simulations of same-topology circuits as lanes of one
     Newton loop.
 
     Lane ``k`` simulates ``circuits[k]`` to ``stop_times[k]`` seconds
-    with step ``time_steps[k]`` (default ``stop_times[k] / 1500``), and
-    returns exactly what :func:`simulate_transient` returns for it
-    alone.  The circuits must share node names, driven nodes and
-    MOSFET terminals; element values, device parameters and source
-    waveforms are free.  A lane that fails holds its
-    :class:`ConvergenceError` in the returned list; the other lanes
-    run to their end.  The remaining parameters are those of
-    :func:`simulate_transient`.
+    with step ``time_steps[k]`` (default ``stop_times[k] / 1500``), or
+    until it meets ``settle[k]``, and returns exactly what
+    :func:`simulate_transient` returns for it alone.  The circuits
+    must share node names, driven nodes and MOSFET terminals; element
+    values, device parameters and source waveforms are free.  A lane
+    that fails holds its :class:`ConvergenceError` in the returned
+    list; the other lanes run to their end.  The remaining parameters
+    are those of :func:`simulate_transient`.
     """
     if len(stop_times) != len(circuits):
         raise ValueError("need one stop time per circuit")
@@ -462,6 +493,8 @@ def simulate_lanes(
         time_steps = [stop_time / 1500.0 for stop_time in stop_times]
     elif len(time_steps) != len(circuits):
         raise ValueError("need one time step per circuit")
+    if settle is not None and len(settle) != len(circuits):
+        raise ValueError("need one settle rule per circuit")
     for stop_time, time_step in zip(stop_times, time_steps):
         if stop_time <= 0:
             raise ValueError("stop_time must be positive")
@@ -480,6 +513,10 @@ def simulate_lanes(
     # sampled every step into a time-major history.
     nodes = np.array([node for node in recorded_indices
                       if node != GROUND], dtype=int)
+    settle_nodes = ([] if settle is None
+                    else [circuits[0].node(rule.node) for rule in settle])
+    if GROUND in settle_nodes:
+        raise ValueError("a settle rule needs a node other than ground")
 
     steps = [int(np.ceil(stop_time / time_step))
              for stop_time, time_step in zip(stop_times, time_steps)]
@@ -551,6 +588,14 @@ def simulate_lanes(
             failures[live[k]] = error
         v = v_next
         history[step, rows] = v[:, nodes]
+        if settle is not None:
+            # A lane that meets its rule ends at this step.
+            for i, k in enumerate(live):
+                rule = settle[k]
+                if (now[i] >= rule.quiet_time
+                        and abs(v[i, settle_nodes[k]] - rule.target)
+                        <= rule.tolerance):
+                    steps[k] = last = step
 
     results: List[Union[TransientResult, ConvergenceError]] = []
     for k, count in enumerate(steps):
@@ -561,6 +606,6 @@ def simulate_lanes(
         voltages = {name: (np.zeros(count + 1) if node == GROUND
                            else next(traces))
                     for name, node in zip(recorded, recorded_indices)}
-        results.append(TransientResult(times=times[k],
+        results.append(TransientResult(times=times[k][:count + 1],
                                        voltages=voltages))
     return results

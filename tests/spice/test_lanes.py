@@ -33,11 +33,12 @@ from repro.spice.mosfet import (
 )
 from repro.spice.transient import (
     ConvergenceError,
+    SettleRule,
     TransientResult,
     _Assembly,
     simulate_lanes,
 )
-from repro.units import fF, mm, ps
+from repro.units import fF, mm, ns, ps
 
 # -- the reference engine ------------------------------------------------
 
@@ -246,10 +247,17 @@ def assert_same_result(new: TransientResult, old: TransientResult):
         assert _bits(new.voltages[node]) == _bits(old.voltages[node]), node
 
 
-def _stage(tech, rising=True, row=(1.0, 1.0, 1.0, 1.0), slew=ps(100)):
+def _settling_stage(tech, rising=True, row=(1.0, 1.0, 1.0, 1.0),
+                    slew=ps(100)):
+    """(circuit, stop time, settle rule) of a golden stage."""
     return golden._build_stage_circuit(
         variation._perturbed_technology(tech, row), 24.0, 200.0,
         150e-15, 20e-15, slew, rising)
+
+
+def _stage(tech, rising=True, row=(1.0, 1.0, 1.0, 1.0), slew=ps(100)):
+    circuit, stop_time, _ = _settling_stage(tech, rising, row, slew)
+    return circuit, stop_time
 
 
 @pytest.fixture
@@ -394,17 +402,24 @@ class TestLanesMatchSoloRuns:
         solo = [golden.simulate_stage(tech, *args, slew, False)
                 for tech, slew in zip(techs, slews)]
 
-        batches: List[int] = []
+        batches: List[List[int]] = []  # steps each lane ran, per call
         original = golden.simulate_lanes
 
         def recorded(circuits, stop_times, **kwargs):
-            batches.append(len(circuits))
-            return original(circuits, stop_times, **kwargs)
+            results = original(circuits, stop_times, **kwargs)
+            batches.append([len(result.times) - 1 for result in results])
+            return results
 
         monkeypatch.setattr(golden, "simulate_lanes", recorded)
         lanes = golden.simulate_stages(techs, *args, slews, False)
         assert lanes == solo
-        assert batches == [8, 1]  # only the slow lane is re-run
+        # Only the slow lane is re-run.  It never enters the settle
+        # band, so it runs its whole window; the others stop early.
+        assert [len(steps) for steps in batches] == [8, 1]
+        assert batches[0][2] == 1500
+        assert max(batches[0][:2] + batches[0][3:]) < 1500
+        assert lanes == [_full_window_stage(tech, *args, slew, False)
+                         for tech, slew in zip(techs, slews)]
 
     def test_failed_lane_leaves_the_others_exact(self, tech90):
         good, stop = _stage(tech90)
@@ -426,6 +441,133 @@ class TestLanesMatchSoloRuns:
         other.add_resistor("vdd", "out", 10.0)
         with pytest.raises(ValueError, match="one topology"):
             simulate_lanes([stage, other], [stop, stop])
+
+
+# -- the settle stop -------------------------------------------------------
+
+
+def _settle_step(result, rule):
+    """The first step of ``result`` at or after the rule's quiet time
+    with its node inside the band, or None."""
+    values = result.voltages[rule.node]
+    for step in range(1, len(result.times)):
+        if (result.times[step] >= rule.quiet_time
+                and abs(values[step] - rule.target) <= rule.tolerance):
+            return step
+    return None
+
+
+def _full_window_stage(tech, *args):
+    """``golden.simulate_stage`` without the settle stop: each attempt
+    runs its whole window, and ``_settled`` checks its last sample."""
+    slew, rising = args[-2:]
+    circuit, stop_time, settle = golden._build_stage_circuit(tech, *args)
+    for _ in range(golden.MAX_SETTLE_RETRIES + 1):
+        result = simulate_transient(circuit, stop_time,
+                                    record=["in", "out"])
+        if golden._settled(result, settle):
+            return golden._stage_timing(result, tech.vdd, slew, rising)
+        stop_time *= 2.0
+    raise RuntimeError("stage simulation never settled")
+
+
+def _outcome(function, *args):
+    """``function(*args)``, or the type and text of what it raised."""
+    try:
+        return function(*args)
+    except Exception as error:
+        return type(error), str(error)
+
+
+def assert_prefix(cut: TransientResult, full: TransientResult):
+    """``cut`` is ``full`` cut short, bit for bit."""
+    count = len(cut.times)
+    assert count < len(full.times)
+    assert _bits(cut.times) == _bits(full.times[:count])
+    assert list(cut.voltages) == list(full.voltages)
+    for node in full.voltages:
+        assert _bits(cut.voltages[node]) == \
+            _bits(full.voltages[node][:count]), node
+
+
+#: Stage corners of the settle sweep: (factor row, size, wire ohms,
+#: wire farads, load farads, input slew, rising input).  The last two
+#: pair a strong pull-down with a weak pull-up, which the stop-time
+#: estimate (an n-channel Elmore delay) undershoots: a rising output
+#: then settles on a retry, or never.
+SETTLE_CORNERS = (
+    ((0.02, 1.5, 0.02, 1.5), 1.0, 6e4, 1e-12, 1e-13, ns(1), True),
+    ((0.02, 1.5, 0.02, 1.5), 1.0, 6e4, 1e-12, 1e-13, ns(1), False),
+    ((2.0, 0.5, 2.0, 0.5), 128.0, 10.0, 1e-15, 1e-15, ps(5), True),
+    ((2.0, 0.5, 2.0, 0.5), 128.0, 10.0, 1e-15, 1e-15, ps(5), False),
+    ((2.0, 0.5, 0.02, 1.5), 1.0, 6e4, 1e-12, 1e-13, ns(1), False),
+    ((2.0, 0.5, 0.02, 1.5), 128.0, 10.0, 1e-15, 1e-15, ps(5), False),
+)
+
+
+def _settle_sweep(count, seed):
+    """The corners, then ``count`` stages drawn log-uniformly over
+    sizes 1-128, wires up to 60 kOhm and 1 pF (RC up to 60 ns), loads
+    1-100 fF and slews 5 ps-1 ns, with drive factors 0.02-2 and vth
+    factors 0.5-1.5, alternating edges."""
+    rng = np.random.default_rng(seed)
+    cases = list(SETTLE_CORNERS)
+    for k in range(count):
+        row = (rng.uniform(0.02, 2.0), rng.uniform(0.5, 1.5),
+               rng.uniform(0.02, 2.0), rng.uniform(0.5, 1.5))
+        cases.append((row, float(np.exp(rng.uniform(0.0, math.log(128)))),
+                      float(10 ** rng.uniform(1.0, math.log10(6e4))),
+                      float(10 ** rng.uniform(-15.0, -12.0)),
+                      float(10 ** rng.uniform(-15.0, -13.0)),
+                      float(10 ** rng.uniform(math.log10(5e-12), -9.0)),
+                      bool(k % 2)))
+    return cases
+
+
+class TestSettleStop:
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_settled_lane_is_a_prefix_of_the_full_window(self, tech90,
+                                                         rising):
+        circuit, stop_time, settle = _settling_stage(tech90, rising)
+        full = reference_transient(circuit, stop_time,
+                                   record=["in", "out"])
+        cut = simulate_transient(circuit, stop_time, record=["in", "out"],
+                                 settle=settle)
+        assert_prefix(cut, full)
+        assert len(cut.times) - 1 == _settle_step(full, settle)
+
+    def test_lanes_settling_at_different_steps_equal_solo_runs(
+            self, tech90):
+        built = [_settling_stage(tech90, rising=bool(k % 2), row=row,
+                                 slew=ps(40 + 60 * k))
+                 for k, row in enumerate(_perturbed_rows(8, seed=5))]
+        circuits, stops, rules = zip(*built)
+        lanes = simulate_lanes(circuits, stops, record=["in", "out"],
+                               settle=rules)
+        for lane, circuit, stop, rule in zip(lanes, circuits, stops, rules):
+            assert_same_result(lane, simulate_transient(
+                circuit, stop, record=["in", "out"], settle=rule))
+            assert_prefix(lane, simulate_transient(circuit, stop,
+                                                   record=["in", "out"]))
+        assert len({len(lane.times) for lane in lanes}) == len(lanes)
+
+    def test_stage_equals_measuring_the_full_window(self, tech90):
+        outcomes = []
+        for row, *args in _settle_sweep(20, seed=21):
+            tech = variation._perturbed_technology(tech90, row)
+            outcome = _outcome(golden.simulate_stage, tech, *args)
+            assert outcome == _outcome(_full_window_stage, tech, *args)
+            outcomes.append(outcome)
+        assert (RuntimeError, "stage simulation never settled") \
+            in outcomes
+
+    def test_rules_are_checked(self, tech90):
+        circuit, stop_time, settle = _settling_stage(tech90)
+        with pytest.raises(ValueError, match="one settle rule"):
+            simulate_lanes([circuit], [stop_time], settle=[])
+        ground = SettleRule("0", 0.0, 0.1, 0.0)
+        with pytest.raises(ValueError, match="other than ground"):
+            simulate_transient(circuit, stop_time, settle=ground)
 
 
 def _high_supply(tech):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench_lut import (
     SPEEDUP_FLOOR,
+    TIMING_REPEATS,
     LutBenchResult,
     run_link_sweep_bench,
 )
@@ -125,10 +126,13 @@ class TestLinkSweepGate:
         assert result.gate_ok
 
     @staticmethod
-    def _sweep(monkeypatch, closed_design, lut_design, max_delay=1.0):
+    def _sweep(monkeypatch, closed_design, lut_design, max_delay=1.0,
+               calls=None):
         closed, lut = object(), object()
 
         def fake_search(model, length, bound):
+            if calls is not None:
+                calls.append("closed" if model is closed else "lut")
             return closed_design if model is closed else lut_design
 
         monkeypatch.setattr(
@@ -136,6 +140,14 @@ class TestLinkSweepGate:
             fake_search)
         return run_link_sweep_bench(closed, lut, max_delay,
                                     lengths_mm=(1.0, 2.0))
+
+    def test_each_side_is_timed_over_alternating_repeats(self,
+                                                         monkeypatch):
+        calls = []
+        self._sweep(monkeypatch, _Design(0.9, 1.0), _Design(0.9, 1.0),
+                    calls=calls)
+        assert TIMING_REPEATS >= 3
+        assert calls == ["closed", "closed", "lut", "lut"] * TIMING_REPEATS
 
     def test_lut_design_over_the_bound_fails(self, monkeypatch):
         result = self._sweep(monkeypatch, _Design(0.9, 1.0),

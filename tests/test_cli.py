@@ -218,6 +218,23 @@ class TestMonteCarlo:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mc", "--estimator", "bogus"])
 
+    @pytest.mark.parametrize("option", ["--critical-ps", "--target-ci"])
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "-inf",
+                                       "abc"])
+    def test_meaningless_picoseconds_are_usage_errors(self, capsys,
+                                                      option, value):
+        with pytest.raises(SystemExit) as caught:
+            main(["mc", "90nm", "--samples", "8", f"{option}={value}"])
+        assert caught.value.code == 2
+        error = capsys.readouterr().err
+        assert f"argument {option}: expected a finite number of " \
+            f"picoseconds above 0, got {value!r}" in error
+
+    def test_critical_ps_sets_the_tail_threshold(self, capsys):
+        assert main(["mc", "90nm", "--samples", "8",
+                     "--critical-ps", "0.5"]) == 0
+        assert "P(delay > 0.5 ps)" in capsys.readouterr().out
+
 
 class TestObservability:
     """--profile / --metrics / report --flamegraph."""
