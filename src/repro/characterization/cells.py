@@ -15,6 +15,7 @@ from typing import Tuple
 
 from repro.spice.netlist import Circuit
 from repro.spice.elements import ramp
+from repro.spice.transient import SettleRule
 from repro.tech.parameters import TechnologyParameters
 
 
@@ -123,11 +124,15 @@ class RepeaterCell:
     # -- circuit construction ------------------------------------------------
 
     def build_test_circuit(self, input_slew: float, load_cap: float,
-                           rising_input: bool) -> Tuple[Circuit, float]:
+                           rising_input: bool
+                           ) -> Tuple[Circuit, float, SettleRule]:
         """Characterization testbench: ramp -> cell -> load capacitor.
 
-        Returns the circuit and a suggested simulation stop time.  The
-        cell input node is ``"in"`` and the output node is ``"out"``.
+        Returns the circuit, a suggested simulation stop time in
+        seconds and the rule under which the output has settled:
+        within 2% of ``vdd`` of its rail once the input ramp is over.
+        The cell input node is ``"in"`` and the output node is
+        ``"out"``.
         """
         if input_slew <= 0:
             raise ValueError("input_slew must be positive")
@@ -161,12 +166,13 @@ class RepeaterCell:
         # Stop-time heuristic: ramp + several RC time constants of the
         # output stage into the load.
         wn_out, _ = self.output_stage_widths()
-        overdrive = max(vdd - tech.nmos.vth, 0.2 * vdd)
-        drive_resistance = vdd / (
-            tech.nmos.k_sat * wn_out * overdrive**tech.nmos.alpha)
-        settle = drive_resistance * (load_cap + self.input_capacitance())
-        stop_time = start + input_slew + 10.0 * settle + 30e-12
-        return circuit, stop_time
+        time_constant = (tech.drive_resistance(wn_out)
+                         * (load_cap + self.input_capacitance()))
+        stop_time = start + input_slew + 10.0 * time_constant + 30e-12
+        rising_output = rising_input != self.kind.inverting
+        settle = SettleRule("out", vdd if rising_output else 0.0,
+                            0.02 * vdd, start + input_slew)
+        return circuit, stop_time, settle
 
     def build_leakage_circuit(self, input_high: bool) -> Circuit:
         """DC leakage testbench with the input pinned at a rail."""

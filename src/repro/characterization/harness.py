@@ -15,6 +15,7 @@ from repro.characterization.cells import RepeaterCell, RepeaterKind
 from repro.characterization.tables import NLDMTable
 from repro.spice.dc import supply_current
 from repro.spice.transient import simulate_transient
+from repro.spice.waveform import measure_delay, measure_slew
 from repro.tech.liberty import LibertyGroup, new_library
 from repro.tech.parameters import TechnologyParameters
 from repro.units import fF, ps, to_fF, to_ps, to_um
@@ -105,33 +106,20 @@ def _measure_point(cell: RepeaterCell, input_slew: float, load_cap: float,
     """(delay, output slew) at one grid point.
 
     ``rising_output`` selects the *output* transition direction; the
-    required input direction follows from the cell polarity.
+    required input direction follows from the cell polarity.  The
+    simulation stops where the output settles.
     """
     rising_input = (rising_output if not cell.kind.inverting
                     else not rising_output)
-    circuit, stop_time = cell.build_test_circuit(
+    circuit, stop_time, settle = cell.build_test_circuit(
         input_slew, load_cap, rising_input)
+    result = simulate_transient(
+        circuit, stop_time, time_step=stop_time / CHARACTERIZATION_STEPS,
+        record=["in", "out"], settle=settle)
     vdd = cell.tech.vdd
-    target = vdd if rising_output else 0.0
-
-    for _attempt in range(4):
-        result = simulate_transient(
-            circuit, stop_time,
-            time_step=stop_time / CHARACTERIZATION_STEPS,
-            record=["in", "out"])
-        out_wave = result.waveform("out")
-        if out_wave.settled(target, 0.02 * vdd):
-            break
-        stop_time *= 2.0
-    else:  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"characterization point never settled: {circuit.name}")
-
-    in_wave = result.waveform("in")
-    delay = (out_wave.midpoint_time(0.0, vdd)
-             - in_wave.midpoint_time(0.0, vdd))
-    output_slew = out_wave.slew(0.0, vdd)
-    return delay, output_slew
+    out_wave = result.waveform("out")
+    return (measure_delay(result.waveform("in"), out_wave, 0.0, vdd),
+            measure_slew(out_wave, 0.0, vdd))
 
 
 def _measure_leakage(cell: RepeaterCell) -> Tuple[float, float]:

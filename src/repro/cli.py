@@ -29,8 +29,6 @@ Every subcommand also accepts the shared runtime flags:
     --workers N     run parallel sweeps on N worker processes
                     (results are bit-identical to --workers 1)
     --no-cache      bypass the persistent disk cache entirely
-    --max-retries N rebuild a crashed worker pool up to N times before
-                    finishing the sweep serially (results identical)
     --stats         print a wall-time / cache-hit footer afterwards
                     (histogram metrics add p50/p95/p99 rows)
     --trace FILE    record a hierarchical span trace (JSONL) of the
@@ -481,12 +479,6 @@ def _runtime_options() -> argparse.ArgumentParser:
                             "(default: REPRO_WORKERS or serial)")
     group.add_argument("--no-cache", action="store_true",
                        help="bypass the persistent disk cache")
-    group.add_argument("--max-retries", type=int, default=None,
-                       metavar="N",
-                       help="pool rebuilds after a mid-run worker "
-                            "crash before the remaining work re-runs "
-                            "serially (default: REPRO_MAX_RETRIES "
-                            "or 0; results are identical either way)")
     group.add_argument("--stats", action="store_true",
                        help="print runtime statistics afterwards")
     group.add_argument("--trace", default=None, metavar="FILE",
@@ -769,7 +761,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     rt.configure(
         workers=args.workers,
         cache_enabled=False if args.no_cache else None,
-        max_retries=args.max_retries,
     )
     sink = None
     trace_path = getattr(args, "trace", None)

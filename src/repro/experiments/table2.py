@@ -38,6 +38,11 @@ INPUT_SLEW = ps(300)
 #: Delay-weight used to pick each line's practical buffering.
 BUFFERING_WEIGHT = 0.5
 
+#: Back-to-back evaluations of the proposed model, after the one that
+#: gives its error, whose mean time is the RT column's model runtime
+#: (a single cold call swings the ratio about 2x between runs).
+RUNTIME_TRIALS = 10
+
 
 @dataclass(frozen=True)
 class Table2Row:
@@ -121,15 +126,16 @@ def _evaluate_one(suite: ModelSuite, style: DesignStyle,
     golden = evaluate_buffered_line(line, INPUT_SLEW)
 
     errors: Dict[str, float] = {}
-    model_runtime = 0.0
     for name, model in suite.models().items():
-        started = time.perf_counter()
         estimate = model.evaluate(length, count, size, INPUT_SLEW)
-        elapsed = time.perf_counter() - started
         errors[name] = (estimate.delay - golden.total_delay) \
             / golden.total_delay
-        if name == "proposed":
-            model_runtime = elapsed
+
+    # The mean of warm evaluations, as R1 averages its trials.
+    started = time.perf_counter()
+    for _ in range(RUNTIME_TRIALS):
+        suite.proposed.evaluate(length, count, size, INPUT_SLEW)
+    model_runtime = (time.perf_counter() - started) / RUNTIME_TRIALS
 
     return Table2Row(
         node=suite.tech.name,

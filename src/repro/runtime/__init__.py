@@ -26,12 +26,11 @@ while provably preserving their serial results:
 Configuration resolves in this order: explicit function arguments,
 :func:`configure` (what the CLI flags set), environment variables
 (``REPRO_WORKERS``, ``REPRO_CACHE_DIR``, ``REPRO_NO_CACHE``,
-``REPRO_MAX_RETRIES``, ``REPRO_FAULTS``), then the defaults (serial
-execution, cache enabled, no pool retries, no faults).  All
-environment values go through one pair of parsers — :func:`env_int`
-and :func:`env_flag` — so every variable shares the same whitespace
-and truthiness rules and misconfigurations fail loudly instead of
-silently flipping behaviour.
+``REPRO_FAULTS``), then the defaults (serial execution, cache
+enabled, no faults).  All environment values go through one pair of
+parsers — :func:`env_int` and :func:`env_flag` — so every variable
+shares the same whitespace and truthiness rules and misconfigurations
+fail loudly instead of silently flipping behaviour.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ from repro.runtime.parallel import (
     new_pool,
     parallel_map,
     parallel_map_lanes,
-    resolve_max_retries,
     resolve_workers,
     spawn_generators,
     spawn_labeled_sequences,
@@ -105,7 +103,6 @@ __all__ = [
     "cache_dir",
     "cache_enabled",
     "configure",
-    "configured_max_retries",
     "configured_workers",
     "current_span",
     "env_flag",
@@ -119,7 +116,6 @@ __all__ = [
     "parallel_map",
     "parallel_map_lanes",
     "reset_configuration",
-    "resolve_max_retries",
     "resolve_workers",
     "run_environment",
     "span",
@@ -136,7 +132,6 @@ __all__ = [
 #: Process-wide overrides set by :func:`configure` (the CLI flags).
 _WORKERS_OVERRIDE: Optional[int] = None
 _CACHE_OVERRIDE: Optional[bool] = None
-_MAX_RETRIES_OVERRIDE: Optional[int] = None
 
 #: The spellings :func:`env_flag` accepts (after strip + lower).
 _FLAG_TRUE = frozenset({"1", "true", "yes", "on"})
@@ -148,8 +143,8 @@ def env_int(name: str) -> Optional[int]:
 
     Unset and whitespace-only values mean "not configured"; anything
     else must parse as an integer or the misconfiguration is raised
-    loudly — a typo in ``REPRO_WORKERS`` or ``REPRO_MAX_RETRIES`` must
-    never silently fall back to a default.
+    loudly — a typo in ``REPRO_WORKERS`` must never silently fall back
+    to a default.
     """
     raw = os.environ.get(name)
     if raw is None:
@@ -205,38 +200,27 @@ def env_flag(name: str, default: bool = False) -> bool:
 
 
 def configure(workers: Optional[int] = None,
-              cache_enabled: Optional[bool] = None,
-              max_retries: Optional[int] = None) -> None:
+              cache_enabled: Optional[bool] = None) -> None:
     """Set process-wide runtime defaults (``None`` leaves one as-is)."""
-    global _WORKERS_OVERRIDE, _CACHE_OVERRIDE, _MAX_RETRIES_OVERRIDE
+    global _WORKERS_OVERRIDE, _CACHE_OVERRIDE
     if workers is not None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         _WORKERS_OVERRIDE = workers
     if cache_enabled is not None:
         _CACHE_OVERRIDE = cache_enabled
-    if max_retries is not None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        _MAX_RETRIES_OVERRIDE = max_retries
 
 
 def reset_configuration() -> None:
     """Drop all :func:`configure` overrides (mainly for tests)."""
-    global _WORKERS_OVERRIDE, _CACHE_OVERRIDE, _MAX_RETRIES_OVERRIDE
+    global _WORKERS_OVERRIDE, _CACHE_OVERRIDE
     _WORKERS_OVERRIDE = None
     _CACHE_OVERRIDE = None
-    _MAX_RETRIES_OVERRIDE = None
 
 
 def configured_workers() -> Optional[int]:
     """The worker count set via :func:`configure`, if any."""
     return _WORKERS_OVERRIDE
-
-
-def configured_max_retries() -> Optional[int]:
-    """The crash-retry budget set via :func:`configure`, if any."""
-    return _MAX_RETRIES_OVERRIDE
 
 
 def cache_enabled() -> bool:

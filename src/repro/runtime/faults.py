@@ -38,7 +38,6 @@ is counted under the ``faults.*`` metrics family (surfaced by
 
 * ``faults.injected.<kind>`` — injections that actually fired;
 * ``faults.worker_crash`` — ``BrokenProcessPool`` events survived;
-* ``faults.pool_retry`` — pool rebuilds before the serial fallback;
 * ``faults.recovered_chunks`` / ``faults.recovered_tasks`` — work
   re-run serially after a mid-run crash;
 * ``faults.cache_quarantined`` — corrupt cache entries set aside;

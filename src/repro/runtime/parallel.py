@@ -14,11 +14,10 @@ Its contract:
 * **Crash recovery** — a worker that dies mid-run (segfault, OOM kill,
   an injected ``worker_crash`` fault) surfaces as a
   ``BrokenProcessPool``; instead of aborting the workload, the
-  unfinished chunks are re-run — on a rebuilt pool while ``--max-
-  retries`` attempts remain, then on the serial path — so the result
-  list is bit-identical to a clean run.  Recoveries are counted under
-  the ``faults.*`` metrics family (``faults.worker_crash``,
-  ``faults.pool_retry``, ``faults.recovered_chunks/tasks``).
+  unfinished chunks are re-run on the serial path, so the result list
+  is bit-identical to a clean run.  Recoveries are counted under the
+  ``faults.*`` metrics family (``faults.worker_crash``,
+  ``faults.recovered_chunks/tasks``).
 * **Diagnosable failures** — an exception raised by ``fn`` for one
   item is wrapped in :class:`TaskError` naming the workload label, the
   item index and the chunk it ran in, so one bad draw out of 10k is
@@ -122,31 +121,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
             raise ValueError("REPRO_WORKERS must be >= 1")
         return env
     return 1
-
-
-def resolve_max_retries(max_retries: Optional[int] = None) -> int:
-    """Pool rebuild attempts after a mid-run worker crash.
-
-    Resolution order: the explicit argument, the :func:`configure`
-    override (CLI ``--max-retries``), the ``REPRO_MAX_RETRIES``
-    environment variable, then 0 — by default a crash degrades
-    straight to the deterministic serial re-run of the unfinished
-    chunks.
-    """
-    if max_retries is not None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        return max_retries
-    from repro import runtime
-    configured = runtime.configured_max_retries()
-    if configured is not None:
-        return configured
-    env = runtime.env_int("REPRO_MAX_RETRIES")
-    if env is not None:
-        if env < 0:
-            raise ValueError("REPRO_MAX_RETRIES must be >= 0")
-        return env
-    return 0
 
 
 def _apply_items(fn: Callable[[Any], Any], items: Sequence[Any], *,
@@ -288,7 +262,6 @@ def parallel_map(
     workers: Optional[int] = None,
     chunk: Optional[int] = None,
     label: Optional[str] = None,
-    max_retries: Optional[int] = None,
 ) -> List[Any]:
     """``[fn(x) for x in items]``, possibly across worker processes.
 
@@ -298,14 +271,12 @@ def parallel_map(
     caller) is a pure function of the inputs.
 
     ``label`` names the workload in :class:`TaskError` diagnostics
-    (defaults to the callable's name).  ``max_retries`` bounds pool
-    rebuilds after a mid-run worker death before the remaining chunks
-    re-run serially (see :func:`resolve_max_retries`); either way the
-    results are bit-identical to a clean run.
+    (defaults to the callable's name).  After a mid-run worker death
+    the unfinished chunks re-run serially, and the results are
+    bit-identical to a clean run.
     """
     items = list(items)
     workers = resolve_workers(workers)
-    max_retries = resolve_max_retries(max_retries)
     if chunk is not None and chunk < 1:
         raise ValueError("chunk must be >= 1")
     if label is None:
@@ -335,37 +306,27 @@ def parallel_map(
     capture_trace = trace.TRACER.enabled
     results: List[Any] = []
     done = 0        # chunks fully collected, in order
-    retries = 0
     with trace.span("parallel.map", tasks=len(items), workers=workers,
                     chunks=len(chunks)) as dispatch, \
             METRICS.timer("parallel.pool"):
-        while pool is not None:
-            payloads = [(fn, chunks[index], capture_trace, index,
-                         starts[index], label, worker_specs)
-                        for index in range(done, len(chunks))]
-            try:
-                with pool:
-                    for chunk_results, metrics_payload, events \
-                            in pool.map(_run_chunk, payloads):
-                        results.extend(chunk_results)
-                        METRICS.merge_payload(metrics_payload)
-                        trace.TRACER.splice_payload(
-                            events, parent_id=dispatch.span_id)
-                        done += 1
-                pool = None
-            except BrokenProcessPool:
-                # A worker died mid-run (segfault, OOM kill, injected
-                # crash).  Everything already collected is in order;
-                # re-dispatch the rest on a fresh pool while retries
-                # remain, then degrade to the serial path below.
-                METRICS.count("faults.worker_crash")
-                dispatch.count("worker_crashes")
-                if retries < max_retries:
-                    retries += 1
-                    METRICS.count("faults.pool_retry")
-                    pool = new_pool(workers, len(chunks) - done)
-                else:
-                    pool = None
+        payloads = [(fn, chunks[index], capture_trace, index,
+                     starts[index], label, worker_specs)
+                    for index in range(len(chunks))]
+        try:
+            with pool:
+                for chunk_results, metrics_payload, events \
+                        in pool.map(_run_chunk, payloads):
+                    results.extend(chunk_results)
+                    METRICS.merge_payload(metrics_payload)
+                    trace.TRACER.splice_payload(
+                        events, parent_id=dispatch.span_id)
+                    done += 1
+        except BrokenProcessPool:
+            # A worker died mid-run (segfault, OOM kill, injected
+            # crash).  Everything already collected is in order; the
+            # rest re-runs on the serial path below.
+            METRICS.count("faults.worker_crash")
+            dispatch.count("worker_crashes")
         if done < len(chunks):
             METRICS.count("faults.recovered_chunks",
                           len(chunks) - done)

@@ -31,7 +31,8 @@ from typing import Tuple
 
 from repro.spice.elements import ramp
 from repro.spice.netlist import Circuit
-from repro.spice.transient import simulate_transient
+from repro.spice.transient import SettleRule, simulate_transient
+from repro.spice.waveform import measure_delay, measure_slew
 from repro.tech.parameters import TechnologyParameters
 
 #: RC sections per wire in the coupled simulation.
@@ -105,9 +106,11 @@ def build_coupled_stage_circuit(
     input_slew: float,
     rising_input: bool,
     activity: AggressorActivity,
-) -> Tuple[Circuit, float]:
-    """The three-line stage of :func:`simulate_coupled_stage` and its
-    initial stop time in seconds."""
+) -> Tuple[Circuit, float, SettleRule]:
+    """The three-line stage of :func:`simulate_coupled_stage`, its
+    initial stop time in seconds, and the rule under which the victim
+    output ``v_out`` has settled: within 2% of ``vdd`` of its rail once
+    every input ramp is over."""
     vdd = tech.vdd
     wn, wp = tech.inverter_widths(driver_size)
     circuit = Circuit("coupled_stage")
@@ -139,14 +142,13 @@ def build_coupled_stage_circuit(
     _add_coupled_ladders(circuit, wire_resistance, ground_cap,
                          coupling_cap)
 
-    overdrive = max(vdd - tech.nmos.vth, 0.2 * vdd)
-    drive_resistance = vdd / (
-        tech.nmos.k_sat * wn * overdrive**tech.nmos.alpha)
-    elmore = (drive_resistance
+    elmore = (tech.drive_resistance(wn)
               * (ground_cap + 2.0 * coupling_cap + load_cap)
               + wire_resistance * (0.5 * ground_cap + load_cap))
     stop_time = start + input_slew + 10.0 * elmore + 20e-12
-    return circuit, stop_time
+    settle = SettleRule("v_out", 0.0 if rising_input else vdd, 0.02 * vdd,
+                        start + input_slew)
+    return circuit, stop_time, settle
 
 
 def simulate_coupled_stage(
@@ -159,35 +161,24 @@ def simulate_coupled_stage(
     input_slew: float,
     rising_input: bool,
     activity: AggressorActivity,
-    max_retries: int = 3,
 ) -> CoupledStageResult:
     """One repeater stage with both neighbours simulated explicitly.
 
     All three lines get identical drivers and loads; the aggressors'
     inputs ramp according to ``activity``, aligned with the victim's
-    input transition (the worst-case alignment for OPPOSITE).
+    input transition (the worst-case alignment for OPPOSITE).  The
+    simulation stops where the victim output settles.
     """
-    vdd = tech.vdd
-    circuit, stop_time = build_coupled_stage_circuit(
+    circuit, stop_time, settle = build_coupled_stage_circuit(
         tech, driver_size, wire_resistance, ground_cap, coupling_cap,
         load_cap, input_slew, rising_input, activity)
-    target = 0.0 if rising_input else vdd
-    for _attempt in range(max_retries + 1):
-        result = simulate_transient(circuit, stop_time,
-                                    record=["v_in", "v_out"])
-        out_wave = result.waveform("v_out")
-        if out_wave.settled(target, 0.02 * vdd):
-            break
-        stop_time *= 2.0
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("coupled stage simulation never settled")
-
-    in_wave = result.waveform("v_in")
-    delay = (out_wave.midpoint_time(0.0, vdd)
-             - in_wave.midpoint_time(0.0, vdd))
+    result = simulate_transient(circuit, stop_time,
+                                record=["v_in", "v_out"], settle=settle)
+    out_wave = result.waveform("v_out")
     return CoupledStageResult(
-        delay=delay,
-        output_slew=out_wave.slew(0.0, vdd),
+        delay=measure_delay(result.waveform("v_in"), out_wave, 0.0,
+                            tech.vdd),
+        output_slew=measure_slew(out_wave, 0.0, tech.vdd),
         activity=activity,
     )
 

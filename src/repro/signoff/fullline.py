@@ -24,7 +24,8 @@ from typing import Optional
 from repro.signoff.extraction import ExtractedLine
 from repro.spice.elements import ramp
 from repro.spice.netlist import Circuit
-from repro.spice.transient import simulate_transient
+from repro.spice.transient import SettleRule, simulate_transient
+from repro.spice.waveform import measure_delay, measure_slew
 
 #: RC sections per wire segment in the monolithic circuit.  Fewer than
 #: the stage-based flow's eight keeps the node count moderate; four
@@ -45,12 +46,14 @@ def build_full_line_circuit(
     line: ExtractedLine,
     input_slew: float,
     miller_factor: Optional[float] = None,
-) -> "tuple[Circuit, float]":
+) -> "tuple[Circuit, float, SettleRule]":
     """The whole buffered line as one netlist.
 
-    ``input_slew`` is in seconds.  Returns the circuit and a suggested
-    stop time.  The line input node is ``in`` and the far-end
-    (receiver input) node is ``out``.
+    ``input_slew`` is in seconds.  Returns the circuit, a suggested
+    stop time in seconds and the rule under which the far end has
+    settled: within 2% of ``vdd`` of its rail once the input ramp is
+    over.  The line input node is ``in`` and the far-end (receiver
+    input) node is ``out``.
     """
     if miller_factor is None:
         miller_factor = line.config.delay_miller
@@ -77,10 +80,7 @@ def build_full_line_circuit(
                               prefix=f"s{index}")
         previous = out
 
-        overdrive = max(vdd - tech.nmos.vth, 0.2 * vdd)
-        drive_resistance = vdd / (tech.nmos.k_sat * wn
-                                  * overdrive**tech.nmos.alpha)
-        elmore_total += (drive_resistance
+        elmore_total += (tech.drive_resistance(wn)
                          * (wire_cap + line.stage_load_cap(index))
                          + stage.wire.resistance
                          * (0.5 * wire_cap
@@ -88,42 +88,32 @@ def build_full_line_circuit(
     circuit.add_capacitor("out", "0", line.receiver_cap)
 
     stop_time = start + input_slew + 10.0 * elmore_total + 50e-12
-    return circuit, stop_time
+    # An even repeater count leaves the far end at the input's polarity;
+    # an odd count inverts it.
+    target = vdd if line.num_repeaters % 2 == 0 else 0.0
+    settle = SettleRule("out", target, 0.02 * vdd, start + input_slew)
+    return circuit, stop_time, settle
 
 
 def evaluate_full_line(
     line: ExtractedLine,
     input_slew: float,
     miller_factor: Optional[float] = None,
-    max_retries: int = 3,
 ) -> FullLineResult:
     """Simulate the entire line monolithically and measure its timing,
-    driving it with a ramp of ``input_slew`` seconds."""
-    circuit, stop_time = build_full_line_circuit(line, input_slew,
-                                                 miller_factor)
+    driving it with a ramp of ``input_slew`` seconds.  The simulation
+    stops where the far end settles."""
+    circuit, stop_time, settle = build_full_line_circuit(
+        line, input_slew, miller_factor)
     vdd = line.tech.vdd
-    # An even repeater count leaves the far end at the input's polarity;
-    # an odd count inverts it.
-    rising_output = line.num_repeaters % 2 == 0
-    target = vdd if rising_output else 0.0
-
-    for _attempt in range(max_retries + 1):
-        result = simulate_transient(
-            circuit, stop_time,
-            time_step=stop_time / max(2000, 400 * line.num_repeaters),
-            record=["in", "out"])
-        out_wave = result.waveform("out")
-        if out_wave.settled(target, 0.02 * vdd):
-            break
-        stop_time *= 2.0
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("full-line simulation never settled")
-
-    in_wave = result.waveform("in")
-    delay = (out_wave.midpoint_time(0.0, vdd)
-             - in_wave.midpoint_time(0.0, vdd))
+    result = simulate_transient(
+        circuit, stop_time,
+        time_step=stop_time / max(2000, 400 * line.num_repeaters),
+        record=["in", "out"], settle=settle)
+    out_wave = result.waveform("out")
     return FullLineResult(
-        total_delay=delay,
-        output_slew=out_wave.slew(0.0, vdd),
+        total_delay=measure_delay(result.waveform("in"), out_wave, 0.0,
+                                  vdd),
+        output_slew=measure_slew(out_wave, 0.0, vdd),
         node_count=circuit.node_count,
     )

@@ -17,7 +17,8 @@ stage by stage, the way a sign-off timer propagates timing:
 A stage's simulation ends at the first step where its output has
 settled (:class:`repro.spice.transient.SettleRule`): the delay and the
 slew read first crossings, which all come before that step, so the
-rest of the stop-time window would not change them.
+rest of the stop-time window would not change them.  A stage whose
+stop-time estimate falls short is retried by the engine.
 
 Uniform lines converge to a periodic steady state after a few stages
 (the slew entering stage ``k`` equals the slew that entered stage
@@ -47,6 +48,7 @@ from repro.spice.transient import (
     simulate_lanes,
     simulate_transient,
 )
+from repro.spice.waveform import measure_delay, measure_slew
 from repro.tech.parameters import TechnologyParameters
 
 #: Lumped RC sections per wire segment.  Eight sections keep the
@@ -56,10 +58,6 @@ SEGMENTS_PER_WIRE = 8
 #: Relative slew change below which the stage cascade is declared
 #: periodic.
 SLEW_CONVERGENCE = 0.01
-
-#: Times a stage simulation is re-run with a doubled stop time when
-#: its output has not settled.
-MAX_SETTLE_RETRIES = 3
 
 
 @dataclass(frozen=True)
@@ -121,9 +119,7 @@ def _build_stage_circuit(
 
     # Stop-time estimate: input ramp plus a few Elmore delays of the
     # loaded stage, with generous margin.
-    overdrive = max(vdd - tech.nmos.vth, 0.2 * vdd)
-    drive_resistance = vdd / (tech.nmos.k_sat * wn * overdrive**tech.nmos.alpha)
-    elmore = (drive_resistance * (wire_capacitance + load_cap)
+    elmore = (tech.drive_resistance(wn) * (wire_capacitance + load_cap)
               + wire_resistance * (0.5 * wire_capacitance + load_cap))
     stop_time = start + input_slew + 8.0 * elmore + 20e-12
     settle = SettleRule("out", 0.0 if rising_input else vdd, 0.02 * vdd,
@@ -131,24 +127,13 @@ def _build_stage_circuit(
     return circuit, stop_time, settle
 
 
-def _settled(result: TransientResult, settle: SettleRule) -> bool:
-    """Whether the last sample of the stage output is inside its
-    settle band."""
-    return result.waveform(settle.node).settled(settle.target,
-                                                settle.tolerance)
-
-
 def _stage_timing(result: TransientResult, vdd: float,
                   input_slew: float, rising_input: bool) -> StageTiming:
     """The 50% delay and output slew measured on a settled stage."""
-    in_wave = result.waveform("in")
     out_wave = result.waveform("out")
-    t_in = in_wave.midpoint_time(0.0, vdd)
-    t_out = out_wave.midpoint_time(0.0, vdd)
-    output_slew = out_wave.slew(0.0, vdd)
     return StageTiming(
-        delay=t_out - t_in,
-        output_slew=output_slew,
+        delay=measure_delay(result.waveform("in"), out_wave, 0.0, vdd),
+        output_slew=measure_slew(out_wave, 0.0, vdd),
         input_slew=input_slew,
         rising_input=rising_input,
     )
@@ -162,28 +147,22 @@ def simulate_stage(
     load_cap: float,
     input_slew: float,
     rising_input: bool,
-    max_retries: int = MAX_SETTLE_RETRIES,
 ) -> StageTiming:
     """Simulate one stage and measure its 50% delay and output slew.
 
     ``driver_size`` is a dimensionless multiple of the minimum
     inverter; the wire parasitics are ohms and farads and
     ``input_slew`` seconds.  The simulation stops where the output
-    has settled, or else at the stop time and retries with a doubled
-    one — the stop-time estimate is heuristic and long resistive wires
-    can exceed it.
+    has settled; the engine retries a stage whose heuristic stop time
+    falls short (long resistive wires can exceed it) and raises
+    :class:`~repro.spice.transient.ConvergenceError` for one that
+    never settles.
     """
     circuit, stop_time, settle = _build_stage_circuit(
         tech, driver_size, wire_resistance, wire_capacitance, load_cap,
         input_slew, rising_input)
-    for attempt in range(max_retries + 1):
-        result = simulate_transient(circuit, stop_time,
-                                    record=["in", "out"], settle=settle)
-        if _settled(result, settle):
-            break
-        stop_time *= 2.0
-    else:  # pragma: no cover - defensive
-        raise RuntimeError("stage simulation never settled")
+    result = simulate_transient(circuit, stop_time, record=["in", "out"],
+                                settle=settle)
     return _stage_timing(result, tech.vdd, input_slew, rising_input)
 
 
@@ -206,34 +185,15 @@ def simulate_stages(
     for it.  A lane that fails holds the exception
     :func:`simulate_stage` would raise for it.
     """
-    built = [_build_stage_circuit(tech, driver_size, wire_resistance,
-                                  wire_capacitance, load_cap, slew,
-                                  rising_input)
-             for tech, slew in zip(techs, input_slews)]
-    stop_times = [stop_time for _, stop_time, _ in built]
-    timings: List[Union[StageTiming, Exception, None]] = [None] * len(built)
-    pending = list(range(len(built)))
-    for _attempt in range(MAX_SETTLE_RETRIES + 1):
-        results = simulate_lanes([built[k][0] for k in pending],
-                                 [stop_times[k] for k in pending],
-                                 record=["in", "out"],
-                                 settle=[built[k][2] for k in pending])
-        unsettled = []
-        for k, result in zip(pending, results):
-            if isinstance(result, Exception):
-                timings[k] = result
-            elif _settled(result, built[k][2]):
-                timings[k] = _stage_timing(result, techs[k].vdd,
-                                           input_slews[k], rising_input)
-            else:
-                stop_times[k] *= 2.0
-                unsettled.append(k)
-        pending = unsettled
-        if not pending:
-            break
-    for k in pending:  # pragma: no cover - defensive
-        timings[k] = RuntimeError("stage simulation never settled")
-    return timings
+    circuits, stop_times, rules = zip(*(
+        _build_stage_circuit(tech, driver_size, wire_resistance,
+                             wire_capacitance, load_cap, slew, rising_input)
+        for tech, slew in zip(techs, input_slews)))
+    results = simulate_lanes(circuits, stop_times, record=["in", "out"],
+                             settle=rules)
+    return [result if isinstance(result, Exception)
+            else _stage_timing(result, tech.vdd, slew, rising_input)
+            for result, tech, slew in zip(results, techs, input_slews)]
 
 
 def evaluate_buffered_line(

@@ -7,8 +7,9 @@ reproduction, so this package implements the minimum viable equivalent:
 * :mod:`repro.spice.netlist` — circuit container with named nodes.
 * :mod:`repro.spice.elements` — linear elements and sources.
 * :mod:`repro.spice.mosfet` — Sakurai–Newton alpha-power MOSFET model.
-* :mod:`repro.spice.transient` — MNA transient analysis (trapezoidal
-  integration, Newton iteration for the nonlinear devices).
+* :mod:`repro.spice.transient` — MNA transient analysis (fixed-step
+  backward-Euler integration, Newton iteration for the nonlinear
+  devices, settle stop and retry).
 * :mod:`repro.spice.dc` — DC operating point (leakage characterization).
 * :mod:`repro.spice.waveform` — waveform measurements (delay, slew).
 

@@ -13,10 +13,10 @@ are eliminated (their voltages are known functions of time), so the
 linear system only spans the genuinely unknown nodes — small and dense,
 which keeps the inner solve a single ``numpy.linalg.solve`` call.
 
-Backward Euler is chosen over trapezoidal integration deliberately: it
-is L-stable, so the stiff RC ladders of extracted interconnect cannot
-ring numerically, at the cost of a little extra numerical damping that
-the step-size default keeps negligible.
+Backward Euler is the one integrator: it is L-stable, so the stiff RC
+ladders of extracted interconnect cannot ring numerically, at the cost
+of a little extra numerical damping that the step-size default keeps
+negligible.
 
 Engine structure.  Each circuit is compiled once into a stamp plan
 (:class:`_Assembly`): its constant ``G``/``C`` matrices, each MOSFET's
@@ -39,7 +39,12 @@ matrix-vector product.
 A lane may also carry a :class:`SettleRule`: it then stops at the
 first step where its sources are constant and one node is inside a
 band around a target voltage, and returns its trace up to that step:
-a prefix, bit for bit, of the trace the full window computes.
+a prefix, bit for bit, of the trace the full window computes.  A lane
+whose window ends with that node outside the band is run again from
+its DC start with its stop time and time step both doubled, up to
+:data:`MAX_SETTLE_RETRIES` times; doubling is exact in floating point,
+so the retry equals a caller's own run at the doubled stop time and
+step, bit for bit.
 """
 
 from __future__ import annotations
@@ -63,9 +68,14 @@ MAX_NEWTON_STEP = 0.3
 #: Newton iteration budget of the DC start of a transient.
 DC_START_ITERATIONS = 200
 
+#: Times a lane whose window ends outside its settle band is re-run
+#: with its stop time and time step doubled.
+MAX_SETTLE_RETRIES = 3
+
 
 class ConvergenceError(RuntimeError):
-    """Raised when Newton iteration fails to converge."""
+    """Raised when Newton iteration fails to converge, or when a lane's
+    output never settles within its retries."""
 
 
 @dataclass
@@ -99,7 +109,8 @@ class SettleRule:
     :meth:`~repro.spice.waveform.Waveform.settled` applies to a last
     sample.  Stopping there rests on a premise, not a proof: a node
     inside the band with its inputs quiet stays inside it, so the
-    full window would end settled too.
+    full window would end settled too.  A window that ends with the
+    node outside the band is retried (see the module docstring).
     """
 
     node: str
@@ -303,14 +314,12 @@ def _solve(system: np.ndarray, rhs: np.ndarray
 
 def _newton(lanes: Sequence[_Assembly], v: np.ndarray,
             linear: np.ndarray, linear_block: np.ndarray,
-            rhs: np.ndarray, device_scale: float, tol: float,
+            rhs: np.ndarray, tol: float,
             max_iterations: int) -> Dict[int, ConvergenceError]:
-    """Solve ``linear[k] @ v + s * i_dev(v) = rhs[k]`` on every lane.
+    """Solve ``linear[k] @ v + i_dev(v) = rhs[k]`` on every lane.
 
-    ``s`` is ``device_scale`` (1 for backward Euler and DC, 1/2 for
-    the trapezoidal rule).  ``v`` is ``(lanes, n)``: each lane's start
-    point with its driven nodes at their values; it is updated in
-    place to the solution.  ``linear`` is ``(lanes, n, n)``,
+    ``v`` is ``(lanes, n)``: each lane's start point with its driven
+    nodes at their values; it is updated in place to the solution.  ``linear`` is ``(lanes, n, n)``,
     ``linear_block`` its unknown-by-unknown block and ``rhs``
     ``(lanes, m)`` the unknown rows of the right-hand side.  Lanes
     leave the loop as they converge.  Returns the lanes (indices into
@@ -339,9 +348,6 @@ def _newton(lanes: Sequence[_Assembly], v: np.ndarray,
         device_currents = np.array(currents)
         device[:, plan.jacobian_index] = jacobian
         device_jacobian = device.reshape(count, m, m)
-        if device_scale != 1.0:  # 1.0 * x == x exactly: skip it
-            device_currents = device_scale * device_currents
-            device_jacobian = device_scale * device_jacobian
         residual = (np.matmul(linear, work_v[:, :, np.newaxis])[:, unknown, 0]
                     + device_currents - rhs)
         system = linear_block + device_jacobian
@@ -410,8 +416,8 @@ def _operating_points(lanes: Sequence[_Assembly], tol: float,
     conductance = np.array([lane.G for lane in lanes])
     rhs = _source_currents(lanes, [0.0] * len(lanes))[:, lanes[0].unknown]
     failures = _newton(lanes, v, conductance,
-                       _unknown_block(lanes, conductance), rhs, 1.0,
-                       tol, max_iterations)
+                       _unknown_block(lanes, conductance), rhs, tol,
+                       max_iterations)
     return v, failures
 
 
@@ -422,10 +428,9 @@ def simulate_transient(
     record: Optional[Iterable[str]] = None,
     newton_tol: float = 1e-6,
     max_newton_iterations: int = 60,
-    method: str = "be",
     settle: Optional[SettleRule] = None,
 ) -> TransientResult:
-    """Run a transient simulation from a DC start.
+    """Run a backward-Euler transient simulation from a DC start.
 
     Parameters
     ----------
@@ -441,23 +446,22 @@ def simulate_transient(
         Newton convergence threshold on the update, in volts (> 0).
     max_newton_iterations:
         Newton iteration limit per time step (>= 1).
-    method:
-        ``"be"`` (backward Euler, default — L-stable, mildly damped) or
-        ``"trap"`` (trapezoidal — second-order accurate, undamped; can
-        ring on very stiff nets but converges faster with step
-        refinement).
     settle:
         Stop at the first step that meets this rule (see
         :class:`SettleRule`) instead of at ``stop_time``; the result
-        is then the full run's result cut after that step.
+        is then the full run's result cut after that step.  A window
+        that ends outside the rule's band is run again with its stop
+        time and time step doubled, up to :data:`MAX_SETTLE_RETRIES`
+        times.
 
-    Raises :class:`ConvergenceError` when a Newton solve fails.
+    Raises :class:`ConvergenceError` when a Newton solve fails or the
+    output never settles.
     """
     (result,) = simulate_lanes(
         [circuit], [stop_time],
         None if time_step is None else [time_step], record=record,
         newton_tol=newton_tol,
-        max_newton_iterations=max_newton_iterations, method=method,
+        max_newton_iterations=max_newton_iterations,
         settle=None if settle is None else [settle])
     if isinstance(result, ConvergenceError):
         raise result
@@ -471,7 +475,6 @@ def simulate_lanes(
     record: Optional[Iterable[str]] = None,
     newton_tol: float = 1e-6,
     max_newton_iterations: int = 60,
-    method: str = "be",
     settle: Optional[Sequence[SettleRule]] = None,
 ) -> List[Union[TransientResult, ConvergenceError]]:
     """Transient simulations of same-topology circuits as lanes of one
@@ -480,12 +483,13 @@ def simulate_lanes(
     Lane ``k`` simulates ``circuits[k]`` to ``stop_times[k]`` seconds
     with step ``time_steps[k]`` (default ``stop_times[k] / 1500``), or
     until it meets ``settle[k]``, and returns exactly what
-    :func:`simulate_transient` returns for it alone.  The circuits
-    must share node names, driven nodes and MOSFET terminals; element
-    values, device parameters and source waveforms are free.  A lane
-    that fails holds its :class:`ConvergenceError` in the returned
-    list; the other lanes run to their end.  The remaining parameters
-    are those of :func:`simulate_transient`.
+    :func:`simulate_transient` returns for it alone, settle retries
+    included.  The circuits must share node names, driven nodes and
+    MOSFET terminals; element values, device parameters and source
+    waveforms are free.  A lane that fails holds its
+    :class:`ConvergenceError` in the returned list; the other lanes
+    run to their end.  The remaining parameters are those of
+    :func:`simulate_transient`.
     """
     if len(stop_times) != len(circuits):
         raise ValueError("need one stop time per circuit")
@@ -500,23 +504,61 @@ def simulate_lanes(
             raise ValueError("stop_time must be positive")
         if time_step <= 0 or time_step > stop_time:
             raise ValueError("time_step must lie in (0, stop_time]")
-    if method not in ("be", "trap"):
-        raise ValueError(f"unknown integration method {method!r}")
     _check_newton_budget(newton_tol, max_newton_iterations)
 
     lanes = _assemble(circuits)
+    recorded = [(name, circuits[0].node(name))
+                for name in (circuits[0].node_names() if record is None
+                             else record)]
+    rules: List[Optional[Tuple[SettleRule, int]]] = [None] * len(lanes)
+    if settle is not None:
+        rules = [(rule, circuits[0].node(rule.node)) for rule in settle]
+        if any(node == GROUND for _, node in rules):
+            raise ValueError("a settle rule needs a node other than ground")
+
+    stop_times, time_steps = list(stop_times), list(time_steps)
+    results, pending = _run(lanes, stop_times, time_steps, recorded,
+                            rules, newton_tol, max_newton_iterations)
+    for _ in range(MAX_SETTLE_RETRIES):
+        if not pending:
+            break
+        for k in pending:
+            stop_times[k] *= 2.0
+            time_steps[k] *= 2.0
+        rerun, unsettled = _run(
+            [lanes[k] for k in pending], [stop_times[k] for k in pending],
+            [time_steps[k] for k in pending], recorded,
+            [rules[k] for k in pending], newton_tol,
+            max_newton_iterations)
+        for k, result in zip(pending, rerun):
+            results[k] = result
+        pending = [pending[i] for i in unsettled]
+    for k in pending:
+        results[k] = ConvergenceError(
+            f"circuit {circuits[k].name!r}: node {settle[k].node!r} never "
+            f"settled within {MAX_SETTLE_RETRIES} retries (last stop "
+            f"time {stop_times[k]:.3e} s)")
+    return results
+
+
+def _run(lanes: Sequence[_Assembly], stop_times: Sequence[float],
+         time_steps: Sequence[float], recorded: Sequence[Tuple[str, int]],
+         rules: Sequence[Optional[Tuple[SettleRule, int]]],
+         newton_tol: float, max_newton_iterations: int
+         ) -> Tuple[List[Union[TransientResult, ConvergenceError]],
+                    List[int]]:
+    """One window of every lane: the results, and the lanes (indices
+    into ``lanes``) whose window ended outside their settle band.
+
+    ``recorded`` holds the (name, index) of each node to record;
+    ``rules[k]`` is lane ``k``'s settle rule with its node's index, or
+    None for a lane that runs its whole window.
+    """
     plan = lanes[0]
-    recorded = (list(record) if record is not None
-                else circuits[0].node_names())
-    recorded_indices = [circuits[0].node(name) for name in recorded]
     # Recorded ground traces are 0.0; the other recorded nodes are
     # sampled every step into a time-major history.
-    nodes = np.array([node for node in recorded_indices
-                      if node != GROUND], dtype=int)
-    settle_nodes = ([] if settle is None
-                    else [circuits[0].node(rule.node) for rule in settle])
-    if GROUND in settle_nodes:
-        raise ValueError("a settle rule needs a node other than ground")
+    nodes = np.array([node for _, node in recorded if node != GROUND],
+                     dtype=int)
 
     steps = [int(np.ceil(stop_time / time_step))
              for stop_time, time_step in zip(stop_times, time_steps)]
@@ -530,15 +572,9 @@ def simulate_lanes(
     history = np.empty((max(steps) + 1, len(lanes), nodes.size))
     history[0] = v[:, nodes]
 
-    conductance = np.array([lane.G for lane in lanes])
     c_over_dt = (np.array([lane.C for lane in lanes])
                  / np.array(time_steps)[:, np.newaxis, np.newaxis])
-    if method == "be":
-        linear = conductance + c_over_dt
-        device_scale = 1.0
-    else:  # trapezoidal
-        linear = 0.5 * conductance + c_over_dt
-        device_scale = 0.5
+    linear = np.array([lane.G for lane in lanes]) + c_over_dt
     linear_block = _unknown_block(lanes, linear)
     unknown, driven = plan.unknown, plan.driven
 
@@ -550,6 +586,7 @@ def simulate_lanes(
     work_lanes = list(lanes)
     failed = 0
     last = min(steps)
+    unsettled: List[int] = []
     for step in range(1, max(steps) + 1):
         if step > last or len(failures) > failed:
             keep = np.array([k not in failures and steps[k] >= step
@@ -559,43 +596,35 @@ def simulate_lanes(
                 break
             rows = live
             work_lanes = [lanes[k] for k in live]
-            v, conductance, c_over_dt, linear, linear_block = (
+            v, c_over_dt, linear, linear_block = (
                 array[keep] for array in
-                (v, conductance, c_over_dt, linear, linear_block))
+                (v, c_over_dt, linear, linear_block))
             failed = len(failures)
             last = min(steps[k] for k in live)
         now = [time_lists[k][step] for k in live]
         v_next = v.copy()
         v_next[:, driven] = [lane.driven_values(t)
                              for lane, t in zip(work_lanes, now)]
-        if method == "be":
-            rhs = (_source_currents(work_lanes, now)
-                   + _matvec(c_over_dt, v))[:, unknown]
-        else:
-            # Trapezoidal: the previous time point's full residual
-            # contributes half of the right-hand side.
-            before = [time_lists[k][step - 1] for k in live]
-            previous = [lane.device_terms(voltages + [0.0])[0]
-                        for lane, voltages in zip(work_lanes, v.tolist())]
-            rhs = ((0.5 * _source_currents(work_lanes, now)
-                    + 0.5 * _source_currents(work_lanes, before)
-                    + _matvec(c_over_dt, v)
-                    - 0.5 * _matvec(conductance, v))[:, unknown]
-                   - 0.5 * np.array(previous))
+        rhs = (_source_currents(work_lanes, now)
+               + _matvec(c_over_dt, v))[:, unknown]
         for k, error in _newton(work_lanes, v_next, linear, linear_block,
-                                rhs, device_scale, newton_tol,
+                                rhs, newton_tol,
                                 max_newton_iterations).items():
             failures[live[k]] = error
         v = v_next
         history[step, rows] = v[:, nodes]
-        if settle is not None:
-            # A lane that meets its rule ends at this step.
-            for i, k in enumerate(live):
-                rule = settle[k]
-                if (now[i] >= rule.quiet_time
-                        and abs(v[i, settle_nodes[k]] - rule.target)
-                        <= rule.tolerance):
-                    steps[k] = last = step
+        # A lane that meets its rule ends at this step; one that
+        # reaches its last step outside the band is unsettled.
+        for i, k in enumerate(live):
+            if rules[k] is None:
+                continue
+            rule, node = rules[k]
+            if (now[i] >= rule.quiet_time
+                    and abs(v[i, node] - rule.target) <= rule.tolerance):
+                steps[k] = last = step
+            elif (step == steps[k]
+                  and not abs(v[i, node] - rule.target) <= rule.tolerance):
+                unsettled.append(k)
 
     results: List[Union[TransientResult, ConvergenceError]] = []
     for k, count in enumerate(steps):
@@ -605,7 +634,7 @@ def simulate_lanes(
         traces = iter(history[:count + 1, k].T.copy())
         voltages = {name: (np.zeros(count + 1) if node == GROUND
                            else next(traces))
-                    for name, node in zip(recorded, recorded_indices)}
+                    for name, node in recorded}
         results.append(TransientResult(times=times[k][:count + 1],
                                        voltages=voltages))
-    return results
+    return results, [k for k in unsettled if k not in failures]

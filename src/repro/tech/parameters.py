@@ -238,6 +238,15 @@ class TechnologyParameters:
         wn = self.min_nmos_width * size
         return wn, wn * self.pn_ratio
 
+    def drive_resistance(self, nmos_width: float) -> float:
+        """Switching resistance in ohms of an nMOS ``nmos_width`` meters
+        wide: ``vdd`` over its saturation current, with the gate
+        overdrive floored at ``0.2 * vdd``.  The transient testbenches
+        size their stop times with it."""
+        overdrive = max(self.vdd - self.nmos.vth, 0.2 * self.vdd)
+        return self.vdd / self.nmos.saturation_current(nmos_width,
+                                                        overdrive)
+
     def clock_period(self) -> float:
         """Clock period in seconds."""
         return 1.0 / self.clock_frequency

@@ -85,17 +85,22 @@ class TestLayoutArea:
 class TestTestCircuits:
     def test_inverter_test_circuit_shape(self, tech90):
         cell = RepeaterCell(tech90, RepeaterKind.INVERTER, 8.0)
-        circuit, stop_time = cell.build_test_circuit(
+        circuit, stop_time, settle = cell.build_test_circuit(
             ps(100), fF(20), rising_input=True)
         assert len(circuit.mosfets) == 2
         assert stop_time > ps(100)
         assert circuit.has_node("out")
+        # A rising input makes the inverter's output fall to ground.
+        assert (settle.node, settle.target) == ("out", 0.0)
+        assert settle.tolerance == 0.02 * tech90.vdd
+        assert ps(100) < settle.quiet_time < stop_time
 
     def test_buffer_test_circuit_has_two_stages(self, tech90):
         cell = RepeaterCell(tech90, RepeaterKind.BUFFER, 8.0)
-        circuit, _ = cell.build_test_circuit(ps(100), fF(20), True)
+        circuit, _, settle = cell.build_test_circuit(ps(100), fF(20), True)
         assert len(circuit.mosfets) == 4
         assert circuit.has_node("mid")
+        assert (settle.node, settle.target) == ("out", tech90.vdd)
 
     def test_test_circuit_validation(self, tech90):
         cell = RepeaterCell(tech90, RepeaterKind.INVERTER, 8.0)

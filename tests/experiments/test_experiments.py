@@ -1,5 +1,7 @@
 """Experiment drivers (reduced configurations for test speed)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments import ModelSuite
@@ -83,6 +85,28 @@ class TestTable2:
 
     def test_model_is_much_faster_than_golden(self, result):
         assert all(row.runtime_ratio > 10 for row in result.rows)
+
+    def test_model_runtime_is_a_mean_of_warm_calls(self, monkeypatch):
+        suite = ModelSuite.for_node("90nm")
+        monkeypatch.setattr(
+            table2, "optimize_buffering", lambda *args, **kwargs:
+            SimpleNamespace(num_repeaters=2, repeater_size=24.0))
+        monkeypatch.setattr(
+            table2, "evaluate_buffered_line", lambda line, slew:
+            SimpleNamespace(total_delay=ps(100), runtime_seconds=1e-3))
+        model_class = type(suite.proposed)
+        evaluate = model_class.evaluate
+        calls = []
+
+        def counted(model, *args, **kwargs):
+            calls.append(model)
+            return evaluate(model, *args, **kwargs)
+
+        monkeypatch.setattr(model_class, "evaluate", counted)
+        row = table2._evaluate_one(suite, DesignStyle.SWSS, mm(1))
+        # One call gives the error; the timed ones follow it.
+        assert calls == [suite.proposed] * (1 + table2.RUNTIME_TRIALS)
+        assert row.model_runtime > 0
 
     def test_format(self, result):
         text = result.format()

@@ -15,7 +15,6 @@ def _clean_runtime(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     runtime.reset_configuration()
     METRICS.reset()

@@ -26,7 +26,7 @@ from repro.runtime import (
     parallel_map,
 )
 from repro.runtime.faults import FaultSpec, parse_spec
-from repro.runtime.parallel import _run_chunk, resolve_max_retries
+from repro.runtime.parallel import _run_chunk
 from repro.runtime.trace import SpanCollector
 
 
@@ -146,19 +146,6 @@ class TestWorkerCrashRecovery:
             pytest.skip("no process pools in this environment")
         assert recovered == [value * value for value in items]
 
-    def test_retry_budget_rebuilds_the_pool(self):
-        items = list(range(12))
-        with faults.inject("worker_crash", at=0):
-            recovered = parallel_map(_square, items, workers=3,
-                                     chunk=2, max_retries=2)
-        if _pool_was_unavailable():
-            pytest.skip("no process pools in this environment")
-        assert recovered == [value * value for value in items]
-        # The injected fault re-fires on every pool attempt, so the
-        # whole budget is consumed before the serial fallback wins.
-        assert METRICS.counters["faults.pool_retry"] == 2
-        assert METRICS.counters["faults.worker_crash"] == 3
-
     def test_env_spec_drives_the_crash(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker_crash@chunk=0")
         items = list(range(6))
@@ -217,35 +204,6 @@ class TestTaskErrorContext:
         with pytest.raises(TaskError) as info:
             parallel_map(_fail_on_three, [3], workers=1)
         assert "_fail_on_three" in info.value.label
-
-
-class TestMaxRetriesResolution:
-    def test_default_is_zero(self):
-        assert resolve_max_retries() == 0
-
-    def test_explicit_wins(self):
-        assert resolve_max_retries(3) == 3
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_max_retries(-1)
-
-    def test_configure_override(self):
-        runtime.configure(max_retries=2)
-        assert resolve_max_retries() == 2
-        assert runtime.configured_max_retries() == 2
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", " 1 ")
-        assert resolve_max_retries() == 1
-
-    def test_env_must_be_a_non_negative_integer(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "-1")
-        with pytest.raises(ValueError):
-            resolve_max_retries()
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "lots")
-        with pytest.raises(ValueError):
-            resolve_max_retries()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Backward-Euler vs trapezoidal integration."""
+"""Backward-Euler integration: accuracy order and stability."""
 
+
+import math
 
 import pytest
 
@@ -8,6 +10,7 @@ from repro.units import fF, ps
 
 
 TAU = 1000.0 * 100e-15
+RAMP = 2 * TAU
 STOP = 6 * TAU
 
 
@@ -16,7 +19,7 @@ def rc_circuit():
     dominate the integration error (a discontinuous step degrades every
     fixed-step method to first order)."""
     circuit = Circuit()
-    circuit.add_voltage_source("in", ramp(0.0, 1.0, 0.0, 2 * TAU))
+    circuit.add_voltage_source("in", ramp(0.0, 1.0, 0.0, RAMP))
     circuit.add_resistor("in", "out", 1000.0)
     circuit.add_capacitor("out", "0", fF(100))
     return circuit
@@ -30,69 +33,34 @@ def rc_step_circuit():
     return circuit
 
 
+def exact_response(t):
+    """Closed-form output (volts) of :func:`rc_circuit` at ``t``
+    seconds: the RC's response to a 0-1 V ramp over ``RAMP``."""
+    if t <= RAMP:
+        return (t - TAU * (1.0 - math.exp(-t / TAU))) / RAMP
+    at_ramp_end = 1.0 - TAU / RAMP * (1.0 - math.exp(-RAMP / TAU))
+    return 1.0 - (1.0 - at_ramp_end) * math.exp(-(t - RAMP) / TAU)
+
+
 class TestAccuracyOrder:
-    @classmethod
-    def reference_value(cls, t_probe):
+    def measurement_error(self, steps, t_probe):
         result = simulate_transient(rc_circuit(), STOP,
-                                    time_step=STOP / 20000,
-                                    method="trap")
-        return result.waveform("out").value_at(t_probe)
-
-    def measurement_error(self, method, steps, reference, t_probe):
-        result = simulate_transient(rc_circuit(), STOP,
-                                    time_step=STOP / steps,
-                                    method=method)
+                                    time_step=STOP / steps)
         return abs(result.waveform("out").value_at(t_probe)
-                   - reference)
+                   - exact_response(t_probe))
 
-    def test_convergence_orders(self):
+    def test_backward_euler_is_first_order(self):
         t_probe = 3 * TAU
-        reference = self.reference_value(t_probe)
-        be_coarse = self.measurement_error("be", 50, reference, t_probe)
-        be_fine = self.measurement_error("be", 200, reference, t_probe)
-        trap_coarse = self.measurement_error("trap", 50, reference,
-                                             t_probe)
-        trap_fine = self.measurement_error("trap", 200, reference,
-                                           t_probe)
-
-        # Trapezoidal beats backward Euler at equal step...
-        assert trap_coarse < be_coarse
-        # ...BE is first order (4x step -> ~4x error)...
-        assert be_fine < be_coarse / 2.5
-        # ...and trap is second order (4x step -> ~16x error).
-        assert trap_fine < trap_coarse / 8.0
-
-
-class TestNonlinearAgreement:
-    def test_methods_agree_on_inverter_delay(self, tech90):
-        wn, wp = tech90.inverter_widths(8.0)
-
-        def delay(method):
-            circuit = Circuit()
-            circuit.add_supply("vdd", tech90.vdd)
-            circuit.add_voltage_source(
-                "in", ramp(0.0, tech90.vdd, ps(20), ps(80)))
-            circuit.add_inverter("in", "out", "vdd", tech90.nmos,
-                                 tech90.pmos, wn, wp, tech90.vdd)
-            circuit.add_capacitor("out", "0", fF(30))
-            result = simulate_transient(circuit, ps(600),
-                                        method=method)
-            t_in = result.waveform("in").midpoint_time(0, tech90.vdd)
-            t_out = result.waveform("out").midpoint_time(0, tech90.vdd)
-            return t_out - t_in
-
-        assert delay("trap") == pytest.approx(delay("be"), rel=0.03)
+        coarse = self.measurement_error(50, t_probe)
+        fine = self.measurement_error(200, t_probe)
+        # A 4x smaller step gives a ~4x smaller error (second order
+        # would give ~16x).
+        assert coarse / 5.0 < fine < coarse / 3.0
+        assert fine < 2e-3
 
 
 class TestValidation:
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            simulate_transient(rc_circuit(), ps(100), method="rk4")
-
-    def test_both_methods_handle_discontinuous_sources(self):
+    def test_discontinuous_source_stays_stable(self):
         # A hard step degrades accuracy but must not break stability.
-        for method in ("be", "trap"):
-            result = simulate_transient(rc_step_circuit(), ps(800),
-                                        method=method)
-            assert result.final_voltage("out") == pytest.approx(
-                1.0, abs=0.01), method
+        result = simulate_transient(rc_step_circuit(), ps(800))
+        assert result.final_voltage("out") == pytest.approx(1.0, abs=0.01)

@@ -134,17 +134,15 @@ def _device_contributions(circuit, v_all):
 
 
 def _newton_solve(assembly, v_guess, linear_matrix, rhs_constant, tol,
-                  max_iterations, device_scale=1.0):
+                  max_iterations):
     unknown = assembly.unknown_indices
     v_all = v_guess.copy()
     if unknown.size == 0:
         return v_all
     for _ in range(max_iterations):
         i_dev, j_dev = _device_contributions(assembly.circuit, v_all)
-        residual = (linear_matrix @ v_all + device_scale * i_dev
-                    - rhs_constant)[unknown]
-        system = (linear_matrix
-                  + device_scale * j_dev)[np.ix_(unknown, unknown)]
+        residual = (linear_matrix @ v_all + i_dev - rhs_constant)[unknown]
+        system = (linear_matrix + j_dev)[np.ix_(unknown, unknown)]
         try:
             delta = np.linalg.solve(system, -residual)
         except np.linalg.LinAlgError as error:
@@ -173,8 +171,7 @@ def _driven(assembly, t):
 
 
 def reference_transient(circuit, stop_time, time_step=None, record=None,
-                        newton_tol=1e-6, max_newton_iterations=60,
-                        method="be"):
+                        newton_tol=1e-6, max_newton_iterations=60):
     if time_step is None:
         time_step = stop_time / 1500.0
     assembly = _Assembly(circuit)
@@ -193,28 +190,14 @@ def reference_transient(circuit, stop_time, time_step=None, record=None,
     traces[:, 0] = [0.0 if i == GROUND else v_all[i]
                     for i in recorded_indices]
     c_over_dt = assembly.C / time_step
-    if method == "be":
-        linear_matrix = assembly.G + c_over_dt
-        device_scale = 1.0
-    else:
-        linear_matrix = 0.5 * assembly.G + c_over_dt
-        device_scale = 0.5
+    linear_matrix = assembly.G + c_over_dt
     for step_index in range(1, steps + 1):
         t = times[step_index]
         v_next = v_all.copy()
         v_next[assembly.driven_indices] = _driven(assembly, t)
-        if method == "be":
-            rhs = _source_currents(circuit, t) + c_over_dt @ v_all
-        else:
-            i_dev_prev, _ = _device_contributions(circuit, v_all)
-            rhs = (0.5 * _source_currents(circuit, t)
-                   + 0.5 * _source_currents(circuit, times[step_index - 1])
-                   + c_over_dt @ v_all
-                   - 0.5 * (assembly.G @ v_all)
-                   - 0.5 * i_dev_prev)
+        rhs = _source_currents(circuit, t) + c_over_dt @ v_all
         v_all = _newton_solve(assembly, v_next, linear_matrix, rhs,
-                              newton_tol, max_newton_iterations,
-                              device_scale=device_scale)
+                              newton_tol, max_newton_iterations)
         traces[:, step_index] = [0.0 if i == GROUND else v_all[i]
                                  for i in recorded_indices]
     return TransientResult(times=times, voltages={
@@ -260,6 +243,15 @@ def _stage(tech, rising=True, row=(1.0, 1.0, 1.0, 1.0), slew=ps(100)):
     return circuit, stop_time
 
 
+#: Stage arguments after the technology (size, wire ohms, wire farads,
+#: load farads) of the slow-settling batch below.
+SLOW_STAGE = (24.0, 2000.0, 300e-15, 20e-15)
+
+#: The factor row of a pull-up 50x weaker than nominal: its rising
+#: output outlasts the first stop-time window.
+WEAK_PULL_UP = (1.0, 1.0, 0.02, 1.0)
+
+
 @pytest.fixture
 def count_iterations(monkeypatch):
     """Newton iterations per circuit (device evaluations per lane)."""
@@ -302,7 +294,7 @@ class TestOneLaneMatchesReference:
     def test_three_coupled_lines(self, suite90):
         length = mm(1.5)
         config = suite90.config
-        circuit, stop_time = build_coupled_stage_circuit(
+        circuit, stop_time, _ = build_coupled_stage_circuit(
             suite90.tech, 24.0, config.resistance_per_meter() * length,
             config.ground_capacitance_per_meter() * length,
             config.coupling_capacitance_per_meter() * length, fF(20),
@@ -312,7 +304,7 @@ class TestOneLaneMatchesReference:
 
     def test_full_line(self, tech90, swss90):
         line = extract_buffered_line(tech90, swss90, mm(2), 2, 24.0)
-        circuit, stop_time = build_full_line_circuit(line, ps(100))
+        circuit, stop_time, _ = build_full_line_circuit(line, ps(100))
         step = stop_time / 2000
         assert_same_result(
             simulate_transient(circuit, stop_time, time_step=step,
@@ -320,21 +312,13 @@ class TestOneLaneMatchesReference:
             reference_transient(circuit, stop_time, time_step=step,
                                 record=["in", "out"]))
 
-    def test_trapezoidal_method(self, tech90):
-        circuit, stop_time = _stage(tech90, rising=False)
-        assert_same_result(
-            simulate_transient(circuit, stop_time, method="trap"),
-            reference_transient(circuit, stop_time, method="trap"))
-
     def test_current_source(self):
         circuit = Circuit()
         circuit.add_current_source("out", lambda t: 1e-6 if t > 0 else 0.0)
         circuit.add_capacitor("out", "0", 1e-15)
         circuit.add_resistor("out", "0", 1e9)
-        for method in ("be", "trap"):
-            assert_same_result(
-                simulate_transient(circuit, 1e-9, method=method),
-                reference_transient(circuit, 1e-9, method=method))
+        assert_same_result(simulate_transient(circuit, 1e-9),
+                           reference_transient(circuit, 1e-9))
 
     def test_dc_operating_point(self, tech90):
         wn, wp = tech90.inverter_widths(4.0)
@@ -394,31 +378,38 @@ class TestLanesMatchSoloRuns:
 
     def test_stage_batch_with_a_settle_retry(self, tech90, monkeypatch):
         rows = [list(row) for row in _perturbed_rows(7, seed=4)]
-        rows.insert(2, [1.0, 1.0, 0.02, 1.0])  # pull-up 50x weaker
+        rows.insert(2, list(WEAK_PULL_UP))
         techs = [variation._perturbed_technology(tech90, row)
                  for row in rows]
         slews = [ps(60 + 20 * k) for k in range(len(rows))]
-        args = (24.0, 2000.0, 300e-15, 20e-15)
-        solo = [golden.simulate_stage(tech, *args, slew, False)
+        solo = [golden.simulate_stage(tech, *SLOW_STAGE, slew, False)
                 for tech, slew in zip(techs, slews)]
 
-        batches: List[List[int]] = []  # steps each lane ran, per call
-        original = golden.simulate_lanes
+        calls = []
+        windows: List[List[int]] = []  # steps each lane ran, per window
+        simulate, run = golden.simulate_lanes, transient._run
 
-        def recorded(circuits, stop_times, **kwargs):
-            results = original(circuits, stop_times, **kwargs)
-            batches.append([len(result.times) - 1 for result in results])
-            return results
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return simulate(*args, **kwargs)
 
-        monkeypatch.setattr(golden, "simulate_lanes", recorded)
-        lanes = golden.simulate_stages(techs, *args, slews, False)
+        def recorded(*args):
+            results, unsettled = run(*args)
+            windows.append([len(result.times) - 1 for result in results])
+            return results, unsettled
+
+        monkeypatch.setattr(golden, "simulate_lanes", counted)
+        monkeypatch.setattr(transient, "_run", recorded)
+        lanes = golden.simulate_stages(techs, *SLOW_STAGE, slews, False)
         assert lanes == solo
-        # Only the slow lane is re-run.  It never enters the settle
-        # band, so it runs its whole window; the others stop early.
-        assert [len(steps) for steps in batches] == [8, 1]
-        assert batches[0][2] == 1500
-        assert max(batches[0][:2] + batches[0][3:]) < 1500
-        assert lanes == [_full_window_stage(tech, *args, slew, False)
+        # One engine call; the engine re-runs only the slow lane.  It
+        # never enters the settle band in its first window, so it runs
+        # that window whole; the others stop early.
+        assert calls == [8]
+        assert [len(steps) for steps in windows] == [8, 1]
+        assert windows[0][2] == 1500
+        assert max(windows[0][:2] + windows[0][3:]) < 1500
+        assert lanes == [_full_window_stage(tech, *SLOW_STAGE, slew, False)
                          for tech, slew in zip(techs, slews)]
 
     def test_failed_lane_leaves_the_others_exact(self, tech90):
@@ -458,25 +449,29 @@ def _settle_step(result, rule):
 
 
 def _full_window_stage(tech, *args):
-    """``golden.simulate_stage`` without the settle stop: each attempt
-    runs its whole window, and ``_settled`` checks its last sample."""
+    """``golden.simulate_stage`` without the settle stop or the engine's
+    retries: each attempt runs its whole window, and the caller checks
+    its last sample and doubles the stop time, as many times as the
+    engine would."""
     slew, rising = args[-2:]
     circuit, stop_time, settle = golden._build_stage_circuit(tech, *args)
-    for _ in range(golden.MAX_SETTLE_RETRIES + 1):
+    for _ in range(transient.MAX_SETTLE_RETRIES + 1):
         result = simulate_transient(circuit, stop_time,
                                     record=["in", "out"])
-        if golden._settled(result, settle):
+        if result.waveform(settle.node).settled(settle.target,
+                                                settle.tolerance):
             return golden._stage_timing(result, tech.vdd, slew, rising)
         stop_time *= 2.0
-    raise RuntimeError("stage simulation never settled")
+    raise ConvergenceError("stage never settled")
 
 
 def _outcome(function, *args):
-    """``function(*args)``, or the type and text of what it raised."""
+    """``function(*args)``, or the type of what it raised and whether
+    its text says the output never settled."""
     try:
         return function(*args)
     except Exception as error:
-        return type(error), str(error)
+        return type(error), "never settled" in str(error)
 
 
 def assert_prefix(cut: TransientResult, full: TransientResult):
@@ -558,8 +553,7 @@ class TestSettleStop:
             outcome = _outcome(golden.simulate_stage, tech, *args)
             assert outcome == _outcome(_full_window_stage, tech, *args)
             outcomes.append(outcome)
-        assert (RuntimeError, "stage simulation never settled") \
-            in outcomes
+        assert (ConvergenceError, True) in outcomes
 
     def test_rules_are_checked(self, tech90):
         circuit, stop_time, settle = _settling_stage(tech90)
@@ -568,6 +562,48 @@ class TestSettleStop:
         ground = SettleRule("0", 0.0, 0.1, 0.0)
         with pytest.raises(ValueError, match="other than ground"):
             simulate_transient(circuit, stop_time, settle=ground)
+
+
+class TestSettleRetry:
+    @pytest.mark.parametrize("steps", [None, 900, 2000])
+    def test_retry_equals_a_run_at_twice_the_stop_time_and_step(
+            self, tech90, steps):
+        circuit, stop, rule = golden._build_stage_circuit(
+            variation._perturbed_technology(tech90, WEAK_PULL_UP),
+            *SLOW_STAGE, ps(100), False)
+        step = None if steps is None else stop / steps
+        first = simulate_transient(circuit, stop, step, record=["out"])
+        assert not first.waveform("out").settled(rule.target,
+                                                 rule.tolerance)
+        retried = simulate_transient(circuit, stop, step,
+                                     record=["in", "out"], settle=rule)
+        twice = simulate_transient(
+            circuit, 2.0 * stop,
+            None if steps is None else 2.0 * stop / steps,
+            record=["in", "out"], settle=rule)
+        # The doubled window settles on its own, so ``twice`` is one
+        # window, not a retry.
+        assert len(twice.times) - 1 < (steps or 1500)
+        assert_same_result(retried, twice)
+        assert retried.times[1] == 2.0 * first.times[1]
+
+    def test_a_lane_that_never_settles(self, tech90):
+        circuit, stop, rule = _settling_stage(tech90)
+        # Below ground: the output never enters this band.
+        never = SettleRule("out", -tech90.vdd, rule.tolerance,
+                           rule.quiet_time)
+        with pytest.raises(ConvergenceError, match=(
+                "circuit 'stage': node 'out' never settled within "
+                f"{transient.MAX_SETTLE_RETRIES} retries")):
+            simulate_transient(circuit, stop, settle=never)
+        lanes = simulate_lanes([circuit] * 3, [stop] * 3,
+                               record=["in", "out"],
+                               settle=[rule, never, rule])
+        assert isinstance(lanes[1], ConvergenceError)
+        alone = simulate_transient(circuit, stop, record=["in", "out"],
+                                   settle=rule)
+        assert_same_result(lanes[0], alone)
+        assert_same_result(lanes[2], alone)
 
 
 def _high_supply(tech):

@@ -170,6 +170,14 @@ class TestRuntimeFlags:
         with pytest.raises(ValueError):
             main(["nodes", "--workers", "0"])
 
+    def test_removed_max_retries_flag_exits_2(self, capsys):
+        # A crashed pool's unfinished chunks re-run serially; there is
+        # no pool-rebuild budget to set.
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["nodes", "--max-retries", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestMonteCarlo:
     def test_plain_kernel_run(self, capsys):
