@@ -37,7 +37,9 @@ is counted under the ``faults.*`` metrics family (surfaced by
 ``--stats`` and recorded in the run manifest):
 
 * ``faults.injected.<kind>`` — injections that actually fired;
-* ``faults.worker_crash`` — ``BrokenProcessPool`` events survived;
+* ``faults.worker_crash`` — worker deaths survived: a
+  ``BrokenProcessPool``, or a ``repro serve`` shard whose pipe reads
+  EOF or fails a send;
 * ``faults.recovered_chunks`` / ``faults.recovered_tasks`` — work
   re-run serially after a mid-run crash;
 * ``faults.cache_quarantined`` — corrupt cache entries set aside;
@@ -217,8 +219,9 @@ def fire_chunk_faults(specs: Sequence[FaultSpec],
                       chunk_index: int) -> None:
     """Worker-side firing point, invoked at the top of each chunk.
 
-    Only :func:`repro.runtime.parallel._run_chunk` calls this, and only
-    with the specs that rode in on the chunk payload — the serial and
+    Only :func:`repro.runtime.parallel._run_chunk` and a ``repro
+    serve`` shard's :func:`repro.serve.core.run_job` call this, and
+    only with the specs that rode in on their payload — the serial and
     recovery paths never do, so an injected crash cannot kill the
     parent process that is recovering from it.
     """

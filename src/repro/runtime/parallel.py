@@ -240,9 +240,10 @@ def new_pool(workers: int, chunks: Optional[int] = None
              ) -> Optional[ProcessPoolExecutor]:
     """A worker pool, or ``None`` where pools cannot start.
 
-    The one place process pools are built (``parallel_map`` and the
-    ``repro serve`` shards both come through here): restricted
-    environments (no /dev/shm, no fork) answer ``None`` and count
+    The one place ``parallel_map``'s process pools are built; the
+    ``repro serve`` shards are not pools, but one forked worker each on
+    a pipe (:mod:`repro.serve.pool`).  Restricted environments (no
+    /dev/shm, no fork) answer ``None`` and count
     ``parallel.pool_unavailable`` so callers degrade to their serial
     path instead of crashing.  ``chunks`` caps the pool size at the
     number of work units when known."""

@@ -16,7 +16,8 @@ LUT tier:
 * :mod:`repro.serve.coalescer` — batches the ``design`` requests
   that arrive while their shard is busy into one job each;
 * :mod:`repro.serve.pool` — the sharded pool of warm worker
-  processes, with crash recovery riding on the fault-tolerance layer;
+  processes, one per shard on a pipe the event loop reads, with crash
+  recovery riding on the fault-tolerance layer;
 * :mod:`repro.serve.server` — the asyncio front-end (JSON over HTTP
   on TCP and/or a local Unix socket, OpenMetrics on ``/metrics``);
 * :mod:`repro.serve.loadgen` — the seeded load generator

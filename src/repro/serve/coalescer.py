@@ -1,15 +1,17 @@
 """Batch coalescing: ship concurrent requests as one shard job each.
 
-A shard round trip (pickling, pool IPC, the worker's metric payload)
-costs far more than a memoized link design, so one job carrying many
-designs beats many jobs carrying one.  The coalescer batches by shard
-occupancy, with no timer: a ``design`` query for a context with no
-design job in flight ships at once; one arriving while such a job is
-in flight parks in the context's bucket, and the bucket ships when
-that job returns (or sooner, once it holds :data:`MAX_BATCH` queries)
-as one job, whose queries the shard runs through ``execute_query``
-one after another.  Batches therefore form exactly while the shard is
-busy, and an idle context answers without waiting.
+A shard round trip (pickling, a message each way down the shard's
+pipe, the worker's metric payload: about 0.2 ms on a 2-core host)
+costs far more than a memoized link design (about 0.01 ms), so one
+job carrying many designs beats many jobs carrying one.  The
+coalescer batches by shard occupancy, with no timer: a ``design``
+query for a context with no design job in flight ships at once; one
+arriving while such a job is in flight parks in the context's
+bucket, and the bucket ships when that job returns (or sooner, once
+it holds :data:`MAX_BATCH` queries) as one job, whose queries the
+shard runs through ``execute_query`` one after another.  Batches
+therefore form exactly while the shard is busy, and an idle context
+answers without waiting.
 
 One invariant keeps parked requests from stranding, since no timer
 will rescue them: a bucket parks only while a design job of its

@@ -44,7 +44,8 @@ whose window ends with that node outside the band is run again from
 its DC start with its stop time and time step both doubled, up to
 :data:`MAX_SETTLE_RETRIES` times; doubling is exact in floating point,
 so the retry equals a caller's own run at the doubled stop time and
-step, bit for bit.
+step, bit for bit.  Each re-run of a lane counts one
+``spice.settle_retries``.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.runtime.metrics import METRICS
 from repro.spice.elements import GROUND
 from repro.spice.netlist import Circuit
 from repro.spice.waveform import Waveform
@@ -507,12 +509,13 @@ def simulate_lanes(
     _check_newton_budget(newton_tol, max_newton_iterations)
 
     lanes = _assemble(circuits)
-    recorded = [(name, circuits[0].node(name))
+    recorded = [(name, _node_index(circuits[0], name))
                 for name in (circuits[0].node_names() if record is None
                              else record)]
     rules: List[Optional[Tuple[SettleRule, int]]] = [None] * len(lanes)
     if settle is not None:
-        rules = [(rule, circuits[0].node(rule.node)) for rule in settle]
+        rules = [(rule, _node_index(circuits[0], rule.node))
+                 for rule in settle]
         if any(node == GROUND for _, node in rules):
             raise ValueError("a settle rule needs a node other than ground")
 
@@ -522,6 +525,7 @@ def simulate_lanes(
     for _ in range(MAX_SETTLE_RETRIES):
         if not pending:
             break
+        METRICS.count("spice.settle_retries", len(pending))
         for k in pending:
             stop_times[k] *= 2.0
             time_steps[k] *= 2.0
@@ -539,6 +543,15 @@ def simulate_lanes(
             f"settled within {MAX_SETTLE_RETRIES} retries (last stop "
             f"time {stop_times[k]:.3e} s)")
     return results
+
+
+def _node_index(circuit: Circuit, name: str) -> int:
+    """The index of ``circuit``'s node ``name``; unlike
+    :meth:`Circuit.node`, a missing name is an error, not a new
+    node."""
+    if not circuit.has_node(name):
+        raise ValueError(f"circuit {circuit.name!r} has no node {name!r}")
+    return circuit.node(name)
 
 
 def _run(lanes: Sequence[_Assembly], stop_times: Sequence[float],

@@ -10,6 +10,7 @@ floats means bit-identical doubles.
 
 import asyncio
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -17,13 +18,14 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.runtime import METRICS, faults
-from repro.serve import ReproServer, resolve_config
+from repro.serve import ReproServer, ShardedPool, core, resolve_config
 from repro.serve.core import execute_query
 from repro.serve.loadgen import (
     _open,
@@ -162,6 +164,134 @@ class TestCrashRecovery:
         with faults.inject("worker_crash", at=0):
             responses = asyncio.run(_serve_and_ask(config, documents))
         _assert_bit_identical(documents, responses)
+
+    def test_a_shard_killed_while_idle_is_replaced(self, suite90):
+        """A worker killed between jobs: the next job is answered,
+        bit-identically, the death counts once and a new worker takes
+        the shard over."""
+        query = parse_query({"op": "design", "length_mm": 1.5})
+
+        async def scenario():
+            pool = ShardedPool(1)
+            try:
+                (pid,) = await pool.warm()
+                os.kill(pid, signal.SIGKILL)
+                results = await pool.run([query])
+                return pid, results, await pool.warm()
+            finally:
+                pool.close()
+
+        before = dict(METRICS.counters)
+        pid, results, pids = asyncio.run(scenario())
+        assert results == [execute_query(query)]
+        for name in ("faults.worker_crash", "serve.worker_restart"):
+            assert METRICS.counters.get(name, 0) \
+                - before.get(name, 0) == 1, name
+        assert len(pids) == 1 and pids[0] != pid
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method(allow_none=True)
+        not in (None, "fork"),
+        reason="the worker must inherit the patched evaluator")
+    def test_an_unpicklable_evaluation_error_answers_500(
+            self, suite90, monkeypatch):
+        """An error pickle refuses still reaches its request as a 500
+        naming it; the worker that raised it lives on."""
+        def refuse(query):
+            raise _Unpicklable("no design today")
+
+        monkeypatch.setattr(core, "execute_query", refuse)
+        before = METRICS.counters.get("faults.worker_crash", 0)
+        (response,) = asyncio.run(_serve_and_ask(
+            resolve_config(port=0, shards=1),
+            [{"op": "design", "length_mm": 1.0}]))
+        assert response["_status"] == 500
+        assert "_Unpicklable: no design today" in response["error"]
+        assert METRICS.counters.get("faults.worker_crash", 0) == before
+
+    def test_no_process_can_start_so_shards_compute_inline(
+            self, suite90, monkeypatch):
+        """Where a worker cannot fork, the shard counts
+        ``parallel.pool_unavailable`` once and answers inline."""
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda: _RefusingContext())
+        before = dict(METRICS.counters)
+        children = set(_children(os.getpid()))
+        responses = asyncio.run(_serve_and_ask(
+            resolve_config(port=0, shards=1), DOCUMENTS))
+        _assert_bit_identical(DOCUMENTS, responses)
+        assert METRICS.counters.get("parallel.pool_unavailable", 0) \
+            - before.get("parallel.pool_unavailable", 0) == 1
+        assert set(_children(os.getpid())) <= children
+
+
+class _RefusingContext:
+    """A multiprocessing context whose processes never start."""
+
+    Pipe = staticmethod(multiprocessing.Pipe)
+
+    class Process:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def start(self):
+            raise OSError("no process slot")
+
+
+class _Unpicklable(Exception):
+    """An evaluation error that pickle refuses."""
+
+    def __reduce__(self):
+        raise TypeError("this error does not pickle")
+
+
+class TestShardQueue:
+    def test_thousands_of_queued_jobs_drain(self, suite90):
+        """2,000 singleton jobs queued on one shard all come back.
+        Sent down the pipe at once, their answers would fill the
+        return pipe while the server blocks on a full job pipe."""
+        query = parse_query({"op": "design", "length_mm": 1.0})
+        pids, outcome = [], []
+
+        async def scenario():
+            pool = ShardedPool(1)
+            try:
+                pids.extend(await pool.warm())
+                outcome.extend(await asyncio.gather(
+                    *(pool.run([query]) for _ in range(2000))))
+            finally:
+                pool.close()
+
+        # The event loop runs in a thread: a deadlocked loop blocks
+        # inside a pipe write, where no asyncio timeout can fire.
+        thread = threading.Thread(target=asyncio.run, args=(scenario(),),
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        if thread.is_alive():
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            pytest.fail("2,000 queued jobs did not drain in 60 s")
+        assert outcome == [[execute_query(query)]] * 2000
+
+
+class TestShardSeconds:
+    @pytest.mark.parametrize("shards", [0, 1])
+    def test_shard_seconds_observes_each_job_once(self, suite90, shards):
+        """``serve.shard_seconds`` gains one observation per job, on
+        the inline path as through a shard worker."""
+        def jobs_and_observations():
+            histogram = METRICS.histogram("serve.shard_seconds")
+            return (METRICS.counters.get("serve.batches", 0),
+                    0 if histogram is None else histogram.count)
+
+        before = jobs_and_observations()
+        responses = asyncio.run(_serve_and_ask(
+            resolve_config(port=0, shards=shards), DOCUMENTS))
+        _assert_bit_identical(DOCUMENTS, responses)
+        after = jobs_and_observations()
+        assert after[0] - before[0] == len(DOCUMENTS)
+        assert after[1] - before[1] == len(DOCUMENTS)
 
 
 class TestCoalescing:
@@ -344,6 +474,13 @@ class TestHttpSurface:
 
 
 class TestShutdown:
+    def test_an_unstarted_server_leaves_no_process(self):
+        before = set(_children(os.getpid()))
+        server = ReproServer(resolve_config(port=0, shards=2))
+        assert set(_children(os.getpid())) <= before
+        asyncio.run(server.close())
+        assert set(_children(os.getpid())) <= before
+
     def test_close_is_idempotent(self):
         async def scenario():
             server = ReproServer(resolve_config(port=0, shards=1))
@@ -353,43 +490,111 @@ class TestShutdown:
             return server.pool
 
         pool = asyncio.run(scenario())
-        assert all(executor is None for executor in pool._executors)
+        assert all(shard is None for shard in pool._shards)
 
     def test_sigterm_stops_every_shard_worker(self, tmp_path):
         """SIGTERM shuts the server down as Ctrl-C does: exit 0, no
         shard worker left running, the port free to bind again."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(Path(repro.__file__).resolve().parents[1])]
-            + [entry for entry in [env.get("PYTHONPATH")] if entry])
-        errors = tmp_path / "stderr.txt"
-        with open(errors, "wb") as stderr:
-            process = subprocess.Popen(
-                [sys.executable, "-m", "repro.cli", "serve", "--port",
-                 "0", "--shards", "2"],
-                stdout=subprocess.PIPE, stderr=stderr, env=env)
+        process, port, workers, errors = _serve_in_a_process(tmp_path)
         try:
-            line = process.stdout.readline().decode("utf-8")
-            assert line.startswith("repro serve: listening on http://"), \
-                line + errors.read_text()
-            port = int(line.split("http://", 1)[1].split()[0]
-                       .rsplit(":", 1)[1])
-            workers = _children(process.pid)
-            assert len(workers) >= 2, workers
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=30) == 0, errors.read_text()
         finally:
             if process.poll() is None:
                 process.kill()
                 process.wait()
-        deadline = time.monotonic() + 10.0
-        while any(_alive(pid) for pid in workers) \
-                and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not [pid for pid in workers if _alive(pid)]
+            process.stdout.close()
+        _assert_gone(workers)
         with socket.socket() as probe:
             probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             probe.bind(("127.0.0.1", port))
+
+    def test_shard_workers_exit_when_the_server_is_killed(self,
+                                                          tmp_path):
+        """A server killed outright closes no pipe itself; each shard
+        worker still reads EOF once the server is gone, and exits."""
+        process, _, workers, _ = _serve_in_a_process(tmp_path)
+        process.kill()
+        process.wait()
+        process.stdout.close()
+        try:
+            _assert_gone(workers)
+        finally:
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_sigterm_to_a_shard_worker_is_a_crash_not_a_shutdown(
+            self, tmp_path):
+        """A forked worker drops the server's signal wakeup: SIGTERM
+        ends that worker alone, and the server answers on and counts
+        one death."""
+        process, port, workers, errors = _serve_in_a_process(tmp_path)
+        try:
+            os.kill(workers[0], signal.SIGTERM)
+            _assert_gone(workers[:1])
+            document = {"op": "design", "length_mm": 1.0}
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{port}/query",
+                data=json.dumps(document).encode("utf-8"))
+            with urllib.request.urlopen(request, timeout=30) as reply:
+                answer = json.loads(reply.read())
+            deadline = time.monotonic() + 10.0
+            while True:
+                with urllib.request.urlopen(
+                        f"http://127.0.0.1:{port}/metrics",
+                        timeout=30) as reply:
+                    metrics = reply.read().decode("utf-8")
+                if "repro_faults_worker_crash_total" in metrics \
+                        or time.monotonic() > deadline:
+                    break
+                time.sleep(0.05)
+            assert process.poll() is None, errors.read_text()
+        finally:
+            process.terminate()
+            process.wait()
+            process.stdout.close()
+        assert answer["result"] == execute_query(parse_query(document))
+        assert "repro_faults_worker_crash_total 1\n" in metrics
+        assert "repro_serve_worker_restart_total 1\n" in metrics
+
+
+def _serve_in_a_process(tmp_path):
+    """``repro serve --shards 2`` in a child process, once listening:
+    (process, port, shard worker pids, stderr path)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).resolve().parents[1])]
+        + [entry for entry in [env.get("PYTHONPATH")] if entry])
+    errors = tmp_path / "stderr.txt"
+    with open(errors, "wb") as stderr:
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port",
+             "0", "--shards", "2"],
+            stdout=subprocess.PIPE, stderr=stderr, env=env)
+    try:
+        line = process.stdout.readline().decode("utf-8")
+        assert line.startswith("repro serve: listening on http://"), \
+            line + errors.read_text()
+        port = int(line.split("http://", 1)[1].split()[0]
+                   .rsplit(":", 1)[1])
+        workers = _children(process.pid)
+        assert len(workers) >= 2, workers
+    except BaseException:
+        process.kill()
+        process.wait()
+        process.stdout.close()
+        raise
+    return process, port, workers, errors
+
+
+def _assert_gone(pids, timeout=10.0):
+    """Every process in ``pids`` ends within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while any(_alive(pid) for pid in pids) \
+            and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in pids if _alive(pid)]
 
 
 def _children(pid):

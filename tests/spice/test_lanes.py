@@ -14,7 +14,7 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
-from repro.runtime import TaskError
+from repro.runtime import METRICS, TaskError
 from repro.signoff import golden, variation
 from repro.signoff.crosstalk import (
     AggressorActivity,
@@ -385,6 +385,16 @@ class TestLanesMatchSoloRuns:
         solo = [golden.simulate_stage(tech, *SLOW_STAGE, slew, False)
                 for tech, slew in zip(techs, slews)]
 
+        def retries():
+            return METRICS.counters.get("spice.settle_retries", 0)
+
+        # Without the weak pull-up lane, every lane settles in its
+        # first window: nothing re-runs.
+        before = retries()
+        golden.simulate_stages(techs[:2] + techs[3:], *SLOW_STAGE,
+                               slews[:2] + slews[3:], False)
+        assert retries() == before
+
         calls = []
         windows: List[List[int]] = []  # steps each lane ran, per window
         simulate, run = golden.simulate_lanes, transient._run
@@ -400,12 +410,15 @@ class TestLanesMatchSoloRuns:
 
         monkeypatch.setattr(golden, "simulate_lanes", counted)
         monkeypatch.setattr(transient, "_run", recorded)
+        before = retries()
         lanes = golden.simulate_stages(techs, *SLOW_STAGE, slews, False)
         assert lanes == solo
-        # One engine call; the engine re-runs only the slow lane.  It
-        # never enters the settle band in its first window, so it runs
-        # that window whole; the others stop early.
+        # One engine call; the engine re-runs only the slow lane, and
+        # counts that one re-run.  It never enters the settle band in
+        # its first window, so it runs that window whole; the others
+        # stop early.
         assert calls == [8]
+        assert retries() - before == 1
         assert [len(steps) for steps in windows] == [8, 1]
         assert windows[0][2] == 1500
         assert max(windows[0][:2] + windows[0][3:]) < 1500
@@ -562,6 +575,26 @@ class TestSettleStop:
         ground = SettleRule("0", 0.0, 0.1, 0.0)
         with pytest.raises(ValueError, match="other than ground"):
             simulate_transient(circuit, stop_time, settle=ground)
+
+    def test_unknown_node_names_are_rejected(self, tech90, monkeypatch):
+        """A misspelt recorded or settle node is an error naming it
+        and the circuit, raised before any window runs, and the
+        circuit keeps its nodes."""
+        circuit, stop_time, settle = _settling_stage(tech90)
+        names = circuit.node_names()
+
+        def no_window(*_args):
+            raise AssertionError("a window ran")
+
+        monkeypatch.setattr(transient, "_run", no_window)
+        message = "circuit 'stage' has no node 'otu'"
+        with pytest.raises(ValueError, match=message):
+            simulate_transient(circuit, stop_time, record=["in", "otu"])
+        with pytest.raises(ValueError, match=message):
+            simulate_transient(circuit, stop_time,
+                               settle=dataclasses.replace(settle,
+                                                          node="otu"))
+        assert circuit.node_names() == names
 
 
 class TestSettleRetry:
