@@ -6,7 +6,8 @@ both reconstructible from the query itself:
 * a per-process **warm context** — the :class:`ModelSuite` and
   :class:`repro.noc.link.LinkDesigner` for one
   :class:`~repro.serve.protocol.ContextSpec`, memoized in
-  :data:`_CONTEXTS` so repeated queries skip model construction; and
+  :data:`_CONTEXTS` so repeated queries skip model construction (the
+  :data:`MAX_CONTEXTS` most recently used); and
 * the **shared memo** — the persistent ``DiskCache("links")`` the
   designer consults before computing, which any process (shard,
   worker, CLI run) can read and write interchangeably.
@@ -27,6 +28,8 @@ terminate.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
@@ -44,29 +47,47 @@ class ServeContext:
     designer: LinkDesigner
 
 
-#: Per-process warm contexts, keyed on their spec.
-_CONTEXTS: Dict[ContextSpec, ServeContext] = {}
+#: Warm contexts one process keeps.  Clients choose the spec's bus
+#: width and utilization freely, and a context with a full link memo
+#: holds ~0.5-1 MB, so the least recently used one goes.  Rebuilding
+#: it takes a few ms; the disk cache still holds its designs.
+MAX_CONTEXTS = 16
+
+#: Per-process warm contexts, keyed on their spec, least recently
+#: used first.  Inline jobs run on executor threads, hence the lock.
+_CONTEXTS: "OrderedDict[ContextSpec, ServeContext]" = OrderedDict()
+_CONTEXTS_LOCK = threading.Lock()
 
 
 def reset_contexts() -> None:
     """Drop every warm context (tests; workers keep theirs for life)."""
-    _CONTEXTS.clear()
+    with _CONTEXTS_LOCK:
+        _CONTEXTS.clear()
 
 
 def get_context(spec: ContextSpec) -> ServeContext:
     """The warm context for ``spec``, built on first use."""
-    context = _CONTEXTS.get(spec)
-    if context is None:
-        from repro.experiments.suite import ModelSuite
-        with span("serve.context_build", node=spec.node,
-                  bus_width=spec.bus_width):
-            METRICS.count("serve.context_build")
-            suite = ModelSuite.for_node(spec.node)
-            designer = LinkDesigner(suite.proposed, suite.tech,
-                                    spec.bus_width,
-                                    utilization=spec.utilization)
-        context = _CONTEXTS[spec] = ServeContext(suite=suite,
-                                                 designer=designer)
+    with _CONTEXTS_LOCK:
+        context = _CONTEXTS.get(spec)
+        if context is not None:
+            _CONTEXTS.move_to_end(spec)
+            return context
+    from repro.experiments.suite import ModelSuite
+    with span("serve.context_build", node=spec.node,
+              bus_width=spec.bus_width):
+        METRICS.count("serve.context_build")
+        suite = ModelSuite.for_node(spec.node)
+        designer = LinkDesigner(suite.proposed, suite.tech,
+                                spec.bus_width,
+                                utilization=spec.utilization)
+    with _CONTEXTS_LOCK:
+        # A context another thread built meanwhile stays the one.
+        context = _CONTEXTS.setdefault(
+            spec, ServeContext(suite=suite, designer=designer))
+        _CONTEXTS.move_to_end(spec)
+        if len(_CONTEXTS) > MAX_CONTEXTS:
+            _CONTEXTS.popitem(last=False)
+            METRICS.count("serve.context_evicted")
     return context
 
 

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Tuple
-
-from scipy.optimize import brentq
 
 from repro.tech.parameters import DeviceParameters
 
@@ -55,6 +54,11 @@ SMOOTHING_MEMO_SIZE = 256
 #: Search interval for the smoothing parameter, in volts.
 _SMOOTHING_RANGE = (0.005, 0.5)
 
+#: ``scipy.optimize.brentq``'s default relative tolerance and
+#: iteration cap, which :func:`_brentq` keeps.
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
 
 def _softplus(x: float, s: float) -> float:
     """Numerically safe ``s * ln(1 + exp(x / s))``."""
@@ -64,6 +68,79 @@ def _softplus(x: float, s: float) -> float:
     if ratio < -40.0:
         return s * math.exp(ratio)
     return s * math.log1p(math.exp(ratio))
+
+
+def _brentq(f: Callable[[float], float], xa: float, xb: float,
+            xtol: float) -> float:
+    """A root of ``f`` bracketed by ``[xa, xb]``, by Brent's method.
+
+    A transcription of the loop in scipy's ``brentq.c``: the same
+    floating-point operations in the same order, so it returns the
+    bits ``scipy.optimize.brentq(f, xa, xb, xtol=xtol)`` returns.  As
+    there, an endpoint where ``f`` is exactly 0 is the root, and a
+    bracket whose ends share a sign or a NaN value of ``f`` raises
+    ``ValueError``, running out of iterations ``RuntimeError``.  It
+    spares every process the ~0.5 s import of ``scipy.optimize`` for
+    one short solve per device flavour.
+    """
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return float(fx)
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        # Non-zero and not NaN, so ``< 0`` is the sign bit brentq.c
+        # compares.
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(
+        f"failed to converge after {_BRENT_MAXITER} iterations, "
+        f"value is {xcur}")
 
 
 @functools.lru_cache(maxsize=SMOOTHING_MEMO_SIZE)
@@ -91,7 +168,7 @@ def subthreshold_smoothing(parameters: DeviceParameters,
     elif objective(low) > 0:
         solution = low   # leakage spec lower than the model can reach
     else:
-        solution = brentq(objective, low, high, xtol=1e-6)
+        solution = _brentq(objective, low, high, xtol=1e-6)
     return solution
 
 

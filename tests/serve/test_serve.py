@@ -19,6 +19,7 @@ import sys
 import threading
 import time
 import urllib.request
+from collections import OrderedDict
 from pathlib import Path
 
 import pytest
@@ -223,6 +224,27 @@ class TestCrashRecovery:
         assert METRICS.counters.get("parallel.pool_unavailable", 0) \
             - before.get("parallel.pool_unavailable", 0) == 1
         assert set(_children(os.getpid())) <= children
+
+
+class TestWarmContexts:
+    def test_client_chosen_bus_widths_stay_bounded(self, monkeypatch):
+        """More distinct bus widths than the bound: the registry stays
+        at the bound, evicting the least recently used, and an evicted
+        context answers bit-identically when asked again."""
+        monkeypatch.setattr(core, "_CONTEXTS", OrderedDict())
+        queries = [parse_query({"op": "design", "length_mm": 1.0,
+                                "bus_width": width})
+                   for width in range(1, core.MAX_CONTEXTS + 3)]
+        before = METRICS.counters.get("serve.context_evicted", 0)
+        first = [execute_query(query) for query in queries]
+        assert len(core._CONTEXTS) == core.MAX_CONTEXTS
+        assert METRICS.counters.get("serve.context_evicted", 0) \
+            - before == 2
+        assert list(core._CONTEXTS) == [query.context
+                                        for query in queries[2:]]
+        assert execute_query(queries[0]) == first[0]
+        assert len(core._CONTEXTS) == core.MAX_CONTEXTS
+        assert next(reversed(core._CONTEXTS)) == queries[0].context
 
 
 class _RefusingContext:
