@@ -28,8 +28,6 @@ from repro.noc.mesh import build_mesh
 from repro.noc.testcases import dual_vopd, vproc
 from repro.noc.visualization import render_report
 from repro.noc.width_exploration import explore_widths
-from repro.noc.improvement import improve_topology
-from repro.noc.timing import analyze_timing
 from repro.noc.deadlock import analyze_deadlock
 
 __all__ = [
@@ -49,7 +47,5 @@ __all__ = [
     "vproc",
     "render_report",
     "explore_widths",
-    "improve_topology",
-    "analyze_timing",
     "analyze_deadlock",
 ]

@@ -10,18 +10,16 @@ This module builds the CDG induced by a topology's *actual routes* (the
 dependencies real traffic can create, not all that the topology could
 express) and checks it for cycles.  XY mesh routing is provably acyclic;
 the greedy synthesizer's routes must be verified, and the checker also
-reports the offending cycles so a designer can add virtual channels or
+reports offending cycles so a designer can add virtual channels or
 re-route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
-import networkx as nx
-
-from repro.noc.topology import NocTopology, NodeId
+from repro.noc.topology import DiGraph, NocTopology, NodeId
 
 Channel = Tuple[NodeId, NodeId]
 
@@ -45,13 +43,13 @@ class DeadlockReport:
                 f"{self.dependency_count} dependencies: {verdict}")
 
 
-def channel_dependency_graph(topology: NocTopology) -> nx.DiGraph:
+def channel_dependency_graph(topology: NocTopology) -> DiGraph:
     """CDG induced by the routed flows.
 
     Nodes are directed channels (links); an edge A -> B exists when
     some routed flow traverses channel A immediately before channel B.
     """
-    cdg = nx.DiGraph()
+    cdg = DiGraph()
     for a, b, _data in topology.links():
         cdg.add_node((a, b))
     for path in topology.routes.values():
@@ -61,22 +59,54 @@ def channel_dependency_graph(topology: NocTopology) -> nx.DiGraph:
     return cdg
 
 
+def dependency_cycles(graph: DiGraph, max_cycles: int
+                      ) -> List[Tuple[Hashable, ...]]:
+    """Up to ``max_cycles`` cycles of ``graph``, one per back edge of
+    an iterative depth-first search.
+
+    The search starts from each unvisited node in insertion order and
+    takes successors in insertion order, so the answer is
+    deterministic.  Each back edge contributes the one simple cycle it
+    closes along the search path, starting at the node it returns to;
+    other cycles through the same back edge are not listed.  Every
+    cycle of a graph contains a back edge of any depth-first search,
+    so an empty answer proves the graph acyclic.
+    """
+    cycles: List[Tuple[Hashable, ...]] = []
+    finished: Set[Hashable] = set()
+    for root in graph.nodes:
+        if root in finished:
+            continue
+        path = [root]
+        depth: Dict[Hashable, int] = {root: 0}
+        pending = [graph.successors(root)]
+        while pending:
+            for node in pending[-1]:
+                if node in depth:
+                    cycles.append(tuple(path[depth[node]:]))
+                    if len(cycles) >= max_cycles:
+                        return cycles
+                elif node not in finished:
+                    depth[node] = len(path)
+                    path.append(node)
+                    pending.append(graph.successors(node))
+                    break
+            else:
+                pending.pop()
+                done = path.pop()
+                del depth[done]
+                finished.add(done)
+    return cycles
+
+
 def analyze_deadlock(topology: NocTopology,
                      max_cycles: int = 10) -> DeadlockReport:
     """Check the routed topology for potential wormhole deadlock."""
     cdg = channel_dependency_graph(topology)
-    cycles: List[Tuple[Channel, ...]] = []
-    try:
-        for cycle in nx.simple_cycles(cdg):
-            cycles.append(tuple(cycle))
-            if len(cycles) >= max_cycles:
-                break
-    except nx.NetworkXNoCycle:  # pragma: no cover - version-dependent
-        pass
     return DeadlockReport(
         channel_count=cdg.number_of_nodes(),
         dependency_count=cdg.number_of_edges(),
-        cycles=tuple(cycles),
+        cycles=tuple(dependency_cycles(cdg, max_cycles)),
     )
 
 

@@ -10,13 +10,84 @@ port serves both directions of a channel).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, \
+    Tuple
 
 from repro.noc.spec import CommunicationSpec, Flow
 
 NodeId = Tuple[str, str]
+
+
+class DiGraph:
+    """An insertion-ordered directed graph with per-node and per-edge
+    attribute dicts.
+
+    It keeps the subset of ``networkx.DiGraph`` this package uses, with
+    the same iteration order: ``nodes`` in insertion order, and
+    ``edges(data=True)`` source-major: sources in node insertion order,
+    then each source's successors in edge insertion order.  The link
+    power and area sums iterate that order, so their last bits depend
+    on it.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: Dict[Hashable, Dict[str, Any]] = {}
+        self._succ: Dict[Hashable, Dict[Hashable, Dict[str, Any]]] = {}
+        self._pred: Dict[Hashable, Dict[Hashable, None]] = {}
+        self.edges = _Edges(self._succ)
+
+    def __contains__(self, node: Hashable) -> bool:
+        return node in self.nodes
+
+    def add_node(self, node: Hashable, **attrs: Any) -> None:
+        """Add ``node`` (if new) and update its attributes."""
+        if node not in self.nodes:
+            self.nodes[node] = {}
+            self._succ[node] = {}
+            self._pred[node] = {}
+        self.nodes[node].update(attrs)
+
+    def add_edge(self, source: Hashable, dest: Hashable,
+                 **attrs: Any) -> None:
+        """Add the edge (and any missing endpoint), then update its
+        attributes."""
+        self.add_node(source)
+        self.add_node(dest)
+        self._succ[source].setdefault(dest, {}).update(attrs)
+        self._pred[dest][source] = None
+
+    def has_edge(self, source: Hashable, dest: Hashable) -> bool:
+        return dest in self._succ.get(source, ())
+
+    def successors(self, node: Hashable) -> Iterator[Hashable]:
+        return iter(self._succ[node])
+
+    def predecessors(self, node: Hashable) -> Iterator[Hashable]:
+        return iter(self._pred[node])
+
+    def number_of_nodes(self) -> int:
+        return len(self.nodes)
+
+    def number_of_edges(self) -> int:
+        return sum(len(successors) for successors in self._succ.values())
+
+
+class _Edges:
+    """``graph.edges[source, dest]`` is that edge's attribute dict;
+    ``graph.edges(data=...)`` iterates the edges source-major."""
+
+    def __init__(self, succ: Dict[Hashable, Dict[Hashable, Dict]]):
+        self._succ = succ
+
+    def __getitem__(self, edge: Tuple[Hashable, Hashable]
+                    ) -> Dict[str, Any]:
+        source, dest = edge
+        return self._succ[source][dest]
+
+    def __call__(self, data: bool = False) -> Iterator[Tuple]:
+        for source, successors in self._succ.items():
+            for dest, attrs in successors.items():
+                yield (source, dest, attrs) if data else (source, dest)
 
 
 def core_node(name: str) -> NodeId:
@@ -32,7 +103,7 @@ class NocTopology:
     """A synthesized NoC: graph + per-flow routes + link loads."""
 
     spec: CommunicationSpec
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    graph: DiGraph = field(default_factory=DiGraph)
     routes: Dict[int, List[NodeId]] = field(default_factory=dict)
 
     # -- construction ------------------------------------------------------

@@ -151,15 +151,20 @@ def sample_line_delay(
 
 def _perturbed_technology(tech: TechnologyParameters,
                           row) -> TechnologyParameters:
-    """``tech`` with one stage's four factors applied to its devices."""
+    """``tech`` with one stage's four factors applied to its devices.
+
+    The factors are applied as Python floats: the device parameters
+    stay ``float``, and every channel-current evaluation of the
+    perturbed devices runs on them rather than on numpy scalars.
+    """
     return dataclasses.replace(
         tech,
-        nmos=dataclasses.replace(tech.nmos,
-                                 k_sat=tech.nmos.k_sat * row[N_DRIVE],
-                                 vth=tech.nmos.vth * row[N_VTH]),
-        pmos=dataclasses.replace(tech.pmos,
-                                 k_sat=tech.pmos.k_sat * row[P_DRIVE],
-                                 vth=tech.pmos.vth * row[P_VTH]),
+        nmos=dataclasses.replace(
+            tech.nmos, k_sat=tech.nmos.k_sat * float(row[N_DRIVE]),
+            vth=tech.nmos.vth * float(row[N_VTH])),
+        pmos=dataclasses.replace(
+            tech.pmos, k_sat=tech.pmos.k_sat * float(row[P_DRIVE]),
+            vth=tech.pmos.vth * float(row[P_VTH])),
     )
 
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.noc.spec import CommunicationSpec
-from repro.noc.topology import NocTopology, core_node, router_node
+from repro.noc.topology import DiGraph, NocTopology, core_node, \
+    router_node
 from repro.units import mm
 
 
@@ -44,6 +45,59 @@ class TestConstruction:
         before = topology.graph.number_of_edges()
         topology.add_link(router_node("r_a"), router_node("r_b"), mm(2))
         assert topology.graph.number_of_edges() == before
+
+
+class TestLinkOrder:
+    def test_links_are_source_major(self, spec):
+        # The power and area sums iterate links() in this order, so it
+        # is part of every synthesized bit: sources in node insertion
+        # order, then each source's links in installation order.
+        topo = NocTopology(spec=spec)
+        a, b, c = (topo.add_core_node(name) for name in "abc")
+        installed = [(b, c), (a, c), (b, a), (a, b), (c, a)]
+        for index, (source, dest) in enumerate(installed):
+            topo.add_link(source, dest, mm(index + 1))
+        order = [(source, dest) for source, dest, _ in topo.links()]
+        assert order == [(a, c), (a, b), (b, c), (b, a), (c, a)]
+        assert order != installed
+        assert [data["length"] for _, _, data in topo.links()] == \
+            [mm(2), mm(4), mm(1), mm(3), mm(5)]
+
+
+class TestDiGraph:
+    @pytest.fixture
+    def graph(self):
+        graph = DiGraph()
+        graph.add_node("n", x=1.0)
+        graph.add_edge("s", "n", length=2.0)
+        graph.add_edge("n", "t")
+        graph.add_edge("s", "t")
+        return graph
+
+    def test_nodes_in_insertion_order(self, graph):
+        assert list(graph.nodes) == ["n", "s", "t"]
+        assert graph.nodes["n"] == {"x": 1.0}
+        assert "t" in graph and "u" not in graph
+        assert graph.number_of_nodes() == 3
+
+    def test_neighbours_in_insertion_order(self, graph):
+        assert list(graph.successors("s")) == ["n", "t"]
+        assert list(graph.predecessors("t")) == ["n", "s"]
+        assert list(graph.edges()) == [("n", "t"), ("s", "n"), ("s", "t")]
+        assert graph.number_of_edges() == 3
+
+    def test_edge_attributes(self, graph):
+        assert graph.edges["s", "n"] == {"length": 2.0}
+        graph.add_edge("s", "n", load=1.0)
+        assert graph.edges["s", "n"] == {"length": 2.0, "load": 1.0}
+        assert graph.number_of_edges() == 3
+        with pytest.raises(KeyError):
+            graph.edges["n", "s"]
+
+    def test_has_edge_is_directed_and_total(self, graph):
+        assert graph.has_edge("s", "n")
+        assert not graph.has_edge("n", "s")
+        assert not graph.has_edge("u", "s")
 
 
 class TestRouting:

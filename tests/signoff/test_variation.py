@@ -43,6 +43,14 @@ class TestVariationModel:
                                      np.random.default_rng(7))
         assert a.nmos.k_sat == b.nmos.k_sat
 
+    def test_perturbed_devices_hold_python_floats(self, tech90):
+        # numpy.float64 subclasses float, so compare exact types.
+        perturbed = VariationModel().perturb_technology(
+            tech90, np.random.default_rng(3))
+        for device in (perturbed.nmos, perturbed.pmos):
+            assert type(device.k_sat) is float
+            assert type(device.vth) is float
+
 
 class TestMonteCarlo:
     @pytest.fixture(scope="class")

@@ -1,19 +1,24 @@
-"""No start-up path imports scipy.
+"""No start-up path imports scipy or networkx.
 
 ``import scipy.optimize`` costs a cold process about half a second and
-~40 MB resident before its first operation.  The program needs scipy
-only in the ``qmc`` estimator, which imports ``scipy.stats`` when it
-runs.  Each probe runs in a fresh interpreter, because this test
-process has scipy loaded already.
+~40 MB resident before its first operation, and ``import networkx``
+about 0.15 s and ~18 MB.  The program needs scipy only in the ``qmc``
+estimator, which imports ``scipy.stats`` when it runs, and networkx
+nowhere: the NoC graph and its cycle search are in-repo.  Each probe
+runs in a fresh interpreter, because this test process may have either
+package loaded already.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import List, Tuple
 
 import pytest
 
@@ -35,39 +40,67 @@ monte_carlo_line_delay(line, ps(100), samples=2, seed=1, workers=1,
                        estimator="{estimator}")
 """
 
+#: Synthesis of a Table III design, then its deadlock check, so the
+#: channel-dependency graph is built and searched.
+DEADLOCK = """
+from repro.experiments.suite import ModelSuite
+from repro.noc.deadlock import analyze_deadlock
+from repro.noc.synthesis import synthesize
+from repro.noc.testcases import dual_vopd
+suite = ModelSuite.for_node("90nm")
+topology = synthesize(dual_vopd(suite.tech), suite.proposed, suite.tech)
+assert analyze_deadlock(topology).deadlock_free
+"""
+
 #: The set-up imports of the benchmark's workloads, the CLI and the
-#: server, and the golden engine at work.
+#: server, the golden engine at work, and a synthesized NoC's
+#: deadlock check.
 ENTRY_POINTS = {
     "table2": "import repro.experiments.table2, repro.experiments.suite",
     "synth": "import repro.experiments.table3, repro.noc.testcases",
     "mc_tail": "import repro.signoff.variation, repro.signoff.extraction",
     "serve": "import repro.cli, repro.serve.server",
     "golden": GOLDEN.format(estimator="importance"),
+    "deadlock": DEADLOCK,
 }
 
 
-def _scipy_modules(code: str, cache: Path) -> list:
-    """The scipy modules a fresh interpreter holds after ``code``."""
-    probe = code + (
-        "\nimport json, sys\n"
-        "print(json.dumps(sorted(name for name in sys.modules\n"
-        "                        if name.split('.')[0] == 'scipy')))\n")
-    env = dict(os.environ, REPRO_CACHE_DIR=str(cache))
+@functools.lru_cache(maxsize=None)
+def _loaded_modules(code: str) -> Tuple[str, ...]:
+    """The modules a fresh interpreter holds after ``code`` (one
+    interpreter per distinct ``code``)."""
+    probe = code + ("\nimport json, sys\n"
+                    "print(json.dumps(sorted(sys.modules)))\n")
+    env = dict(os.environ)
     env.pop("REPRO_FAULTS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(repro.__file__).resolve().parents[1])]
         + [entry for entry in [os.environ.get("PYTHONPATH")] if entry])
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
+    with tempfile.TemporaryDirectory() as cache:
+        env["REPRO_CACHE_DIR"] = cache
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True,
+                              timeout=120)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _package_modules(code: str, package: str) -> List[str]:
+    """The modules of ``package`` loaded after ``code``."""
+    return [name for name in _loaded_modules(code)
+            if name.split(".")[0] == package]
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_entry_point_loads_no_scipy(entry, tmp_path):
-    assert _scipy_modules(ENTRY_POINTS[entry], tmp_path) == []
+def test_entry_point_loads_no_scipy(entry):
+    assert _package_modules(ENTRY_POINTS[entry], "scipy") == []
 
 
-def test_qmc_estimator_is_the_path_that_loads_scipy(tmp_path):
-    loaded = _scipy_modules(GOLDEN.format(estimator="qmc"), tmp_path)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_loads_no_networkx(entry):
+    assert _package_modules(ENTRY_POINTS[entry], "networkx") == []
+
+
+def test_qmc_estimator_is_the_path_that_loads_scipy():
+    loaded = _package_modules(GOLDEN.format(estimator="qmc"), "scipy")
     assert "scipy.stats" in loaded
