@@ -176,7 +176,7 @@ class FileIndex:
     path: str
     module: str
     #: local alias → module-qualified target ("np" → "numpy",
-    #: "klut" → "repro.kernels.lut",
+    #: "_variation" → "repro.signoff.variation",
     #: "span" → "repro.runtime.trace.span").
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)

@@ -27,10 +27,8 @@ points validate their inputs, then pick:
   array path serves (:func:`repro.kernels.array_path`), the scalar one
   otherwise;
 * :func:`minimize_power_under_delay` takes the scalar search for every
-  model, except that a LUT-served query inside the artifact's grid is
-  a closed-form cell crossing (:mod:`repro.kernels.lut`).  One
-  length's few repeater counts are too few lanes for the lockstep
-  search to pay off;
+  model: one length's few repeater counts are too few lanes for the
+  lockstep search to pay off;
 * :func:`max_feasible_length` probes with the scalar search and skips
   the probes whose verdict it can infer.
 """
@@ -284,12 +282,6 @@ def minimize_power_under_delay(
     if counts is None:
         counts = _count_candidates(length)
     counts = _search_counts(counts, max_size)
-
-    from repro.kernels import lut as klut
-    if klut._serves_search(model, length, counts, input_slew, max_size):
-        return klut._minimize_power_under_delay(
-            model, length, max_delay, input_slew, max_size, bus_width,
-            counts)
     return minimize_power_under_delay_scalar(
         model, length, max_delay, input_slew, max_size, bus_width,
         counts)
@@ -330,10 +322,9 @@ def max_feasible_length(
     delay never falls as the length grows; then the bisection
     returns, bit for bit, what probing every midpoint returns.  Each
     count's delay grows with the length, but the size search stops
-    at a 0.25 size width, and a LUT-served model switches between
-    interpolated and closed-form delays at its grid's length nodes,
-    so the found delay can step down.  The premise is checked by
-    comparison with probing every midpoint, not proven.
+    at a 0.25 size width, so the found delay can step down.  The
+    premise is checked by comparison with probing every midpoint, not
+    proven.
     """
     if not max_delay > 0:
         raise ValueError("max_delay must be positive")

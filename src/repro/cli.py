@@ -12,10 +12,6 @@ Installed as the ``repro`` console script::
     repro report trace.jsonl            # summarize a recorded trace
     repro lint src tests                # project-specific AST lint
     repro bench yield --quick           # tail-yield estimator gate
-    repro bench lut --quick             # LUT-vs-closed-form gate
-    repro luts build 90nm --output benchmarks/luts/90nm.json
-                                        # grid the calibrated model
-    repro luts check 90nm               # drift-tracked recalibration
     repro mc 90nm --estimator importance --samples 200
                                         # variance-reduced Monte Carlo
     repro serve --port 8787             # interconnect-model service
@@ -280,79 +276,17 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return 0 if result.clean else 1
 
 
-def _cmd_luts(args: argparse.Namespace) -> int:
-    """``repro luts build`` / ``repro luts check``."""
-    from repro.experiments.suite import ModelSuite
-    from repro.luts.artifact import (
-        load_artifact,
-        load_artifact_file,
-        save_artifact_file,
-        store_artifact,
-    )
-    from repro.luts.build import build_artifact
-    from repro.luts.check import check_drift
-    from repro.luts.grid import COARSE_GRID, DEFAULT_GRID
-    from repro.runtime.manifest import record_block
-
-    suite = ModelSuite.for_node(args.node)
-    model = suite.proposed
-    spec = COARSE_GRID if args.grid == "coarse" else DEFAULT_GRID
-
-    if args.action == "build":
-        artifact = build_artifact(model, args.node, spec)
-        store_artifact(artifact, model)
-        valid = artifact.tables["valid"]
-        print(f"built LUT artifact for {args.node} "
-              f"({args.grid} grid, {spec.points} points, "
-              f"{100.0 * float(valid.mean()):.1f}% servable)")
-        print(f"  interp error {artifact.measured_rel_error:.2e} vs "
-              f"contract {spec.max_rel_error:.2e}")
-        print(f"  content hash {artifact.content_hash}")
-        if args.output:
-            path = save_artifact_file(artifact, args.output)
-            print(f"  exported to {path}")
-        return 0
-
-    if args.artifact:
-        artifact = load_artifact_file(args.artifact)
-        origin = args.artifact
-    else:
-        artifact = load_artifact(args.node, model, spec)
-        origin = "LUT cache"
-    if artifact is None:
-        print(f"error: no usable artifact in {origin} — run "
-              f"'repro luts build' first", file=sys.stderr)
-        return 2
-    report = check_drift(model, artifact, threshold=args.threshold)
-    print(report.format())
-    record_block("lut_drift", report.manifest_block())
-    return 0 if report.within_threshold else 1
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite == "lut":
-        from repro.bench_lut import run_lut_bench
-        output = args.output or "BENCH_lut.json"
-        status, report = run_lut_bench(node=args.node,
-                                       quick=args.quick,
-                                       output=output)
-        error = ("LUT speedup fell below the floor, the interpolation "
-                 "error broke its contract, or a LUT design missed its "
-                 "delay bound")
-    else:
-        from repro.bench_yield import run_yield_bench
-        output = args.output or "BENCH_yield.json"
-        status, report = run_yield_bench(node=args.node,
-                                         quick=args.quick,
-                                         samples=args.samples,
-                                         output=output)
-        error = ("importance sampling saved fewer golden evals than "
-                 "the floor demands for the reference tail")
+    from repro.bench_yield import run_yield_bench
+    output = args.output or "BENCH_yield.json"
+    status, report = run_yield_bench(node=args.node, quick=args.quick,
+                                     samples=args.samples, output=output)
     for line in report["formatted"]:
         print(line)
     print(f"report written to {output}")
     if status != 0:
-        print(f"error: {error}", file=sys.stderr)
+        print("error: importance sampling saved fewer golden evals than "
+              "the floor demands for the reference tail", file=sys.stderr)
     return status
 
 
@@ -630,55 +564,22 @@ def build_parser() -> argparse.ArgumentParser:
     lint_cmd.set_defaults(func=_cmd_lint)
 
     bench_cmd = add_parser(
-        "bench", help="gated benchmark reports (yield, lut)")
-    bench_cmd.add_argument("suite", choices=["yield", "lut"],
+        "bench", help="gated benchmark report (yield)")
+    bench_cmd.add_argument("suite", choices=["yield"],
                            help="'yield' compares tail-yield "
-                                "estimators on the golden engine; "
-                                "'lut' gates the characterization LUT "
-                                "tier against the closed form")
+                                "estimators on the golden engine")
     bench_cmd.add_argument("--node", default="90nm",
                            help="technology node (default 90nm)")
     bench_cmd.add_argument("--quick", action="store_true",
                            help="smaller sample counts (CI smoke)")
     bench_cmd.add_argument("--samples", type=int, default=None,
                            metavar="N",
-                           help="(yield) Monte-Carlo draws (default "
-                                "256, 64 with --quick)")
+                           help="Monte-Carlo draws (default 256, 64 "
+                                "with --quick)")
     bench_cmd.add_argument("--output", default=None, metavar="FILE",
                            help="benchmark report destination "
-                                "(default BENCH_<suite>.json)")
+                                "(default BENCH_yield.json)")
     bench_cmd.set_defaults(func=_cmd_bench)
-
-    luts_cmd = add_parser(
-        "luts", help="characterization LUT tier: build and drift-check"
-                     " precomputed tables")
-    luts_cmd.add_argument("action", choices=["build", "check"],
-                          help="'build' grids the calibrated model "
-                               "into a versioned artifact; 'check' "
-                               "rebuilds the coefficients and diffs "
-                               "them against the stored artifact")
-    luts_cmd.add_argument("node", nargs="?", default="90nm",
-                          help="technology node (default 90nm)")
-    luts_cmd.add_argument("--grid", default="default",
-                          choices=["default", "coarse"],
-                          help="grid spec: 'default' serves the "
-                               "production contract, 'coarse' is the "
-                               "fast CI/smoke variant")
-    luts_cmd.add_argument("--output", default=None, metavar="FILE",
-                          help="(build) also export the committable "
-                               "standalone JSON artifact to FILE")
-    luts_cmd.add_argument("--artifact", default=None, metavar="FILE",
-                          help="(check) diff against this exported "
-                               "artifact file instead of the LUT "
-                               "cache slot")
-    luts_cmd.add_argument("--threshold", type=float, default=1e-9,
-                          metavar="REL",
-                          help="(check) maximum relative drift before "
-                               "the exit status turns nonzero "
-                               "(default 1e-9 — the builder is "
-                               "deterministic, so any drift signals "
-                               "recalibration)")
-    luts_cmd.set_defaults(func=_cmd_luts)
 
     mc_cmd = add_parser(
         "mc", help="Monte-Carlo line delay under process variation")

@@ -11,15 +11,12 @@ thousands of scalar invocations:
   over ``(count, size, length)`` lanes
   (:func:`~repro.kernels.line.evaluate_line_batch`), and
   :func:`~repro.kernels.line.array_path`, which says whether a model
-  takes the closed-form lane, the LUT lane or neither;
+  takes the closed-form lane or the scalar paths;
 * :mod:`repro.kernels.search` — lockstep golden-section / bisection
   searches over all repeater-count lanes at once, reproducing the
   scalar optimizer's trajectory decision-for-decision;
 * :mod:`repro.kernels.variation` — perturbed line delay over a whole
-  Monte-Carlo factor matrix in one call;
-* :mod:`repro.kernels.lut` — batched trilinear interpolation over the
-  characterization LUT tier (:mod:`repro.luts`), plus the LUT-served
-  line evaluation.
+  Monte-Carlo factor matrix in one call.
 
 Contracts:
 
@@ -41,14 +38,9 @@ from __future__ import annotations
 
 from repro.kernels.line import (
     CLOSED_FORM,
-    LUT,
     LineBatch,
     array_path,
     evaluate_line_batch,
-)
-from repro.kernels.lut import (
-    evaluate_line_lut,
-    interpolate_trilinear,
 )
 from repro.kernels.search import (
     minimize_power_under_delay_batch,
@@ -58,12 +50,9 @@ from repro.kernels.variation import line_delay_batch
 
 __all__ = [
     "CLOSED_FORM",
-    "LUT",
     "LineBatch",
     "array_path",
     "evaluate_line_batch",
-    "evaluate_line_lut",
-    "interpolate_trilinear",
     "line_delay_batch",
     "minimize_power_under_delay_batch",
     "optimize_buffering_batch",

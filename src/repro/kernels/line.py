@@ -14,8 +14,8 @@ model's own :meth:`~repro.models.interconnect.BufferedInterconnectModel.stage_de
 and the expensive per-meter wire parasitics are computed once per
 batch.
 
-:func:`array_path` decides which lane serves a model; it is the only
-code in the package that inspects model types.
+:func:`array_path` decides whether the lanes serve a model; it is the
+only code in the package that inspects model types.
 """
 
 from __future__ import annotations
@@ -33,26 +33,17 @@ from repro.runtime.trace import span
 #: :func:`array_path` answer for the plain closed-form model.
 CLOSED_FORM = "closed-form"
 
-#: :func:`array_path` answer for a LUT-served closed-form model.
-LUT = "lut"
-
 
 def array_path(model: object) -> Optional[str]:
     """Which batched lane serves ``model``, or ``None``.
 
-    :data:`CLOSED_FORM` for a plain ``BufferedInterconnectModel``;
-    :data:`LUT` for a LUT-served wrapper over one (its tables serve
-    what they cover, its base model the rest).  Anything else —
-    including subclasses such as the slew-aware model, whose
-    overridden stage the lanes would skip — gets ``None`` and takes
-    the scalar paths.
+    :data:`CLOSED_FORM` for a plain ``BufferedInterconnectModel``.
+    Anything else — including subclasses such as the slew-aware
+    model, whose overridden stage the lanes would skip — gets
+    ``None`` and takes the scalar paths.
     """
     if type(model) is BufferedInterconnectModel:
         return CLOSED_FORM
-    from repro.luts.model import LUTInterconnectModel
-    if (type(model) is LUTInterconnectModel
-            and array_path(model.base) == CLOSED_FORM):
-        return LUT
     return None
 
 
@@ -96,18 +87,10 @@ def evaluate_line_batch(
     ``length`` in meters, ``num_repeaters`` integral, ``repeater_size``
     the dimensionless drive multiple; scalars broadcast.
     ``receiver_cap`` defaults per lane to the lane's own repeater input
-    capacitance, matching the scalar default.  LUT-served models go to
-    :func:`repro.kernels.lut.evaluate_line_lut`.  Non-positive sizes
+    capacitance, matching the scalar default.  Non-positive sizes
     raise ``ValueError`` from the model's own width equation.
     """
-    path = array_path(model)
-    if path == LUT:
-        from repro.kernels import lut as klut
-        return klut.evaluate_line_lut(
-            model, length, num_repeaters, repeater_size,
-            input_slew, bus_width=bus_width,
-            receiver_cap=receiver_cap)
-    if path is None:
+    if array_path(model) is None:
         raise TypeError(
             "evaluate_line_batch runs the plain "
             "BufferedInterconnectModel stage; got "

@@ -139,25 +139,8 @@ def minimize_power_under_delay_batch(
     bus_width: int,
     counts: Sequence[int],
 ) -> Optional[BufferingSolution]:
-    """Batched equivalent of ``minimize_power_under_delay``.
-
-    LUT-served models whose artifact grid spans the whole search
-    interval skip the bisection entirely: the smallest size meeting
-    the bound is a closed-form cell crossing on the interpolated
-    surface (see :mod:`repro.kernels.lut`).  Everything else — plain
-    models, or LUT queries outside the gridded region — runs the
-    lockstep bisection below, whose probes still serve from the
-    tables lane-by-lane where they can.
-    """
-    from repro.kernels import lut as klut
-
-    count_list = list(counts)
-    if klut._serves_search(model, length, count_list, input_slew,
-                           max_size):
-        return klut._minimize_power_under_delay(
-            model, length, max_delay, input_slew, max_size,
-            bus_width, count_list)
-    count_array = np.asarray(count_list, dtype=int)
+    """Batched equivalent of ``minimize_power_under_delay``."""
+    count_array = np.asarray(list(counts), dtype=int)
     fastest_sizes, fastest_delays, _ = _best_sizes_for_counts(
         model, length, count_array, input_slew, 1.0, max_size, bus_width)
     feasible = fastest_delays <= max_delay

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.line import LUT, array_path
+from repro.kernels.line import array_path
 from repro.runtime.metrics import METRICS
 from repro.runtime.trace import span
 
@@ -34,18 +34,14 @@ def line_delay_batch(
     ``factors`` has shape ``(samples, num_repeaters, 4)`` with columns
     ``(n_drive, n_vth, p_drive, p_vth)`` — the multiplicative
     perturbations of each stage, in the scalar sampler's draw order.
-    A row of ones is the nominal line.  A LUT-served model is
-    evaluated on its closed-form base.
+    A row of ones is the nominal line.
     """
     from repro.signoff.variation import _closed_form_line_delay
 
-    path = array_path(model)
-    if path is None:
+    if array_path(model) is None:
         raise TypeError(
             "line_delay_batch runs the plain BufferedInterconnectModel "
             f"stage; got {type(model).__name__}")
-    if path == LUT:
-        model = model.base
     factors = np.asarray(factors, dtype=float)
     if factors.ndim != 3 or factors.shape[1:] != (num_repeaters, 4):
         raise ValueError(

@@ -236,14 +236,9 @@ class LinkDesigner:
             try:
                 # One hash covers everything a design depends on: the
                 # full technology, the model (class plus every fitted
-                # coefficient), clocking and the bus geometry.  Models
-                # may override what identifies them — the LUT-served
-                # wrapper hashes its base model *plus* the artifact
-                # content hash, so a rebuilt grid invalidates designs.
-                model_key = (model.cache_key()
-                             if hasattr(model, "cache_key") else model)
+                # coefficient), clocking and the bus geometry.
                 self._context_hash = fingerprint({
-                    "model": model_key,
+                    "model": model,
                     "tech": tech,
                     "bus_width": bus_width,
                     "utilization": utilization,

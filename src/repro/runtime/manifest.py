@@ -68,10 +68,9 @@ def environment_info() -> Dict[str, Any]:
 def run_environment() -> Dict[str, Any]:
     """The full environment block benchmark reports embed.
 
-    Python and platform identity on top of :func:`environment_info` —
-    the one shape ``BENCH_yield.json`` and ``BENCH_lut.json`` share, so
-    a report says which interpreter, platform and numpy build produced
-    its timings.
+    Python and platform identity on top of :func:`environment_info`,
+    so ``BENCH_yield.json`` says which interpreter, platform and numpy
+    build produced its timings.
     """
     return {
         "python": sys.version.split()[0],
@@ -90,29 +89,6 @@ def _json_safe(value: Any) -> Any:
         return {str(key): _json_safe(entry)
                 for key, entry in value.items()}
     return repr(value)
-
-
-#: Named blocks commands attach to the manifest of the run in flight
-#: (e.g. the ``lut_drift`` block from ``repro luts check``); consumed
-#: by the next :func:`build_manifest` call in this process.
-_EXTRA_BLOCKS: Dict[str, Any] = {}
-
-
-def record_block(name: str, payload: Any) -> None:
-    """Attach a named block to the next manifest built here.
-
-    The payload passes through :func:`_json_safe`; recording the same
-    name twice keeps the latest payload.  Core manifest keys win over
-    recorded blocks, so a block cannot shadow e.g. ``counters``.
-    """
-    _EXTRA_BLOCKS[name] = _json_safe(payload)
-
-
-def consume_blocks() -> Dict[str, Any]:
-    """Drain the recorded blocks (used by :func:`build_manifest`)."""
-    blocks = dict(_EXTRA_BLOCKS)
-    _EXTRA_BLOCKS.clear()
-    return blocks
 
 
 def build_manifest(
@@ -154,8 +130,6 @@ def build_manifest(
         "phases": dict(registry.timers),
         "counters": dict(registry.counters),
     }
-    for name, payload in consume_blocks().items():
-        manifest.setdefault(name, payload)
     fault_counters = registry.fault_counters()
     if fault_counters:
         manifest["faults"] = fault_counters

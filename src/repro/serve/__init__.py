@@ -4,7 +4,7 @@ The paper's end-game is model-in-the-loop NoC synthesis: the
 closed-form models matter because a tool can query them millions of
 times interactively.  This package turns the reproduction into that
 tool — a long-running query service over the link designer and the
-LUT tier:
+Monte-Carlo engines:
 
 * :mod:`repro.serve.protocol` — the JSON query/response schema
   (``design``, ``design_batch``, ``max_feasible_length``, ``mc``);
@@ -24,8 +24,8 @@ LUT tier:
   (``python -m repro.serve.loadgen``) the serve tests drive.
 
 Every served answer is bit-identical to the direct in-process call —
-the same contract the kernel and LUT tiers honour — and a worker
-crash mid-request is recovered without dropping the request.
+the same contract the kernel lanes honour — and a worker crash
+mid-request is recovered without dropping the request.
 """
 
 from repro.serve.config import (

@@ -30,8 +30,7 @@ Two evaluation engines share that contract:
   into an effective transition width through the alpha-power law
   (:func:`_effective_width`), evaluated by
   :func:`repro.kernels.variation.line_delay_batch`: every draw is one
-  lane of a single stage chain (:func:`_closed_form_line_delay`).  A
-  LUT-served model is evaluated on its closed-form base.
+  lane of a single stage chain (:func:`_closed_form_line_delay`).
 
 Orthogonally to the engine, the ``estimator`` argument picks the
 sampling strategy (:mod:`repro.signoff.estimators`): plain Monte
@@ -317,8 +316,7 @@ def _require_closed_form_model(model) -> None:
     if array_path(model) is None:
         raise TypeError(
             "the model engine and estimators evaluate the "
-            "plain BufferedInterconnectModel formula (directly or "
-            "beneath the LUT-served wrapper); got "
+            "plain BufferedInterconnectModel formula; got "
             f"{type(model).__name__}")
 
 

@@ -85,21 +85,3 @@ def cell_char90(tech90, small_grid):
     """One characterized inverter cell (x8) on the tiny grid."""
     return characterize_cell(tech90, RepeaterKind.INVERTER, 8.0,
                              small_grid)
-
-
-@pytest.fixture(scope="session")
-def artifact90(suite90):
-    """A validated coarse-grid LUT artifact for the 90 nm proposed
-    model (built once per session — the builder is the expensive
-    part)."""
-    from repro.luts.build import build_artifact
-    from repro.luts.grid import COARSE_GRID
-    return build_artifact(suite90.proposed, "90nm", COARSE_GRID,
-                          workers=2)
-
-
-@pytest.fixture(scope="session")
-def lut90(suite90, artifact90):
-    """The LUT-served view of the 90 nm proposed model."""
-    from repro.luts.model import serve
-    return serve(suite90.proposed, artifact90)

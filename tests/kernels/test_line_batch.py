@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from repro.characterization import RepeaterKind
-from repro.kernels import CLOSED_FORM, LUT, array_path, \
-    evaluate_line_batch
+from repro.experiments.suite import ModelSuite
+from repro.kernels import CLOSED_FORM, array_path, evaluate_line_batch
 from repro.models.extensions import SlewAwareInterconnectModel
 from repro.models.interconnect import BufferedInterconnectModel
+from repro.tech import DesignStyle, available_nodes
 from repro.units import mm, ps
 
 FIELDS = ("delay", "output_slew", "dynamic_power", "leakage_power",
@@ -42,9 +43,6 @@ class TestSupportsModel:
 
     def test_plain_model_supported(self, model):
         assert array_path(model) == CLOSED_FORM
-
-    def test_lut_model_served_by_the_lut_lane(self, lut90):
-        assert array_path(lut90) == LUT
 
     def test_subclass_rejected(self, suite90):
         slew_aware = _slew_aware(suite90)
@@ -137,3 +135,41 @@ class TestLineBatchDataclass:
         batch = evaluate_line_batch(model, mm(5), 8, 32.0, ps(100))
         with pytest.raises(dataclasses.FrozenInstanceError):
             batch.delay = None
+
+
+class TestEveryNodeAndStyle:
+    """The closed-form lane is the only lane, so it must hold the
+    scalar model's bits wherever the model runs, not only at 90 nm
+    SWSS: every node, every design style, both repeater kinds."""
+
+    LENGTHS = np.array([mm(0.5), mm(4), mm(13)]).reshape(3, 1, 1)
+    COUNTS = np.array([1, 3, 11]).reshape(1, 3, 1)
+    SIZES = np.array([1.0, 6.5, 40.0, 128.0]).reshape(1, 1, 4)
+
+    def _assert_grid_equals_scalar(self, model):
+        batch = evaluate_line_batch(model, self.LENGTHS, self.COUNTS,
+                                    self.SIZES, ps(100))
+        assert batch.delay.shape == (3, 3, 4)
+        for index in np.ndindex(batch.delay.shape):
+            estimate = model.evaluate(
+                float(self.LENGTHS[index[0], 0, 0]),
+                int(self.COUNTS[0, index[1], 0]),
+                float(self.SIZES[0, 0, index[2]]), ps(100))
+            for field in FIELDS:
+                assert getattr(batch, field)[index] == \
+                    getattr(estimate, field), (index, field)
+
+    @pytest.mark.parametrize("style", list(DesignStyle),
+                             ids=lambda style: style.value)
+    @pytest.mark.parametrize("node", available_nodes())
+    def test_inverter_lanes_equal_scalar(self, node, style):
+        model = ModelSuite.for_node(node, style=style).proposed
+        assert array_path(model) == CLOSED_FORM
+        self._assert_grid_equals_scalar(model)
+
+    @pytest.mark.parametrize("node", available_nodes())
+    def test_buffer_lanes_equal_scalar(self, node):
+        model = ModelSuite.for_node(node,
+                                    kind=RepeaterKind.BUFFER).proposed
+        assert array_path(model) == CLOSED_FORM
+        self._assert_grid_equals_scalar(model)

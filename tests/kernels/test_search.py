@@ -6,7 +6,6 @@ solution object contents; only the fractional weighted product may
 differ by one ulp of ``pow`` and gets a 1e-9 tolerance.
 """
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -31,7 +30,7 @@ from repro.kernels import (
     search,
 )
 from repro.models.interconnect import BufferedInterconnectModel
-from repro.tech import DesignStyle
+from repro.tech import DesignStyle, available_nodes
 from repro.units import mm, ps
 
 RTOL = 1e-9
@@ -55,6 +54,21 @@ def _both_minimize(model, length, max_delay):
             DEFAULT_MAX_SIZE, 1, _count_candidates(length))
     return (minimize_power_under_delay_scalar(*args),
             minimize_power_under_delay_batch(*args))
+
+
+def _assert_dispatch_is_scalar(model):
+    max_delay = model.tech.clock_period()
+    feasible = 0
+    for length_mm in (1.0, 4.0, 9.0):
+        length = mm(length_mm)
+        solution = minimize_power_under_delay(model, length, max_delay)
+        assert solution == minimize_power_under_delay_scalar(
+            model, length, max_delay, DEFAULT_INPUT_SLEW,
+            DEFAULT_MAX_SIZE, 1, _count_candidates(length))
+        if solution is not None:
+            assert solution.delay <= max_delay
+            feasible += 1
+    assert feasible >= 2
 
 
 class TestOptimizeBuffering:
@@ -150,18 +164,43 @@ class TestMinimizePowerUnderDelay:
         assert scalar is not None
         assert scalar == kernel
 
-    @pytest.mark.parametrize("length_mm", [15.0, 18.0])
-    def test_lut_query_off_the_grid_takes_the_scalar_search(
-            self, lut90, length_mm):
-        """Past the grid's 14 mm edge no cell crossing serves the
-        query, and the dispatched search returns the lockstep one's
-        solution."""
-        length = mm(length_mm)
-        max_delay = 1.25 * lut90.tech.clock_period()
-        scalar, kernel = _both_minimize(lut90, length, max_delay)
-        assert scalar is not None
-        assert scalar == kernel == minimize_power_under_delay(
-            lut90, length, max_delay)
+    def test_dispatcher_is_the_scalar_search(self, proposed):
+        """``minimize_power_under_delay`` returns the scalar search's
+        solution, bit for bit, for the proposed model at both nodes
+        and styles."""
+        _assert_dispatch_is_scalar(proposed)
+
+    def test_dispatcher_is_the_scalar_search_on_baselines(self,
+                                                          baseline):
+        _assert_dispatch_is_scalar(baseline)
+
+
+@pytest.fixture(scope="module", params=available_nodes())
+def node_model(request):
+    return ModelSuite.for_node(request.param).proposed
+
+
+class TestEveryNode:
+    """The lockstep searches hold the scalar searches' bits at every
+    node, not only at 90 nm."""
+
+    def test_link_sweep_at_the_clock_period_bit_equal(self,
+                                                      node_model):
+        max_delay = node_model.tech.clock_period()
+        feasible = 0
+        for length_mm in range(1, 9):
+            scalar, kernel = _both_minimize(node_model, mm(length_mm),
+                                            max_delay)
+            assert scalar == kernel
+            feasible += scalar is not None
+        assert feasible >= 1
+
+    @pytest.mark.parametrize("weight", [1.0, 0.0])
+    def test_pure_objectives_bit_equal(self, node_model, weight):
+        for length_mm in (1.0, 5.0):
+            scalar, kernel = _both_optimize(node_model, mm(length_mm),
+                                            weight)
+            assert scalar == kernel
 
 
 @dataclass(frozen=True)
@@ -229,11 +268,12 @@ def _fastest_delay(model, length, max_size=DEFAULT_MAX_SIZE):
 class TestMaxFeasibleLength:
     """``max_feasible_length`` returns, bit for bit, what probing every
     midpoint with the model's own search (lockstep for the proposed
-    and LUT models) returns, although it skips the probes whose
-    verdict its regula-falsi bracket and the count candidate lists
-    let it infer.  The inference assumes the fastest delay never
-    falls as the length grows within one candidate list; these cases
-    check it, including LUT cases where that assumption fails."""
+    model) returns, although it skips the probes whose verdict its
+    regula-falsi bracket and the count candidate lists let it infer.
+    The inference assumes the fastest delay never falls as the length
+    grows within one candidate list; these cases check it, including
+    one (32 nm SWSS Pamunuwa) where a new count makes a longer line
+    feasible again."""
 
     def test_kernel_and_scalar_agree(self, model):
         max_delay = model.tech.clock_period()
@@ -242,8 +282,10 @@ class TestMaxFeasibleLength:
         assert max_feasible_length(model, max_delay) == \
             max_feasible_length(scalar_only, max_delay)
 
-    @pytest.mark.parametrize("periods", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("periods", [0.5, 0.95, 1.0, 1.25, 3.0])
     def test_equals_serial_bisection(self, proposed, periods):
+        """At 90 nm SWSS the 0.95- and 1.25-period crossings lie near
+        14.5 and 19.1 mm."""
         max_delay = periods * proposed.tech.clock_period()
         assert max_feasible_length(proposed, max_delay) == \
             _serial_max_feasible_length(proposed, max_delay)
@@ -270,53 +312,6 @@ class TestMaxFeasibleLength:
         assert longest == _serial_max_feasible_length(pamunuwa32,
                                                       max_delay)
         assert mm(4.2) < longest < mm(4.249)
-
-    @pytest.mark.parametrize("periods", [0.5, 0.95, 1.0, 1.25])
-    def test_equals_serial_bisection_on_lut_model(self, lut90, periods):
-        """The crossings (about 7.4, 14.5 and 19.1 mm at 0.5, 0.95 and
-        1.25 periods) fall on both sides of the grid's 14 mm edge."""
-        max_delay = periods * lut90.tech.clock_period()
-        assert max_feasible_length(lut90, max_delay) == \
-            _serial_max_feasible_length(lut90, max_delay)
-
-    def test_lut_grid_edge_step(self, lut90):
-        """Past the grid's 14 mm edge the LUT falls back to the closed
-        form, about 9 ps faster there than the interpolated delay.
-        With the bound inside that step the line fails just below the
-        edge and passes again just above it.  The edge is also where
-        56 repeaters join the candidate counts, so the bisection
-        probes across the step instead of inferring over it."""
-        edge = lut90.artifact.spec.lengths[-1]
-        below = math.nextafter(edge, 0.0)
-        above = edge * (1.0 + 1e-9)
-        max_delay = 0.5 * (_fastest_delay(lut90, below)
-                           + _fastest_delay(lut90, above))
-        assert _fastest_delay(lut90, below) > max_delay
-        assert _fastest_delay(lut90, above) <= max_delay
-        assert _count_candidates(below) != _count_candidates(above)
-        longest = max_feasible_length(lut90, max_delay)
-        assert longest == _serial_max_feasible_length(lut90, max_delay)
-        assert mm(13.5) < longest < edge
-
-    def test_lut_length_node_spike(self, lut90):
-        """With ``max_size`` 1.5 the fastest delay exactly at the
-        8.08 mm length node, where the validity mask changes, is about
-        27 ps above its value 1 um either side, inside one candidate
-        list.  The inferred verdicts assume that cannot happen; the
-        bisection still matches probing every midpoint because none
-        lands on the node."""
-        node = lut90.artifact.spec.lengths[8]
-        near = (node - mm(0.001), node + mm(0.001))
-        max_delay = 0.5 * (_fastest_delay(lut90, node, 1.5)
-                           + _fastest_delay(lut90, near[1], 1.5))
-        assert _fastest_delay(lut90, node, 1.5) > max_delay
-        for length in near:
-            assert _fastest_delay(lut90, length, 1.5) <= max_delay
-            assert _count_candidates(length) == _count_candidates(node)
-        longest = max_feasible_length(lut90, max_delay, max_size=1.5)
-        assert longest == _serial_max_feasible_length(
-            lut90, max_delay, max_size=1.5)
-        assert node < longest < mm(8.25)
 
     def test_equals_serial_bisection_with_custom_bounds(self, model):
         max_delay = model.tech.clock_period()

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.experiments.suite import ModelSuite
 from repro.kernels.variation import line_delay_batch
 from repro.signoff.variation import OVERDRIVE_FLOOR, _effective_width
+from repro.tech import available_nodes
 from repro.units import mm, ps
 
 
@@ -67,15 +69,6 @@ class TestLineDelayBatch:
                                   ps(100), factors)
         assert delays[1] != delays[0]
 
-    def test_lut_model_runs_on_its_base(self, model, lut90):
-        receiver = model.repeater_model().input_capacitance(40.0)
-        factors = np.full((2, 6, 4), 1.1)
-        np.testing.assert_array_equal(
-            line_delay_batch(lut90, mm(3), 6, 40.0, receiver, ps(100),
-                             factors),
-            line_delay_batch(model, mm(3), 6, 40.0, receiver, ps(100),
-                             factors))
-
     def test_factor_shape_validated(self, model):
         receiver = model.repeater_model().input_capacitance(40.0)
         with pytest.raises(ValueError):
@@ -84,3 +77,33 @@ class TestLineDelayBatch:
         with pytest.raises(ValueError):
             line_delay_batch(model, mm(3), 6, 40.0, receiver, ps(100),
                              np.ones((4, 6)))
+
+
+class TestEveryNode:
+    """The kernel runs the closed-form stage chain at every node: a
+    row of ones is the nominal line, a stronger drive (n or p) speeds
+    it up and a higher threshold (n or p) slows it down."""
+
+    @pytest.fixture(params=available_nodes())
+    def node_model(self, request):
+        return ModelSuite.for_node(request.param).proposed
+
+    def test_all_ones_row_is_the_nominal_delay(self, node_model):
+        receiver = node_model.repeater_model().input_capacitance(24.0)
+        delays = line_delay_batch(node_model, mm(2), 4, 24.0, receiver,
+                                  ps(100), np.ones((2, 4, 4)))
+        estimate = node_model.evaluate(mm(2), 4, 24.0, ps(100),
+                                       receiver_cap=receiver)
+        np.testing.assert_array_equal(delays, estimate.delay)
+
+    def test_drive_and_threshold_move_the_delay(self, node_model):
+        receiver = node_model.repeater_model().input_capacitance(24.0)
+        factors = np.ones((5, 4, 4))
+        factors[1, :, 0] = 1.1    # stronger nMOS
+        factors[2, :, 2] = 1.1    # stronger pMOS
+        factors[3, :, 1] = 1.1    # higher nMOS threshold
+        factors[4, :, 3] = 1.1    # higher pMOS threshold
+        nominal, n_drive, p_drive, n_vth, p_vth = line_delay_batch(
+            node_model, mm(2), 4, 24.0, receiver, ps(100), factors)
+        assert n_drive < nominal and p_drive < nominal
+        assert n_vth > nominal and p_vth > nominal

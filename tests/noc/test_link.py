@@ -2,13 +2,18 @@
 
 import pytest
 
+from repro.characterization import RepeaterKind
+from repro.experiments.suite import ModelSuite
+from repro.models.interconnect import BufferedInterconnectModel
 from repro.noc.link import (
     _LENGTH_QUANTUM,
+    DEFAULT_UTILIZATION,
     LinkDesign,
     LinkDesigner,
     quantize_length,
 )
 from repro.runtime import METRICS
+from repro.tech import DesignStyle
 from repro.units import mm
 
 
@@ -258,3 +263,75 @@ class TestPersistentRoundTrip:
         # No crash: the persistent level is skipped for models the
         # canonicalizer cannot render.
         LinkDesigner(Opaque(), suite90.tech, 64)
+
+
+#: The disk-cache context of each node's proposed-model designer
+#: (SWSS, inverter, 64-bit bus, default utilization).  It keys every
+#: persistent link design, so a moved pin orphans that node's cached
+#: designs: move one only with a change to what a design depends on.
+CONTEXT_HASHES = {
+    "90nm": "488cafdce49dd9b2ff2427204f002d23"
+            "887fefe1b2f7cea783d1fb14f889af67",
+    "65nm": "f5688abc8632946152f4c8075d60c1af"
+            "196eb95f3fc314c2e81fcbe5576b2a0e",
+    "45nm": "d8f30b417b04f68fa7ec80071053b666"
+            "5cdfea54b7c5cbc4eee32eed13f063cd",
+    "32nm": "14abb23e0fdac1be269b3a03c29a5ac1"
+            "6af1ebe0a894cc23525ceaa56b74e731",
+    "22nm": "d93304eedc7e32e6f18da7c3aa188582"
+            "ed3d387e750fe68e78e5fd7223bf0341",
+    "16nm": "d7cb6c652dbb277667615ccb92ef6f2a"
+            "90cb1eaa47b4e173002088b4cc40a5d9",
+}
+
+
+class TestDiskCacheIdentity:
+    """The context hash fingerprints the model itself with the
+    technology and the bus geometry."""
+
+    @pytest.mark.parametrize("node", sorted(CONTEXT_HASHES))
+    def test_context_hash_is_pinned(self, node):
+        suite = ModelSuite.for_node(node)
+        designer = LinkDesigner(suite.proposed, suite.tech, 64)
+        assert designer._context_hash == CONTEXT_HASHES[node]
+
+    def test_equal_models_share_a_context(self, suite90):
+        rebuilt = BufferedInterconnectModel(
+            suite90.tech, suite90.calibration, suite90.config)
+        assert rebuilt is not suite90.proposed
+        assert LinkDesigner(rebuilt, suite90.tech, 64)._context_hash \
+            == CONTEXT_HASHES["90nm"]
+
+    @pytest.mark.parametrize("change", [
+        "style", "kind", "activity", "bus_width", "utilization",
+        "model_class"])
+    def test_context_tracks_what_a_design_depends_on(self, suite90,
+                                                     change):
+        model, bus_width = suite90.proposed, 64
+        utilization = DEFAULT_UTILIZATION
+        if change == "style":
+            model = ModelSuite.for_node(
+                "90nm", style=DesignStyle.SHIELDED).proposed
+        elif change == "kind":
+            model = ModelSuite.for_node(
+                "90nm", kind=RepeaterKind.BUFFER).proposed
+        elif change == "activity":
+            model = ModelSuite.for_node(
+                "90nm", activity_factor=0.3).proposed
+        elif change == "bus_width":
+            bus_width = 128
+        elif change == "utilization":
+            utilization = 0.5
+        else:
+            model = suite90.bakoglu
+        base = LinkDesigner(suite90.proposed, suite90.tech, 64,
+                            utilization=DEFAULT_UTILIZATION)
+        designer = LinkDesigner(model, suite90.tech, bus_width,
+                                utilization=utilization)
+        assert designer._context_hash is not None
+        assert designer._context_hash != base._context_hash
+
+    def test_no_context_without_the_disk_cache(self, suite90):
+        designer = LinkDesigner(suite90.proposed, suite90.tech, 64,
+                                use_disk_cache=False)
+        assert designer._context_hash is None

@@ -53,6 +53,16 @@ class TestBuildManifest:
         manifest = self._manifest()
         assert manifest["environment"]["numpy"] == numpy.__version__
 
+    def test_core_keys_only(self):
+        """An empty registry and a config without a seed give exactly
+        the core keys; building twice gives the same keys again."""
+        core = {"schema", "command", "config", "config_hash",
+                "package_version", "python_version", "platform",
+                "workers", "cache_enabled", "environment",
+                "started_at", "wall_seconds", "phases", "counters"}
+        assert set(self._manifest({"node": "90nm"})) == core
+        assert set(self._manifest({"node": "90nm"})) == core
+
     def test_seed_surfaced_from_config(self):
         assert self._manifest()["seed"] == 2010
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.signoff.estimators import ESTIMATORS
 from repro.signoff.extraction import extract_buffered_line
 from repro.signoff.variation import (
     VariationModel,
@@ -146,6 +147,25 @@ class TestClosedFormEngines:
         with pytest.raises(TypeError):
             monte_carlo_line_delay(line90, ps(100), samples=4,
                                    engine="model", model=slew_aware)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_subclassed_model_named_by_every_estimator(
+            self, suite90, line90, estimator):
+        """Every estimator on the model engine refuses a model no
+        closed-form lane serves, before drawing a sample, and names
+        its class."""
+        from repro.models.extensions import SlewAwareInterconnectModel
+        slew_aware = SlewAwareInterconnectModel(
+            suite90.tech, suite90.proposed.calibration,
+            suite90.proposed.config)
+        with pytest.raises(TypeError) as refused:
+            monte_carlo_line_delay(line90, ps(100), samples=4,
+                                   engine="model", model=slew_aware,
+                                   estimator=estimator)
+        assert str(refused.value) == (
+            "the model engine and estimators evaluate the plain "
+            "BufferedInterconnectModel formula; got "
+            "SlewAwareInterconnectModel")
 
     def test_non_uniform_line_rejected(self, model90, tech90, swss90):
         from dataclasses import replace

@@ -1,24 +1,16 @@
-"""The two ``repro bench`` suites' gates: the yield saving and the LUT floor.
+"""The ``repro bench yield`` gate: the importance-sampling saving.
 
 ``repro bench yield`` exits 1 unless importance sampling resolves the
 3-sigma tail from at least :data:`MIN_IMPORTANCE_SAVING` times fewer
-golden runs than plain Monte Carlo; ``repro bench lut`` exits 1 unless
-the LUT-served link sweep clears :data:`SPEEDUP_FLOOR` *and* every LUT
-design meets its bound.  These tests pin the verdict logic on small
-inputs; the full-size runs are the committed ``BENCH_*.json`` reports.
+golden runs than plain Monte Carlo.  These tests pin the verdict logic
+on small inputs; the full-size run is the committed
+``BENCH_yield.json`` report.
 """
 
 import json
-from collections import namedtuple
 
 import pytest
 
-from repro.bench_lut import (
-    SPEEDUP_FLOOR,
-    TIMING_REPEATS,
-    LutBenchResult,
-    run_link_sweep_bench,
-)
 from repro.bench_yield import (
     BENCH_ESTIMATORS,
     MIN_IMPORTANCE_SAVING,
@@ -85,87 +77,3 @@ class TestYieldBench:
                           if entry["estimator"] == "importance")
         assert importance["saving"] < MIN_IMPORTANCE_SAVING
         assert status == 1
-
-
-class TestLutBenchResult:
-    @staticmethod
-    def _result(lut_wall_s, gate_ok=True):
-        return LutBenchResult(op="link_sweep", n=8,
-                              closed_wall_s=SPEEDUP_FLOOR,
-                              lut_wall_s=lut_wall_s, max_rel_diff=0.0,
-                              gate_ok=gate_ok)
-
-    def test_speedup_at_the_floor_passes(self):
-        result = self._result(lut_wall_s=1.0)
-        assert result.speedup == SPEEDUP_FLOOR
-        assert result.passed
-
-    def test_speedup_under_the_floor_fails(self):
-        result = self._result(lut_wall_s=1.01)
-        assert result.speedup < SPEEDUP_FLOOR
-        assert not result.passed
-        assert result.format().endswith("[FAIL]")
-
-    def test_wrong_designs_fail_at_any_speed(self):
-        result = self._result(lut_wall_s=1e-3, gate_ok=False)
-        assert result.speedup > 100 * SPEEDUP_FLOOR
-        assert not result.passed
-        assert result.to_payload()["passed"] is False
-
-
-_Design = namedtuple("_Design", "delay power")
-
-
-class TestLinkSweepGate:
-    def test_coarse_grid_tier_passes_on_a_real_sweep(self, suite90,
-                                                      lut90):
-        result = run_link_sweep_bench(suite90.proposed, lut90,
-                                      suite90.tech.clock_period(),
-                                      lengths_mm=(1.0, 3.0, 5.0))
-        assert result.n == 3
-        assert result.gate_ok
-
-    @staticmethod
-    def _sweep(monkeypatch, closed_design, lut_design, max_delay=1.0,
-               calls=None):
-        closed, lut = object(), object()
-
-        def fake_search(model, length, bound):
-            if calls is not None:
-                calls.append("closed" if model is closed else "lut")
-            return closed_design if model is closed else lut_design
-
-        monkeypatch.setattr(
-            "repro.buffering.optimizer.minimize_power_under_delay",
-            fake_search)
-        return run_link_sweep_bench(closed, lut, max_delay,
-                                    lengths_mm=(1.0, 2.0))
-
-    def test_each_side_is_timed_over_alternating_repeats(self,
-                                                         monkeypatch):
-        calls = []
-        self._sweep(monkeypatch, _Design(0.9, 1.0), _Design(0.9, 1.0),
-                    calls=calls)
-        assert TIMING_REPEATS >= 3
-        assert calls == ["closed", "closed", "lut", "lut"] * TIMING_REPEATS
-
-    def test_lut_design_over_the_bound_fails(self, monkeypatch):
-        result = self._sweep(monkeypatch, _Design(0.9, 1.0),
-                             _Design(1.1, 0.8))
-        assert not result.gate_ok
-
-    def test_lut_infeasible_where_closed_form_is_not_fails(
-            self, monkeypatch):
-        result = self._sweep(monkeypatch, _Design(0.9, 1.0), None)
-        assert not result.gate_ok
-
-    def test_both_infeasible_is_agreement(self, monkeypatch):
-        result = self._sweep(monkeypatch, None, None)
-        assert result.gate_ok
-        assert result.max_rel_diff == 0.0
-
-    def test_drift_is_recorded_over_delay_and_power(self, monkeypatch):
-        result = self._sweep(monkeypatch, _Design(0.8, 2.0),
-                             _Design(0.8, 2.5))
-        assert result.gate_ok
-        assert result.max_rel_diff == pytest.approx(0.25)

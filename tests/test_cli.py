@@ -17,14 +17,41 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
     @pytest.mark.parametrize("suite", [[], ["kernels"], ["lint"],
-                                       ["serve"], ["diff"]],
+                                       ["serve"], ["diff"], ["lut"]],
                              ids=["none", "kernels", "lint", "serve",
-                                  "diff"])
-    def test_bench_takes_only_yield_or_lut(self, suite, capsys):
+                                  "diff", "lut"])
+    def test_bench_takes_only_yield(self, suite, capsys):
         with pytest.raises(SystemExit) as exited:
             build_parser().parse_args(["bench", *suite])
         assert exited.value.code == 2
         assert "yield" in capsys.readouterr().err
+
+    def test_luts_is_no_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            build_parser().parse_args(["luts", "build", "90nm"])
+        assert exited.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice" in error and "luts" in error
+
+
+class TestRemovedLutCommands:
+    """The characterization-LUT commands are gone: their old command
+    lines are usage errors that write nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["luts", "build", "90nm", "--grid", "coarse", "--output"],
+        ["luts", "check", "90nm", "--artifact"],
+        ["bench", "lut", "--output"],
+        ["bench", "lut", "--quick", "--output"]],
+        ids=["luts-build", "luts-check", "bench-lut",
+             "bench-lut-quick"])
+    def test_exits_2_and_writes_nothing(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, str(target)])
+        assert exited.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNodes:
@@ -292,35 +319,3 @@ class TestObservability:
         total = sum(int(line.rsplit(" ", 1)[1])
                     for line in flame.read_text().splitlines())
         assert abs(total - root_us) <= 0.01 * root_us
-
-
-class TestLuts:
-    def test_build_check_round_trip(self, tmp_path, capsys):
-        artifact = tmp_path / "90nm-coarse.json"
-        assert main(["luts", "build", "90nm", "--grid", "coarse",
-                     "--output", str(artifact)]) == 0
-        output = capsys.readouterr().out
-        assert "content hash" in output
-        assert artifact.exists()
-
-        assert main(["luts", "check", "90nm", "--artifact",
-                     str(artifact)]) == 0
-        output = capsys.readouterr().out
-        assert "LUT drift check" in output
-        assert "within threshold" in output
-
-    def test_check_without_artifact_exits_two(self, tmp_path,
-                                              capsys):
-        assert main(["luts", "check", "90nm", "--artifact",
-                     str(tmp_path / "absent.json")]) == 2
-        assert "no usable artifact" in capsys.readouterr().err
-
-    def test_bad_grid_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["luts", "build", "90nm",
-                                       "--grid", "bogus"])
-
-    def test_bench_lut_suite_accepted_by_parser(self):
-        args = build_parser().parse_args(["bench", "lut", "--quick"])
-        assert args.suite == "lut"
-        assert args.quick

@@ -4,9 +4,11 @@
 ~40 MB resident before its first operation, and ``import networkx``
 about 0.15 s and ~18 MB.  The program needs scipy only in the ``qmc``
 estimator, which imports ``scipy.stats`` when it runs, and networkx
-nowhere: the NoC graph and its cycle search are in-repo.  Each probe
-runs in a fresh interpreter, because this test process may have either
-package loaded already.
+nowhere: the NoC graph and its cycle search are in-repo.  A cold
+synthesis's first link design imports nothing its set-up has not, so
+no import cost lands inside a timed operation.  Each probe runs in a
+fresh interpreter, because this test process may have either package
+loaded already.
 """
 
 from __future__ import annotations
@@ -65,6 +67,28 @@ ENTRY_POINTS = {
 }
 
 
+#: The synthesis workload's set-up imports plus its model and link
+#: designer, before any timed operation.
+SYNTH_SETUP = """
+import repro.experiments.table3, repro.noc.testcases
+from repro.buffering.optimizer import minimize_power_under_delay
+from repro.experiments.suite import ModelSuite
+from repro.noc.link import LinkDesigner
+from repro.units import mm
+suite = ModelSuite.for_node("90nm")
+designer = LinkDesigner(suite.proposed, suite.tech, 64)
+"""
+
+#: Cold first operations of a synthesis: a link design (on an empty
+#: disk cache) and the min-power search it runs.
+FIRST_OPS = {
+    "link_design": "assert designer.design(mm(3)) is not None",
+    "min_power_search": "assert minimize_power_under_delay("
+                        "suite.proposed, mm(3), "
+                        "suite.tech.clock_period()) is not None",
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _loaded_modules(code: str) -> Tuple[str, ...]:
     """The modules a fresh interpreter holds after ``code`` (one
@@ -104,3 +128,13 @@ def test_entry_point_loads_no_networkx(entry):
 def test_qmc_estimator_is_the_path_that_loads_scipy():
     loaded = _package_modules(GOLDEN.format(estimator="qmc"), "scipy")
     assert "scipy.stats" in loaded
+
+
+@pytest.mark.parametrize("op", sorted(FIRST_OPS))
+def test_first_synthesis_op_imports_nothing(op):
+    """The first timed operation of a cold synthesis loads no module
+    that its set-up has not loaded already, so no import lands inside
+    a timed operation."""
+    before = set(_loaded_modules(SYNTH_SETUP))
+    after = set(_loaded_modules(SYNTH_SETUP + FIRST_OPS[op] + "\n"))
+    assert sorted(after - before) == []
