@@ -144,12 +144,6 @@ def _search_counts(counts: Sequence[int], max_size: float
     return counts
 
 
-def _lockstep(model) -> bool:
-    """True when a batched lane serves ``model``."""
-    from repro.kernels import array_path
-    return array_path(model) is not None
-
-
 def optimize_buffering_scalar(
     model,
     length: float,
@@ -202,7 +196,8 @@ def optimize_buffering(
         counts = range(1, max_repeaters + 1)
     counts = _search_counts(counts, max_size)
 
-    if _lockstep(model):
+    from repro.kernels import array_path
+    if array_path(model):
         from repro.kernels.search import optimize_buffering_batch
         search = optimize_buffering_batch
     else:
@@ -230,8 +225,11 @@ def minimize_power_under_delay_scalar(
             continue
         # Shrink the size until the delay bound is met, minimizing
         # power: power decreases monotonically with size, so binary
-        # search for the smallest size still meeting the bound.
+        # search for the smallest size still meeting the bound.  The
+        # estimate at ``high`` is always one already made: the fastest
+        # design's, then the last feasible midpoint's.
         low, high = 1.0, fastest.repeater_size
+        high_est = fastest.estimate
         low_est = model.evaluate(length, count, low, input_slew,
                                  bus_width=bus_width)
         if low_est.delay <= max_delay:
@@ -244,12 +242,10 @@ def minimize_power_under_delay_scalar(
                 estimate = model.evaluate(length, count, mid, input_slew,
                                           bus_width=bus_width)
                 if estimate.delay <= max_delay:
-                    high = mid
+                    high, high_est = mid, estimate
                 else:
                     low = mid
-            chosen = high
-            chosen_est = model.evaluate(length, count, chosen, input_slew,
-                                        bus_width=bus_width)
+            chosen, chosen_est = high, high_est
         candidate = BufferingSolution(
             count, chosen, chosen_est, chosen_est.total_power)
         if best is None or candidate.estimate.total_power < best.power:

@@ -37,7 +37,6 @@ Contracts:
 from __future__ import annotations
 
 from repro.kernels.line import (
-    CLOSED_FORM,
     LineBatch,
     array_path,
     evaluate_line_batch,
@@ -49,7 +48,6 @@ from repro.kernels.search import (
 from repro.kernels.variation import line_delay_batch
 
 __all__ = [
-    "CLOSED_FORM",
     "LineBatch",
     "array_path",
     "evaluate_line_batch",

@@ -11,40 +11,33 @@ The slew chain is inherently sequential (stage ``k+1`` consumes stage
 ``k``'s output slew), so the loop over *stages* stays in Python — the
 win is that each iteration evaluates *all lanes* at once through the
 model's own :meth:`~repro.models.interconnect.BufferedInterconnectModel.stage_delay`,
-and the expensive per-meter wire parasitics are computed once per
-batch.
+and the expensive per-meter wire parasitics are the model's own view,
+computed once per model.
 
-:func:`array_path` decides whether the lanes serve a model; it is the
+:func:`array_path` says whether the lanes serve a model; it is the
 only code in the package that inspects model types.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.models.interconnect import BufferedInterconnectModel
-from repro.models.wire import WireCoefficients
 from repro.runtime.metrics import METRICS
 from repro.runtime.trace import span
 
-#: :func:`array_path` answer for the plain closed-form model.
-CLOSED_FORM = "closed-form"
 
+def array_path(model: object) -> bool:
+    """True when the batched lanes serve ``model``.
 
-def array_path(model: object) -> Optional[str]:
-    """Which batched lane serves ``model``, or ``None``.
-
-    :data:`CLOSED_FORM` for a plain ``BufferedInterconnectModel``.
-    Anything else — including subclasses such as the slew-aware
-    model, whose overridden stage the lanes would skip — gets
-    ``None`` and takes the scalar paths.
+    Only a plain ``BufferedInterconnectModel`` qualifies.  Anything
+    else — including subclasses such as the slew-aware model, whose
+    overridden stage step takes scalars only — takes the scalar
+    paths.
     """
-    if type(model) is BufferedInterconnectModel:
-        return CLOSED_FORM
-    return None
+    return type(model) is BufferedInterconnectModel
 
 
 @dataclass(frozen=True)
@@ -90,7 +83,7 @@ def evaluate_line_batch(
     capacitance, matching the scalar default.  Non-positive sizes
     raise ``ValueError`` from the model's own width equation.
     """
-    if array_path(model) is None:
+    if not array_path(model):
         raise TypeError(
             "evaluate_line_batch runs the plain "
             "BufferedInterconnectModel stage; got "
@@ -111,7 +104,7 @@ def evaluate_line_batch(
     METRICS.count("kernels.batch_size", lanes)
     with span("kernels.line_batch", lanes=lanes), \
             METRICS.timer("kernels.batch"):
-        wire = WireCoefficients.from_config(model.config)
+        wire = model.wire_coefficients
         segment = lengths / counts
         input_cap = model.repeater_model().input_capacitance(sizes)
         receiver = (input_cap if receiver_cap is None

@@ -38,7 +38,7 @@ def line_delay_batch(
     """
     from repro.signoff.variation import _closed_form_line_delay
 
-    if array_path(model) is None:
+    if not array_path(model):
         raise TypeError(
             "line_delay_batch runs the plain BufferedInterconnectModel "
             f"stage; got {type(model).__name__}")

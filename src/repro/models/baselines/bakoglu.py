@@ -119,19 +119,30 @@ class BakogluModel:
 
     # -- line evaluation ------------------------------------------------------
 
+    def _stage_parasitics(self, size: float, segment_length: float
+                          ) -> Tuple[float, float, float, float]:
+        """(drive resistance, self capacitance, wire resistance, wire
+        capacitance) of one stage: everything but its load."""
+        return (self.drive_resistance(size), self.self_capacitance(size),
+                self.wire_resistance(segment_length),
+                self.wire_capacitance(segment_length))
+
+    @staticmethod
+    def _elmore(parasitics: Tuple[float, float, float, float],
+                next_cap: float) -> float:
+        r_d, c_self, r_w, c_w = parasitics
+        gate = GATE_COEFFICIENT * r_d * (c_self + c_w + next_cap)
+        wire = r_w * (WIRE_COEFFICIENT * c_w
+                      + WIRE_LOAD_COEFFICIENT * next_cap)
+        return gate + wire
+
     def stage_delay(self, size: float, segment_length: float,
                     next_cap: float) -> float:
         """Elmore delay in seconds of one repeater stage, coupling
         neglected; ``segment_length`` in meters, ``next_cap`` in
         farads."""
-        r_d = self.drive_resistance(size)
-        r_w = self.wire_resistance(segment_length)
-        c_w = self.wire_capacitance(segment_length)
-        c_self = self.self_capacitance(size)
-        gate = GATE_COEFFICIENT * r_d * (c_self + c_w + next_cap)
-        wire = r_w * (WIRE_COEFFICIENT * c_w
-                      + WIRE_LOAD_COEFFICIENT * next_cap)
-        return gate + wire
+        return self._elmore(self._stage_parasitics(size, segment_length),
+                            next_cap)
 
     def evaluate(
         self,
@@ -153,13 +164,13 @@ class BakogluModel:
 
         segment = length / num_repeaters
         input_cap = self.input_capacitance(repeater_size)
-        if receiver_cap is None:
-            receiver_cap = input_cap
 
         # The stages are identical except the last, whose load is the
-        # receiver.
-        inner = self.stage_delay(repeater_size, segment, input_cap)
-        last = self.stage_delay(repeater_size, segment, receiver_cap)
+        # receiver; by default that is one more repeater input.
+        parasitics = self._stage_parasitics(repeater_size, segment)
+        inner = self._elmore(parasitics, input_cap)
+        last = (inner if receiver_cap is None
+                else self._elmore(parasitics, receiver_cap))
         stage_delays = (inner,) * (num_repeaters - 1) + (last,)
 
         switched = (self.wire_capacitance(length)

@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.models.interconnect import BufferedInterconnectModel
-from repro.models.wire import effective_load_capacitance
+from repro.models.interconnect import BufferedInterconnectModel, StageLoad
 
 #: Single-pole time constant -> full-swing-equivalent slew factor.
 #: ln(9) maps tau to a 10-90 transition; the 20-80/0.6 convention used
@@ -42,24 +41,24 @@ class SlewAwareInterconnectModel(BufferedInterconnectModel):
 
     def wire_slew(self, segment_length: float, next_cap: float) -> float:
         """Step-response transition time of one wire segment (seconds)."""
-        config = self.config
-        r_wire = config.resistance_per_meter() * segment_length
-        c_wire = effective_load_capacitance(config, segment_length,
-                                            next_cap)
+        wire = self.wire_coefficients
+        r_wire = wire.resistance_per_meter * segment_length
+        c_wire = wire.load_capacitance(segment_length, next_cap)
         # Elmore time constant of the distributed segment with its load.
         tau = r_wire * (0.5 * (c_wire - next_cap) + next_cap)
         return SLEW_TAU_FACTOR * tau
 
-    def stage_delay(self, wire, wr, input_slew, segment_length,
-                    next_cap, rising_output):
+    def drive_stage(self, stage: StageLoad, wr, input_slew,
+                    rising_output):
         """(delay, far-end slew), both in seconds, of one stage with
         slew degradation; arguments as in
-        :meth:`BufferedInterconnectModel.stage_delay`."""
-        delay, gate_slew = super().stage_delay(
-            wire, wr, input_slew, segment_length, next_cap,
-            rising_output)
-        degraded = math.hypot(gate_slew,
-                              self.wire_slew(segment_length, next_cap))
+        :meth:`BufferedInterconnectModel.drive_stage`.  Scalars only
+        (``math.hypot``)."""
+        delay, gate_slew = super().drive_stage(stage, wr, input_slew,
+                                               rising_output)
+        degraded = math.hypot(
+            gate_slew, self.wire_slew(stage.segment_length,
+                                      stage.next_cap))
         return delay, degraded
 
     def staggered(self) -> "SlewAwareInterconnectModel":

@@ -17,16 +17,25 @@ Power and area come from :mod:`repro.models.power` and
 :mod:`repro.models.area`; the same object therefore supplies every
 metric the buffering optimizer and the NoC synthesizer need.
 
-:meth:`BufferedInterconnectModel.stage_delay` and
-:meth:`~BufferedInterconnectModel.power_and_area` accept arrays, so the
-batched lanes in :mod:`repro.kernels` run this model's own stage and
-power/area arithmetic over many lanes at once.
+A stage splits in two: :meth:`~BufferedInterconnectModel.stage_load`,
+the load and wire delay its segment and far-end capacitance fix, and
+:meth:`~BufferedInterconnectModel.drive_stage`, the slew-dependent
+repeater arithmetic.  The inner stages of a uniform line share one
+load, so :meth:`~BufferedInterconnectModel.evaluate` computes it once
+per line; the per-meter wire view and the repeater model are built
+once per model instance.
+
+:meth:`BufferedInterconnectModel.stage_delay` (the two halves
+composed) and :meth:`~BufferedInterconnectModel.power_and_area`
+accept arrays, so the batched lanes in :mod:`repro.kernels` run this
+model's own stage and power/area arithmetic over many lanes at once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.models.area import regression_repeater_area, wire_area
 from repro.models.calibration import CalibratedTechnology
@@ -71,6 +80,21 @@ class InterconnectEstimate:
         return self.repeater_area + self.wire_area
 
 
+class StageLoad(NamedTuple):
+    """The part of one repeater stage its input slew does not change.
+
+    ``segment_length`` meters and ``next_cap`` farads are the stage's
+    inputs; ``load`` is the capacitance ``c_l`` (F) its repeater
+    drives and ``wire_delay`` the segment's ``d_w`` (s).  Each may be
+    an array.
+    """
+
+    segment_length: float
+    next_cap: float
+    load: float
+    wire_delay: float
+
+
 @dataclass(frozen=True)
 class BufferedInterconnectModel:
     """The proposed predictive model, bound to one technology node.
@@ -84,28 +108,66 @@ class BufferedInterconnectModel:
     config: WireConfiguration
     activity_factor: float = 0.15
 
-    def repeater_model(self) -> RepeaterModel:
+    # The per-instance views below live in the instance ``__dict__``,
+    # outside the dataclass fields, so ``==``, ``hash`` and
+    # ``runtime.fingerprint`` never see them.
+
+    @functools.cached_property
+    def wire_coefficients(self) -> WireCoefficients:
+        """The configuration's per-meter parasitics, computed once per
+        model."""
+        return WireCoefficients.from_config(self.config)
+
+    @functools.cached_property
+    def _repeater(self) -> RepeaterModel:
         return RepeaterModel(tech=self.tech, calibration=self.calibration)
 
+    def repeater_model(self) -> RepeaterModel:
+        """The repeater model of this calibration, built once per
+        model."""
+        return self._repeater
+
     # -- stage-level ----------------------------------------------------
+
+    def stage_load(self, wire: WireCoefficients, segment_length,
+                   next_cap) -> StageLoad:
+        """The slew-independent part of one stage: its load and wire
+        delay.
+
+        ``wire`` holds the configuration's per-meter parasitics,
+        ``segment_length`` is in meters and ``next_cap`` in farads;
+        both may be arrays.
+        """
+        return StageLoad(segment_length, next_cap,
+                         wire.load_capacitance(segment_length, next_cap),
+                         wire.delay(segment_length, next_cap))
+
+    def drive_stage(self, stage: StageLoad, wr, input_slew,
+                    rising_output: bool):
+        """(delay, output slew), both in seconds, of one repeater
+        stage driving ``stage``.
+
+        ``wr`` is the repeater's transition width in meters (see
+        :meth:`RepeaterModel.transition_width`); ``wr`` and
+        ``input_slew`` may be arrays.
+        """
+        direction = self.calibration.direction(rising_output)
+        load = stage.load
+        d_repeater = direction.delay(input_slew, wr, load)
+        slew_out = direction.output_slew(load, input_slew, wr)
+        return d_repeater + stage.wire_delay, slew_out
 
     def stage_delay(self, wire: WireCoefficients, wr, input_slew,
                     segment_length, next_cap, rising_output: bool):
         """(delay, output slew), both in seconds, of one repeater
-        stage.
+        stage: :meth:`drive_stage` of :meth:`stage_load`.
 
-        ``wire`` holds the configuration's per-meter parasitics,
-        ``wr`` is the repeater's transition width in meters (see
-        :meth:`RepeaterModel.transition_width`), ``segment_length``
-        meters, ``next_cap`` farads.  All but ``wire`` and
+        Arguments as in those two; all but ``wire`` and
         ``rising_output`` may be arrays.
         """
-        direction = self.calibration.direction(rising_output)
-        load = wire.load_capacitance(segment_length, next_cap)
-        d_repeater = direction.delay(input_slew, wr, load)
-        d_wire = wire.delay(segment_length, next_cap)
-        slew_out = direction.output_slew(load, input_slew, wr)
-        return d_repeater + d_wire, slew_out
+        return self.drive_stage(
+            self.stage_load(wire, segment_length, next_cap), wr,
+            input_slew, rising_output)
 
     def power_and_area(self, wire: WireCoefficients, length,
                        num_repeaters, wn, wp, input_cap,
@@ -149,23 +211,27 @@ class BufferedInterconnectModel:
         repeater of the same size (matching the golden testbench).
         Powers and areas scale with ``bus_width``.
 
-        A stage is a pure function of its input slew and edge, and the
-        inner stages share one load.  Once an inner stage's input slew
-        equals, bit for bit, the one two stages back, the remaining
-        inner stages repeat that two-stage cycle and are copied, not
-        recomputed; the receiver stage is always computed.
+        The inner stages share one :class:`StageLoad`, computed once
+        per line; with the default ``receiver_cap`` the receiver stage
+        shares it too.  Each stage then runs only :meth:`drive_stage`,
+        a pure function of its input slew and edge.  Once an inner
+        stage's input slew equals, bit for bit, the one two stages
+        back, the remaining inner stages repeat that two-stage cycle
+        and are copied, not recomputed; the receiver stage is always
+        computed.
         """
         if length <= 0:
             raise ValueError("length must be positive")
         if num_repeaters < 1:
             raise ValueError("need at least one repeater")
 
-        wire = WireCoefficients.from_config(self.config)
+        wire = self.wire_coefficients
         segment = length / num_repeaters
-        input_cap = self.repeater_model().input_capacitance(
-            repeater_size)
-        if receiver_cap is None:
-            receiver_cap = input_cap
+        input_cap = self._repeater.input_capacitance(repeater_size)
+        inner_load = self.stage_load(wire, segment, input_cap)
+        receiver_load = (inner_load if receiver_cap is None
+                         else self.stage_load(wire, segment,
+                                              receiver_cap))
         wn, wp = self.tech.inverter_widths(repeater_size)
 
         inverting = self.calibration.kind.inverting
@@ -185,14 +251,12 @@ class BufferedInterconnectModel:
                 break
             rising = not inverting or stage % 2 == 0
             input_slews.append(slew)
-            delay, slew = self.stage_delay(
-                wire, wp if rising else wn, slew, segment, input_cap,
-                rising)
+            delay, slew = self.drive_stage(
+                inner_load, wp if rising else wn, slew, rising)
             stage_delays.append(delay)
         rising = not inverting or inner % 2 == 0
-        delay, slew = self.stage_delay(
-            wire, wp if rising else wn, slew, segment, receiver_cap,
-            rising)
+        delay, slew = self.drive_stage(
+            receiver_load, wp if rising else wn, slew, rising)
         stage_delays.append(delay)
 
         p_dynamic, p_leak, a_repeaters, a_wire = self.power_and_area(

@@ -146,6 +146,9 @@ def synthesize(
                                 utilization=config.utilization)
         capacity = designer.capacity()
         adjacency = _candidate_edges(spec, config, designer)
+        lengths = {(candidate.source, candidate.dest): candidate.length
+                   for candidates in adjacency.values()
+                   for candidate in candidates}
 
         topology = NocTopology(spec=spec)
         flow_order = flows_by_bandwidth(spec.flows)
@@ -159,7 +162,7 @@ def synthesize(
                       bandwidth=flow.bandwidth) as routing:
                 routed = _route_one_flow(
                     flow.source, flow.dest, flow.bandwidth, adjacency,
-                    topology, router_params, capacity, config, tech,
+                    topology, router_params, capacity, tech,
                     hop_budget=hop_budget)
                 if routed is None:
                     routing.annotate(routed=False)
@@ -173,7 +176,7 @@ def synthesize(
                 routing.annotate(routed=True, hops=len(path) - 1,
                                  marginal_power=marginal_power)
                 METRICS.count("synth.flows_routed")
-                _commit_path(topology, spec, path, adjacency)
+                _commit_path(topology, spec, path, lengths)
                 topology.route_flow(index_of[id(flow)], path)
         synth.annotate(routers=len(topology.routers()),
                        links=topology.graph.number_of_edges())
@@ -191,21 +194,26 @@ def _hop_budget(flow_limit: Optional[int],
 def _edge_weight(candidate: _Candidate, bandwidth: float,
                  topology: NocTopology,
                  router_params: RouterParameters, capacity: float,
-                 config: SynthesisConfig,
                  tech: TechnologyParameters) -> Optional[float]:
     """Marginal power (W) of pushing ``bandwidth`` over a candidate edge.
 
     Returns ``None`` for inadmissible edges (capacity exhausted, degree
     limit, infeasible length); each rejection reason is counted under
     ``synth.reject.*`` so a trace/stats footer explains *why* candidate
-    links were discarded.
+    links were discarded.  The caller counts the calls as
+    ``synth.edges_evaluated``.
+
+    The weight is summed in one fixed order: link dynamic power, the
+    head router's traversal power, then, for a link not yet installed,
+    its leakage and one port's leakage per endpoint router that gains
+    a neighbour.  Routes, and so every synthesized bit, depend on it.
+    ``DiGraph.has_edge`` is also false for a node not yet in the graph.
     """
-    METRICS.count("synth.edges_evaluated")
     graph = topology.graph
-    installed = (candidate.source in graph and candidate.dest in graph
-                 and graph.has_edge(candidate.source, candidate.dest))
+    source, dest = candidate.source, candidate.dest
+    installed = graph.has_edge(source, dest)
     if installed:
-        load = topology.edge_load(candidate.source, candidate.dest)
+        load = topology.edge_load(source, dest)
         if load + bandwidth > capacity:
             METRICS.count("synth.reject.capacity")
             return None
@@ -217,22 +225,17 @@ def _edge_weight(candidate: _Candidate, bandwidth: float,
     weight = design.dynamic_power(bandwidth, tech.vdd,
                                   tech.clock_frequency)
     # Router traversal energy at the edge head (if it is a router).
-    if candidate.dest[0] == "router":
+    if dest[0] == "router":
         weight += router_params.dynamic_power(bandwidth)
 
     if not installed:
         weight += design.leakage_power
         # New ports: each endpoint router gains a neighbour unless the
         # reverse direction already exists.
-        for this, other in ((candidate.source, candidate.dest),
-                            (candidate.dest, candidate.source)):
+        if graph.has_edge(dest, source):
+            return weight
+        for this in (source, dest):
             if this[0] != "router":
-                continue
-            already_neighbours = (
-                this in graph and other in graph
-                and (graph.has_edge(this, other)
-                     or graph.has_edge(other, this)))
-            if already_neighbours:
                 continue
             degree = (topology.router_degree(this)
                       if this in graph else 0)
@@ -247,7 +250,6 @@ def _route_one_flow(source: str, dest: str, bandwidth: float,
                     adjacency: Dict[NodeId, List[_Candidate]],
                     topology: NocTopology,
                     router_params: RouterParameters, capacity: float,
-                    config: SynthesisConfig,
                     tech: TechnologyParameters,
                     hop_budget: Optional[int] = None,
                     ) -> Optional[Tuple[List[NodeId], float]]:
@@ -257,7 +259,8 @@ def _route_one_flow(source: str, dest: str, bandwidth: float,
     ``None`` when no admissible path exists.  With a hop budget the
     search runs over (node, hops-used) states, so a node may be
     revisited with fewer hops spent — the standard
-    resource-constrained shortest-path relaxation.
+    resource-constrained shortest-path relaxation.  The relaxations
+    are counted once per flow, as ``synth.edges_evaluated``.
     """
     start = core_node(source)
     goal = core_node(dest)
@@ -267,6 +270,8 @@ def _route_one_flow(source: str, dest: str, bandwidth: float,
     parent: Dict[State, State] = {}
     heap: List[Tuple[float, State]] = [(0.0, start_state)]
     visited = set()
+    evaluated = 0
+    routed = None
 
     while heap:
         cost, state = heapq.heappop(heap)
@@ -280,14 +285,16 @@ def _route_one_flow(source: str, dest: str, bandwidth: float,
             while cursor != start_state:
                 cursor = parent[cursor]
                 path.append(cursor[0])
-            return list(reversed(path)), cost
+            routed = list(reversed(path)), cost
+            break
         for candidate in adjacency.get(node, ()):  # sorted construction
             next_hops = hops + (1 if candidate.dest[0] == "router"
                                 else 0)
             if hop_budget is not None and next_hops > hop_budget:
                 continue
+            evaluated += 1
             weight = _edge_weight(candidate, bandwidth, topology,
-                                  router_params, capacity, config, tech)
+                                  router_params, capacity, tech)
             if weight is None:
                 continue
             next_state: State = (candidate.dest,
@@ -298,18 +305,15 @@ def _route_one_flow(source: str, dest: str, bandwidth: float,
                 best[next_state] = new_cost
                 parent[next_state] = state
                 heapq.heappush(heap, (new_cost, next_state))
-    return None
+    METRICS.count("synth.edges_evaluated", evaluated)
+    return routed
 
 
 def _commit_path(topology: NocTopology, spec: CommunicationSpec,
                  path: List[NodeId],
-                 adjacency: Dict[NodeId, List[_Candidate]]) -> None:
-    """Install the path's nodes and links into the topology."""
-    lengths = {}
-    for candidates in adjacency.values():
-        for candidate in candidates:
-            lengths[(candidate.source, candidate.dest)] = candidate.length
-
+                 lengths: Dict[Tuple[NodeId, NodeId], float]) -> None:
+    """Install the path's nodes and links into the topology;
+    ``lengths`` maps each candidate (source, dest) to its length."""
     for node in path:
         if node[0] == "core":
             topology.add_core_node(node[1])

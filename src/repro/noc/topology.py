@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, \
-    Tuple
+    Set, Tuple
 
 from repro.noc.spec import CommunicationSpec, Flow
 
@@ -64,6 +64,10 @@ class DiGraph:
 
     def predecessors(self, node: Hashable) -> Iterator[Hashable]:
         return iter(self._pred[node])
+
+    def neighbours(self, node: Hashable) -> Set[Hashable]:
+        """The nodes ``node`` has an edge to or from."""
+        return self._pred[node].keys() | self._succ[node].keys()
 
     def number_of_nodes(self) -> int:
         return len(self.nodes)
@@ -156,9 +160,7 @@ class NocTopology:
 
     def router_degree(self, node: NodeId) -> int:
         """Distinct physical neighbours (ports) of a router."""
-        neighbours = set(self.graph.predecessors(node))
-        neighbours.update(self.graph.successors(node))
-        return len(neighbours)
+        return len(self.graph.neighbours(node))
 
     def edge_load(self, source: NodeId, dest: NodeId) -> float:
         """Routed traffic on one link, bits/s."""

@@ -49,7 +49,6 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.arrays import clip
-from repro.models.wire import WireCoefficients
 from repro.runtime import METRICS, span
 from repro.signoff.extraction import ExtractedLine
 from repro.signoff.golden import simulate_stages
@@ -279,7 +278,7 @@ def _closed_form_line_delay(model, length, count: int, size,
     also be lane arrays.
     """
     tech = model.tech
-    wire = WireCoefficients.from_config(model.config)
+    wire = model.wire_coefficients
     segment = length / count
     input_cap = model.repeater_model().input_capacitance(size)
     wn, wp = tech.inverter_widths(size)
@@ -313,7 +312,7 @@ def _require_closed_form_model(model) -> None:
             "estimators (importance sampling, control variates) need "
             "the closed-form model; pass "
             "model=BufferedInterconnectModel(...)")
-    if array_path(model) is None:
+    if not array_path(model):
         raise TypeError(
             "the model engine and estimators evaluate the "
             "plain BufferedInterconnectModel formula; got "

@@ -11,7 +11,7 @@ import pytest
 
 from repro.characterization import RepeaterKind
 from repro.experiments.suite import ModelSuite
-from repro.kernels import CLOSED_FORM, array_path, evaluate_line_batch
+from repro.kernels import array_path, evaluate_line_batch
 from repro.models.extensions import SlewAwareInterconnectModel
 from repro.models.interconnect import BufferedInterconnectModel
 from repro.tech import DesignStyle, available_nodes
@@ -42,18 +42,18 @@ class TestSupportsModel:
     """:func:`array_path` is the one place that picks a lane."""
 
     def test_plain_model_supported(self, model):
-        assert array_path(model) == CLOSED_FORM
+        assert array_path(model) is True
 
     def test_subclass_rejected(self, suite90):
         slew_aware = _slew_aware(suite90)
-        # The subclass overrides the stage, which the lanes would
-        # silently skip.
+        # The subclass overrides the stage step, which takes scalars
+        # only.
         assert isinstance(slew_aware, BufferedInterconnectModel)
-        assert array_path(slew_aware) is None
+        assert array_path(slew_aware) is False
 
     def test_non_model_rejected(self, suite90):
-        assert array_path(object()) is None
-        assert array_path(suite90.bakoglu) is None
+        assert array_path(object()) is False
+        assert array_path(suite90.bakoglu) is False
 
 
 class TestBatchMatchesScalar:
@@ -164,12 +164,12 @@ class TestEveryNodeAndStyle:
     @pytest.mark.parametrize("node", available_nodes())
     def test_inverter_lanes_equal_scalar(self, node, style):
         model = ModelSuite.for_node(node, style=style).proposed
-        assert array_path(model) == CLOSED_FORM
+        assert array_path(model) is True
         self._assert_grid_equals_scalar(model)
 
     @pytest.mark.parametrize("node", available_nodes())
     def test_buffer_lanes_equal_scalar(self, node):
         model = ModelSuite.for_node(node,
                                     kind=RepeaterKind.BUFFER).proposed
-        assert array_path(model) == CLOSED_FORM
+        assert array_path(model) is True
         self._assert_grid_equals_scalar(model)

@@ -1,14 +1,19 @@
 """End-to-end buffered-interconnect model."""
 
+import math
+import pickle
+
 import pytest
 
 from repro.characterization import RepeaterKind
 from repro.experiments.suite import ModelSuite
+from repro.models.extensions import SlewAwareInterconnectModel
 from repro.models.interconnect import (
     BufferedInterconnectModel,
     InterconnectEstimate,
 )
 from repro.models.wire import WireCoefficients
+from repro.runtime import fingerprint
 from repro.units import mm, ps
 
 
@@ -211,3 +216,122 @@ class TestPeriodicStages:
         estimate = model.evaluate(mm(12), 120, 24.0, ps(100))
         assert len(estimate.stage_delays) == 120
         assert len(calls) < 60
+
+    def test_long_line_computes_one_stage_load(self, model,
+                                               monkeypatch):
+        """The inner stages and the default receiver share one load;
+        only the slew-dependent step runs per computed stage."""
+        loads, drives = [], []
+        stage_load = BufferedInterconnectModel.stage_load
+        drive_stage = BufferedInterconnectModel.drive_stage
+
+        def counting_load(*args, **kwargs):
+            loads.append(1)
+            return stage_load(*args, **kwargs)
+
+        def counting_drive(*args, **kwargs):
+            drives.append(1)
+            return drive_stage(*args, **kwargs)
+
+        monkeypatch.setattr(BufferedInterconnectModel, "stage_load",
+                            counting_load)
+        monkeypatch.setattr(BufferedInterconnectModel, "drive_stage",
+                            counting_drive)
+        model.evaluate(mm(12), 120, 24.0, ps(100))
+        assert len(loads) == 1
+        assert 0 < len(drives) < 60
+
+    @pytest.mark.parametrize("num_repeaters", [1, 2, 3, 13, 120])
+    def test_receiver_at_the_input_capacitance(self, model,
+                                               num_repeaters):
+        """An explicit ``receiver_cap`` gets its own stage load, also
+        when it equals the input capacitance or lies one ulp above
+        it."""
+        for length in (mm(1), mm(15)):
+            for size in (4.0, 48.0):
+                input_cap = model.repeater_model().input_capacitance(
+                    size)
+                for receiver_cap in (input_cap,
+                                     math.nextafter(input_cap,
+                                                    math.inf)):
+                    for input_slew in (ps(20), ps(400)):
+                        assert model.evaluate(
+                            length, num_repeaters, size, input_slew,
+                            receiver_cap=receiver_cap) == \
+                            _stage_by_stage(model, length,
+                                            num_repeaters, size,
+                                            input_slew, receiver_cap)
+
+    @pytest.mark.parametrize("num_repeaters", [1, 2, 3, 13, 120])
+    def test_slew_aware_equals_stage_by_stage(self, model,
+                                              num_repeaters):
+        """The slew-aware subclass overrides the per-stage step, and
+        ``evaluate`` must still take it on every computed stage."""
+        slew_aware = SlewAwareInterconnectModel(
+            model.tech, model.calibration, model.config,
+            model.activity_factor)
+        for length in (mm(1), mm(15)):
+            for size in (4.0, 48.0):
+                for input_slew in (ps(20), ps(400)):
+                    for receiver_cap in (None, 200e-15):
+                        assert slew_aware.evaluate(
+                            length, num_repeaters, size, input_slew,
+                            receiver_cap=receiver_cap) == \
+                            _stage_by_stage(slew_aware, length,
+                                            num_repeaters, size,
+                                            input_slew, receiver_cap)
+
+
+def _hash_outcome(value):
+    """``hash(value)``, or the ``TypeError`` it raises: a model's
+    ``TechnologyParameters`` holds its wire layers in a dict, so the
+    dataclass ``__hash__`` over the fields raises."""
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+class TestPerInstanceViews:
+    """A model builds its wire view and repeater model once, outside
+    its dataclass fields, so its key, equality, hash and pickle stay
+    what its fields make them."""
+
+    @staticmethod
+    def _fresh(suite90):
+        proposed = suite90.proposed
+        return BufferedInterconnectModel(
+            proposed.tech, proposed.calibration, proposed.config,
+            proposed.activity_factor)
+
+    def test_one_wire_view_across_evaluations(self, suite90,
+                                              monkeypatch):
+        calls = []
+        from_config = WireCoefficients.from_config.__func__
+
+        def counting(cls, config):
+            calls.append(config)
+            return from_config(cls, config)
+
+        monkeypatch.setattr(WireCoefficients, "from_config",
+                            classmethod(counting))
+        model = self._fresh(suite90)
+        for count in (1, 3, 8, 24):
+            for size in (2.0, 20.0):
+                model.evaluate(mm(6), count, size, ps(100))
+        assert calls == [model.config]
+        assert model.repeater_model() is model.repeater_model()
+
+    def test_key_equality_hash_and_pickle_unchanged(self, suite90):
+        model, untouched = self._fresh(suite90), self._fresh(suite90)
+        key, digest = fingerprint(model), _hash_outcome(model)
+        before = model.evaluate(mm(4), 3, 16.0, ps(100))
+        model.evaluate(mm(9), 12, 40.0, ps(300))
+        assert fingerprint(model) == key == fingerprint(untouched)
+        assert _hash_outcome(model) == digest == _hash_outcome(untouched)
+        assert model == untouched
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone == model
+        assert _hash_outcome(clone) == digest
+        assert fingerprint(clone) == key
+        assert clone.evaluate(mm(4), 3, 16.0, ps(100)) == before

@@ -1,5 +1,6 @@
 """NoC topology graph."""
 
+import numpy as np
 import pytest
 
 from repro.noc.spec import CommunicationSpec
@@ -154,6 +155,30 @@ class TestQueries:
     def test_router_degree_counts_distinct_neighbours(self, topology):
         # r_b touches: core b (both directions), r_a, r_c.
         assert topology.router_degree(router_node("r_b")) == 3
+
+    def test_router_degree_matches_set_union_of_random_links(self,
+                                                             spec):
+        """Seeded random links, in both directions and repeated,
+        against the set union of each node's link ends."""
+        rng = np.random.default_rng(2028)
+        topo = NocTopology(spec=spec)
+        nodes = [topo.add_core_node(name) for name in "abc"]
+        nodes += [topo.add_router(f"r{index}", 0.0, 0.0)
+                  for index in range(7)]
+        installed = []
+        for _ in range(80):
+            first, second = rng.choice(len(nodes), size=2, replace=False)
+            source, dest = nodes[first], nodes[second]
+            topo.add_link(source, dest, mm(1))
+            installed.append((source, dest))
+            for node in nodes:
+                expected = ({b for a, b in installed if a == node}
+                            | {a for a, b in installed if b == node})
+                assert topo.graph.neighbours(node) == expected
+                assert topo.router_degree(node) == len(expected)
+        assert len(set(installed)) < len(installed)
+        assert any((dest, source) in installed
+                   for source, dest in installed)
 
     def test_max_link_length(self, topology):
         assert topology.max_link_length() == pytest.approx(mm(2))
