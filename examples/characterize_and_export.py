@@ -1,11 +1,10 @@
 #!/usr/bin/env python
-"""Characterize a repeater library and export industry-format files.
+"""Characterize a repeater library and export it as Liberty.
 
 The paper's Section III-E flow end to end: sweep the circuit simulator
 over a (size x slew x load) grid, fit the Table I coefficients by
-regression, and write the artifacts a real flow would exchange —
-a Liberty timing library, a LEF technology file, and the SPEF
-parasitics of an extracted buffered line.
+regression, and write the Liberty timing library a real flow would
+exchange.
 
 Run:  python examples/characterize_and_export.py [node] [outdir]
 (The default reduced grid keeps the run under a minute.)
@@ -25,11 +24,8 @@ from repro.models.calibration import (
     calibrate_from_library,
     describe_coefficients,
 )
-from repro.signoff.extraction import extract_buffered_line
-from repro.signoff.spef import dumps_spef, line_to_spef
-from repro.tech import DesignStyle, WireConfiguration, get_technology
-from repro.tech import lef, liberty
-from repro.units import mm, ps
+from repro.tech import get_technology, liberty
+from repro.units import ps
 
 
 def main() -> None:
@@ -52,18 +48,11 @@ def main() -> None:
     calibration = calibrate_from_library(library)
     print("\n" + describe_coefficients(calibration))
 
-    # 3. Export Liberty, LEF and SPEF.
+    # 3. Export Liberty.
     liberty_path = outdir / f"repeaters_{node}.lib"
     liberty_path.write_text(liberty.dumps(library_to_liberty(library)))
-    lef_path = outdir / f"{node}.lef"
-    lef_path.write_text(lef.dumps(lef.from_technology(tech)))
-    config = WireConfiguration.for_style(tech.global_layer,
-                                         DesignStyle.SWSS)
-    line = extract_buffered_line(tech, config, mm(5), 5, 16.0)
-    spef_path = outdir / f"line5mm_{node}.spef"
-    spef_path.write_text(dumps_spef(line_to_spef(line)))
 
-    print(f"\nwrote {liberty_path}\nwrote {lef_path}\nwrote {spef_path}")
+    print(f"\nwrote {liberty_path}")
 
 
 if __name__ == "__main__":

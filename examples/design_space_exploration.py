@@ -3,10 +3,9 @@
 
 Combines the system-level facilities into a single architect's session:
 
-1. sketch the floorplan,
-2. synthesize a custom topology and render it,
-3. compare against the standard 2D mesh,
-4. sweep the flit width for the cheapest feasible design point.
+1. synthesize a custom topology,
+2. compare it against the standard 2D mesh,
+3. sweep the flit width for the cheapest feasible design point.
 
 Run:  python examples/design_space_exploration.py [node]
 """
@@ -22,7 +21,6 @@ from repro.noc import (
     synthesize,
 )
 from repro.noc.evaluation import NocReport
-from repro.noc.visualization import render_floorplan, render_topology
 
 
 def main() -> None:
@@ -30,15 +28,10 @@ def main() -> None:
     suite = ModelSuite.for_node(node)
     spec = dual_vopd(suite.tech)
 
-    # 1. The floorplan we are synthesizing for.
-    print(render_floorplan(spec))
-
-    # 2. Custom constraint-driven topology.
+    # 1. Custom constraint-driven topology.
     custom = synthesize(spec, suite.proposed, suite.tech)
-    print("\n--- synthesized topology ---")
-    print(render_topology(custom, max_links=12))
 
-    # 3. Mesh baseline.
+    # 2. Mesh baseline.
     mesh = build_mesh(spec)
     custom_report = evaluate_topology(custom, suite.proposed,
                                       suite.tech, label="custom")
@@ -51,7 +44,7 @@ def main() -> None:
     ratio = mesh_report.total_power / custom_report.total_power
     print(f"mesh costs {ratio:.2f}x the synthesized topology's power")
 
-    # 4. Flit-width sweep.
+    # 3. Flit-width sweep.
     print("\n--- flit-width exploration ---")
     exploration = explore_widths(spec, suite.proposed, suite.tech,
                                  widths=(32, 64, 128, 256))

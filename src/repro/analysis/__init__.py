@@ -6,27 +6,19 @@ determinism contract of :mod:`repro.runtime.parallel`, the purity
 requirements of :class:`repro.runtime.DiskCache` keys, pool-safe
 callables, and span lifecycle.  This package can: five small checkers
 share one AST walk per file (:mod:`repro.analysis.core`), suppression
-is inline (``# repro: noqa[rule]``), and a committed baseline file
-grandfathers pre-existing findings so the CI gate only trips on new
-ones (:mod:`repro.analysis.baseline`).
+is inline (``# repro: noqa[rule]``) and is the only way to silence a
+finding.
 
-Entry points: :func:`run_lint` does everything the ``repro lint``
-subcommand needs; :func:`lint_paths` is the lower-level scan.
+Entry point: :func:`run_lint` does everything the ``repro lint``
+subcommand needs; :func:`scan_paths` is the lower-level scan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.baseline import (
-    BASELINE_SCHEMA,
-    apply_baseline,
-    prune_baseline,
-    read_baseline,
-    write_baseline,
-)
 from repro.analysis.checkers import (
     ALL_CHECKERS,
     CHECKERS_BY_RULE,
@@ -45,11 +37,9 @@ from repro.analysis.core import (
 )
 from repro.analysis.engine import Scan, scan_paths, split_rules
 from repro.analysis.project import ProjectChecker
-from repro.runtime.metrics import METRICS
 
 __all__ = [
     "ALL_CHECKERS",
-    "BASELINE_SCHEMA",
     "CHECKERS_BY_RULE",
     "Checker",
     "FileContext",
@@ -60,18 +50,13 @@ __all__ = [
     "ProjectChecker",
     "SYNTAX_RULE",
     "Scan",
-    "apply_baseline",
     "check_file",
     "check_source",
     "collect_files",
     "display_path",
-    "lint_paths",
-    "prune_baseline",
-    "read_baseline",
     "run_lint",
     "scan_paths",
     "split_rules",
-    "write_baseline",
 ]
 
 
@@ -81,10 +66,6 @@ class LintResult:
 
     findings: List[Finding]
     files_scanned: int
-    baselined: int = 0
-    #: every finding before baseline filtering (what --write-baseline
-    #: serializes).
-    all_findings: List[Finding] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:
@@ -101,8 +82,6 @@ class LintResult:
         total = len(self.findings)
         summary = (f"{self.files_scanned} files scanned, "
                    f"{total} finding{'s' if total != 1 else ''}")
-        if self.baselined:
-            summary += f" ({self.baselined} baselined)"
         if self.findings:
             per_rule = ", ".join(
                 f"{rule}: {count}"
@@ -114,7 +93,6 @@ class LintResult:
     def to_json(self) -> Dict:
         return {
             "files_scanned": self.files_scanned,
-            "baselined": self.baselined,
             "findings": [finding.to_json()
                          for finding in self.findings],
             "counts_by_rule": self.by_rule(),
@@ -134,37 +112,16 @@ def make_checkers(rules: Optional[Sequence[str]] = None
     return [CHECKERS_BY_RULE[rule]() for rule in file_rules]
 
 
-def lint_paths(paths: Sequence[Path],
-               rules: Optional[Sequence[str]] = None,
-               exclude: Sequence[str] = ()
-               ) -> Tuple[List[Finding], int]:
-    """Scan ``paths``; returns (findings, files scanned).
-
-    Thin compatibility wrapper over :func:`scan_paths` — the cached,
-    parallel engine with the whole-program rules included.
-    Instrumented through :data:`repro.runtime.metrics.METRICS`
-    (``lint.files``, ``lint.cache.hit``/``miss``, the
-    ``lint.walk_seconds`` histogram, ``lint.findings.<rule>``, the
-    ``lint.scan`` timer) so ``repro lint --stats`` prints warm/cold
-    behaviour in the same footer as every other subcommand.
-    """
-    scan = scan_paths(paths, rules=rules, exclude=exclude)
-    return scan.findings, scan.files_scanned
-
-
 def run_lint(paths: Sequence[Path],
              rules: Optional[Sequence[str]] = None,
              exclude: Sequence[str] = (),
-             baseline_path: Optional[Path] = None,
              graph_path: Optional[Path] = None) -> LintResult:
-    """Scan, serialize the call graph if asked, then apply the
-    baseline if one was given.
+    """Scan, and serialize the call graph if asked.
 
     ``graph_path`` writes the resolved project call graph: JSON for a
     ``.json`` suffix, Graphviz DOT otherwise.
     """
     scan = scan_paths(paths, rules=rules, exclude=exclude)
-    all_findings, files_scanned = scan.findings, scan.files_scanned
     if graph_path is not None:
         graph = scan.graph()
         graph_path = Path(graph_path)
@@ -175,12 +132,5 @@ def run_lint(paths: Sequence[Path],
                 + "\n", encoding="utf-8")
         else:
             graph_path.write_text(graph.to_dot(), encoding="utf-8")
-    findings = all_findings
-    baselined = 0
-    if baseline_path is not None and Path(baseline_path).exists():
-        budget = read_baseline(baseline_path)
-        findings, baselined = apply_baseline(all_findings, budget)
-        if baselined:
-            METRICS.count("lint.baselined", baselined)
-    return LintResult(findings=findings, files_scanned=files_scanned,
-                      baselined=baselined, all_findings=all_findings)
+    return LintResult(findings=scan.findings,
+                      files_scanned=scan.files_scanned)

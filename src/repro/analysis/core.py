@@ -7,14 +7,9 @@ visits each node once and dispatches to every checker that defines a
 hang their teardown on).  Checkers are tiny classes — a rule name, a
 severity, and a handful of visit methods that call :meth:`Checker.report`.
 
-Suppression and grandfathering:
-
-* ``# repro: noqa`` on a flagged line suppresses every rule on that
-  line; ``# repro: noqa[units,determinism]`` suppresses only the named
-  rules.
-* A committed baseline file (see :mod:`repro.analysis.baseline`)
-  grandfathers known findings by line-independent fingerprint, so the
-  lint gate only fails on *new* findings.
+Suppression: ``# repro: noqa`` on a flagged line suppresses every rule
+on that line; ``# repro: noqa[units,determinism]`` suppresses only the
+named rules.
 
 Nothing here imports the checkers; :mod:`repro.analysis.checkers`
 registers the concrete rules and :func:`repro.analysis.run_lint` ties
@@ -60,14 +55,6 @@ class Finding:
     rule: str
     message: str
     severity: str = "error"
-
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file.
-
-        Deliberately excludes line/column so that unrelated edits above
-        a grandfathered finding do not un-baseline it.
-        """
-        return f"{self.rule}::{self.path}::{self.message}"
 
     def format(self) -> str:
         return (f"{self.path}:{self.line}:{self.col}: "
@@ -275,7 +262,8 @@ def collect_files(paths: Iterable[Path],
 
 
 def display_path(path: Path) -> str:
-    """Stable, repo-relative rendering when possible (for baselines)."""
+    """Stable, repo-relative rendering when possible (what findings
+    and reports print)."""
     try:
         return path.resolve().relative_to(Path.cwd()).as_posix()
     except ValueError:

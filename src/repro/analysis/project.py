@@ -6,8 +6,8 @@ one AST at a time.  Project-level rules subclass
 (:mod:`repro.analysis.index`) and the call graph resolved
 (:mod:`repro.analysis.graph`), each project checker's :meth:`check`
 runs once over the aggregate.  Findings honour the same ``# repro:
-noqa`` suppression as file rules — the per-file noqa maps travel with
-the indexes — and the same baseline grandfathering downstream.
+noqa`` suppression as file rules: the per-file noqa maps travel with
+the indexes.
 
 Rules carry a ``version``; the incremental lint cache folds the
 versions of every enabled rule into its keys, so bumping a version

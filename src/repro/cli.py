@@ -10,7 +10,7 @@ Installed as the ``repro`` console script::
     repro table1 | table2 | table3      # full paper experiments
     repro staggering | runtime | leakage-area
     repro report trace.jsonl            # summarize a recorded trace
-    repro lint src tests                # project-specific AST lint
+    repro lint                          # project-specific AST lint
     repro bench yield --quick           # tail-yield estimator gate
     repro mc 90nm --estimator importance --samples 200
                                         # variance-reduced Monte Carlo
@@ -220,11 +220,11 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.analysis import (prune_baseline, run_lint,
-                                write_baseline)
+    from repro.analysis import run_lint
 
-    paths = [Path(entry)
-             for entry in (args.paths or ["src", "tests", "scripts"])]
+    # The same roots CI lints, so a clean local run is a clean CI run.
+    paths = [Path(entry) for entry in (
+        args.paths or ["src", "tests", "benchmarks", "scripts", "examples"])]
     rules = None
     if args.rules is not None:
         rules = [name.strip() for name in args.rules.split(",")
@@ -232,12 +232,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     # The lint fixtures are deliberate violations; keep them out of
     # every run unless a path names them directly.
     exclude = ("tests/analysis/fixtures",) + tuple(args.exclude or ())
-    baseline_path = Path(args.baseline)
-    skip_baseline = args.write_baseline or args.prune_baseline
     try:
         result = run_lint(paths, rules=rules, exclude=exclude,
-                          baseline_path=(None if skip_baseline
-                                         else baseline_path),
                           graph_path=(Path(args.graph)
                                       if args.graph else None))
     except (FileNotFoundError, ValueError) as exc:
@@ -250,25 +246,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             json.dump(result.to_json(), handle, indent=2,
                       sort_keys=True)
             handle.write("\n")
-    if args.write_baseline:
-        write_baseline(baseline_path, result.all_findings)
-        grandfathered = sum(
-            1 for finding in result.all_findings
-            if finding.rule != "syntax")
-        print(f"baseline written to {baseline_path} "
-              f"({grandfathered} findings grandfathered)")
-        return 0
-    if args.prune_baseline:
-        if not baseline_path.exists():
-            print(f"error: no baseline at {baseline_path}",
-                  file=sys.stderr)
-            return 2
-        kept, pruned = prune_baseline(baseline_path,
-                                      result.all_findings)
-        print(f"baseline pruned: {pruned} stale occurrence"
-              f"{'s' if pruned != 1 else ''} removed, "
-              f"{kept} entr{'ies' if kept != 1 else 'y'} kept")
-        return 0
     if args.format == "json":
         print(json.dumps(result.to_json(), indent=2, sort_keys=True))
     else:
@@ -534,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint", help="project-specific AST static analysis")
     lint_cmd.add_argument("paths", nargs="*", metavar="PATH",
                           help="files or directories to scan "
-                               "(default: src tests scripts)")
+                               "(default: src tests benchmarks "
+                               "scripts examples)")
     lint_cmd.add_argument("--format", default="text",
                           choices=["text", "json"],
                           help="findings output format")
@@ -544,16 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="FRAGMENT",
                           help="skip files whose path contains "
                                "FRAGMENT (repeatable)")
-    lint_cmd.add_argument("--baseline", default="lint-baseline.json",
-                          metavar="FILE",
-                          help="baseline file of grandfathered "
-                               "findings (used when it exists)")
-    lint_cmd.add_argument("--write-baseline", action="store_true",
-                          help="rewrite the baseline from the "
-                               "current findings and exit 0")
-    lint_cmd.add_argument("--prune-baseline", action="store_true",
-                          help="drop baseline entries the current "
-                               "tree no longer produces, then exit 0")
     lint_cmd.add_argument("--report", default=None, metavar="FILE",
                           help="also write a JSON findings report "
                                "to FILE")

@@ -158,12 +158,6 @@ class SensitivityResult:
             "unbuildable.")
         return "\n".join(lines)
 
-    def max_regret(self) -> float:
-        return max(row.regret for row in self.rows)
-
-    def worst_estimation_error(self) -> float:
-        return max(abs(row.estimation_error) for row in self.rows)
-
     def baseline_row(self) -> SensitivityRow:
         for row in self.rows:
             if row.scale == 1.0:

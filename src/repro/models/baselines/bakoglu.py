@@ -15,16 +15,12 @@ proposed model removes, are:
   barrier);
 * repeater area is the raw transistor active area — the "simplistic
   assumption on the area occupation" the paper calls out.
-
-The classic delay-optimal repeater count and size closed forms are also
-provided; they are what the original flow uses to buffer a line.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -197,25 +193,3 @@ class BakogluModel:
             length=length,
             bus_width=bus_width,
         )
-
-    # -- classic closed-form buffering ---------------------------------------
-
-    def delay_optimal_buffering(self, length: float
-                                ) -> Tuple[int, float]:
-        """Classic delay-optimal repeater count and size.
-
-        ``k = sqrt(0.4 R_w C_w / (0.7 R_0 C_0))`` repeaters of size
-        ``h = sqrt(R_0 C_w / (R_w C_0))`` — the Bakoglu formulas, using
-        this model's (optimistic) wire view.  The paper notes these
-        sizes are "never used in practice"; the buffering optimizer
-        exists precisely to do better.
-        """
-        r_total = self.wire_resistance(length)
-        c_total = self.wire_capacitance(length)
-        r0 = self.drive_resistance(1.0)
-        c0 = self.input_capacitance(1.0)
-        count = max(1, round(math.sqrt(
-            (WIRE_COEFFICIENT * r_total * c_total)
-            / (GATE_COEFFICIENT * r0 * c0))))
-        size = math.sqrt(r0 * c_total / (r_total * c0))
-        return count, max(size, 1.0)

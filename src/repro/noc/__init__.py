@@ -26,7 +26,6 @@ from repro.noc.synthesis import SynthesisConfig, synthesize
 from repro.noc.evaluation import NocReport, evaluate_topology
 from repro.noc.mesh import build_mesh
 from repro.noc.testcases import dual_vopd, vproc
-from repro.noc.visualization import render_report
 from repro.noc.width_exploration import explore_widths
 from repro.noc.deadlock import analyze_deadlock
 
@@ -45,7 +44,6 @@ __all__ = [
     "build_mesh",
     "dual_vopd",
     "vproc",
-    "render_report",
     "explore_widths",
     "analyze_deadlock",
 ]

@@ -18,7 +18,7 @@ maximum link length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.buffering.optimizer import (
     BufferingSolution,
@@ -349,80 +349,3 @@ class LinkDesigner:
         return design_link(self.model, self.tech, self.bus_width,
                            length)
 
-
-class LayerAwareLinkDesigner:
-    """Link design with per-link routing-layer assignment.
-
-    Real flows route short links on cheap intermediate metal and
-    reserve the thick global layers for spans that need them.  This
-    designer holds one :class:`LinkDesigner` per candidate layer and,
-    for each length, picks the *cheapest feasible* option — so layer
-    assignment falls out of the same min-power objective as everything
-    else.  It is a drop-in replacement for :class:`LinkDesigner` in the
-    synthesizer and evaluator.
-    """
-
-    def __init__(self, layer_models: "dict[str, object]",
-                 tech: TechnologyParameters, bus_width: int,
-                 utilization: float = DEFAULT_UTILIZATION):
-        if not layer_models:
-            raise ValueError("need at least one layer model")
-        self.tech = tech
-        self.bus_width = bus_width
-        self.utilization = utilization
-        self._designers = {
-            name: LinkDesigner(model, tech, bus_width,
-                               utilization=utilization)
-            for name, model in layer_models.items()
-        }
-
-    def capacity(self) -> float:
-        """Usable payload bandwidth of one link, bits/s."""
-        return (self.bus_width * self.tech.clock_frequency
-                * self.utilization)
-
-    def max_length(self) -> float:
-        """Longest feasible link in meters: the most capable layer."""
-        return max(designer.max_length()
-                   for designer in self._designers.values())
-
-    def is_feasible(self, length: float) -> bool:
-        """Whether a link of ``length`` meters closes timing."""
-        return length <= self.max_length()
-
-    def _reference_cost(self, design: LinkDesign) -> float:
-        """Total power at a reference 15% activity — the layer-choice
-        metric (actual loads are unknown at design time)."""
-        return design.leakage_power + design.dynamic_power(
-            0.15 * self.bus_width * self.tech.clock_frequency,
-            self.tech.vdd, self.tech.clock_frequency)
-
-    def _best(self, length: float
-              ) -> "Tuple[Optional[str], Optional[LinkDesign]]":
-        best_name: Optional[str] = None
-        best: Optional[LinkDesign] = None
-        for name, designer in self._designers.items():
-            candidate = designer.design(length)
-            if candidate is None:
-                continue
-            if best is None or (self._reference_cost(candidate)
-                                < self._reference_cost(best)):
-                best = candidate
-                best_name = name
-        return best_name, best
-
-    def design(self, length: float) -> Optional[LinkDesign]:
-        """Cheapest feasible design of ``length`` meters, if any."""
-        return self._best(length)[1]
-
-    def design_batch(self, lengths: "list[float]"
-                     ) -> "list[Optional[LinkDesign]]":
-        """Designs for many lengths, warming every layer's caches."""
-        with span("link.design_batch", n=len(lengths),
-                  bus_width=self.bus_width):
-            return [self.design(length) for length in lengths]
-
-    def layer_choice(self, length: float) -> Optional[str]:
-        """Which layer the cheapest feasible design of ``length``
-        meters uses, by name."""
-        return self._best(length)[0]

@@ -166,10 +166,6 @@ class NocTopology:
         """Routed traffic on one link, bits/s."""
         return self.graph.edges[source, dest]["load"]
 
-    def edge_length(self, source: NodeId, dest: NodeId) -> float:
-        """Physical length of one link, in meters."""
-        return self.graph.edges[source, dest]["length"]
-
     def hop_count(self, flow_index: int) -> int:
         """Router traversals of one routed flow."""
         path = self.routes[flow_index]

@@ -8,7 +8,6 @@ equivalent reference flow:
   buffered line (uniformly spaced repeaters, per-segment distributed RC
   with lateral coupling) straight from the technology geometry, playing
   the role of the SOC Encounter place/route/extract step.
-* :mod:`repro.signoff.spef` — SPEF-like parasitic exchange format.
 * :mod:`repro.signoff.awe` — RC-tree moment computation and a two-pole
   AWE delay estimate (the family of methods sign-off timers use).
 * :mod:`repro.signoff.golden` — the golden delay/slew evaluation:
@@ -28,7 +27,6 @@ from repro.signoff.awe import (
     rc_tree_moments,
     two_pole_delay,
 )
-from repro.signoff.spef import dumps_spef, loads_spef
 
 __all__ = [
     "ExtractedLine",
@@ -41,6 +39,4 @@ __all__ = [
     "elmore_delay",
     "rc_tree_moments",
     "two_pole_delay",
-    "dumps_spef",
-    "loads_spef",
 ]

@@ -7,8 +7,8 @@ structure analytically: the geometry is deterministic (uniform
 spacing, fixed layer), so the extracted parasitics follow directly
 from the technology database.
 
-An :class:`ExtractedLine` is the golden evaluator's input and can be
-serialized to SPEF via :mod:`repro.signoff.spef`.
+An :class:`ExtractedLine` is the golden evaluator's input; it stays in
+memory, so no parasitic exchange format is read or written.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ future nodes (ITRS, PTM).  It provides:
   geometry.
 * :mod:`repro.tech.design_styles` — wire design styles (width/spacing/
   shielding) and their Miller factors.
-* :mod:`repro.tech.liberty` / :mod:`repro.tech.lef` — mini Liberty / LEF
-  readers and writers for generated libraries.
+* :mod:`repro.tech.liberty` — a mini Liberty reader and writer for
+  generated libraries (the paper's calibration route).
 """
 
 from repro.tech.parameters import (

@@ -203,7 +203,10 @@ class TechnologyParameters:
     nmos: DeviceParameters
     pmos: DeviceParameters
     pn_ratio: float
-    wire_layers: Dict[str, WireLayerGeometry] = field(default_factory=dict)
+    # A dict cannot be hashed: ``==`` still compares the layers, and the
+    # hash of this (and of every frozen model holding it) uses the rest.
+    wire_layers: Dict[str, WireLayerGeometry] = field(
+        default_factory=dict, hash=False)
     row_height: float = 0.0
     contact_pitch: float = 0.0
     clock_frequency: float = 1e9

@@ -19,18 +19,6 @@ def _determinism():
 
 
 class TestFinding:
-    def test_fingerprint_ignores_position(self):
-        near = Finding("a.py", 3, 1, "units", "msg")
-        far = Finding("a.py", 99, 7, "units", "msg")
-        assert near.fingerprint() == far.fingerprint()
-
-    def test_fingerprint_separates_paths_and_rules(self):
-        base = Finding("a.py", 1, 1, "units", "msg")
-        other_path = Finding("b.py", 1, 1, "units", "msg")
-        other_rule = Finding("a.py", 1, 1, "determinism", "msg")
-        assert base.fingerprint() != other_path.fingerprint()
-        assert base.fingerprint() != other_rule.fingerprint()
-
     def test_format_is_gcc_style(self):
         finding = Finding("a.py", 3, 5, "units", "msg",
                           severity="warning")

@@ -1,10 +1,15 @@
 """Closed-form buffering schemes."""
 
+import math
+
 import pytest
 
 from repro.buffering.optimizer import optimize_buffering
 from repro.buffering.schemes import delay_optimal_buffering
-from repro.units import mm, ps
+from repro.experiments.suite import ModelSuite
+from repro.models.repeater import RepeaterModel
+from repro.models.wire import effective_load_capacitance
+from repro.units import mm, ps, um
 
 
 class TestDelayOptimal:
@@ -52,3 +57,69 @@ class TestDelayOptimal:
         with pytest.raises(ValueError):
             delay_optimal_buffering(suite90.tech, suite90.calibration,
                                     suite90.config, 0.0)
+
+    def test_short_line_keeps_one_repeater(self, suite90):
+        prescription = delay_optimal_buffering(
+            suite90.tech, suite90.calibration, suite90.config, um(50))
+        assert prescription.num_repeaters == 1
+
+    def test_count_is_linear_in_length(self, suite90):
+        # k_opt = sqrt(0.4 R_w C_w / (0.7 R0 C0)) and R_w C_w grows
+        # with length squared; only the rounding separates k(2L) from
+        # 2 k(L).
+        single = delay_optimal_buffering(suite90.tech,
+                                         suite90.calibration,
+                                         suite90.config, mm(5))
+        double = delay_optimal_buffering(suite90.tech,
+                                         suite90.calibration,
+                                         suite90.config, mm(10))
+        assert abs(double.num_repeaters
+                   - 2 * single.num_repeaters) <= 1
+
+    def test_matches_the_bakoglu_formulas(self, suite90):
+        length = mm(6)
+        repeater = RepeaterModel(tech=suite90.tech,
+                                 calibration=suite90.calibration)
+        r_wire = suite90.config.resistance_per_meter() * length
+        c_wire = effective_load_capacitance(suite90.config, length, 0.0)
+        r0 = 0.5 * (repeater.drive_resistance(1.0, ps(100), True)
+                    + repeater.drive_resistance(1.0, ps(100), False))
+        c0 = repeater.input_capacitance(1.0)
+        prescription = delay_optimal_buffering(
+            suite90.tech, suite90.calibration, suite90.config, length)
+        assert prescription.num_repeaters == round(math.sqrt(
+            0.4 * r_wire * c_wire / (0.7 * r0 * c0)))
+        assert prescription.repeater_size == pytest.approx(
+            math.sqrt(r0 * c_wire / (r_wire * c0)), rel=1e-12)
+
+    def test_slower_reference_slew_buys_larger_fewer_repeaters(
+            self, suite90):
+        # A slower input slew raises the unit drive resistance R0:
+        # h_opt grows as sqrt(R0) and k_opt shrinks as 1/sqrt(R0).
+        fast = delay_optimal_buffering(
+            suite90.tech, suite90.calibration, suite90.config, mm(10),
+            reference_slew=ps(20))
+        slow = delay_optimal_buffering(
+            suite90.tech, suite90.calibration, suite90.config, mm(10),
+            reference_slew=ps(400))
+        assert slow.repeater_size > fast.repeater_size
+        assert slow.num_repeaters < fast.num_repeaters
+
+    @pytest.mark.parametrize("node", ["90nm", "65nm", "45nm"])
+    def test_size_is_impractically_large_at_every_node(self, node):
+        suite = ModelSuite.for_node(node)
+        prescription = delay_optimal_buffering(
+            suite.tech, suite.calibration, suite.config, mm(10))
+        assert prescription.repeater_size > 50
+
+    def test_scaled_nodes_need_more_repeaters(self):
+        # Per-meter wire resistance grows faster than the repeaters
+        # speed up, so the same 10 mm line needs more stages at every
+        # smaller node.
+        counts = []
+        for node in ("90nm", "65nm", "45nm"):
+            suite = ModelSuite.for_node(node)
+            counts.append(delay_optimal_buffering(
+                suite.tech, suite.calibration, suite.config,
+                mm(10)).num_repeaters)
+        assert counts[0] < counts[1] < counts[2]

@@ -15,6 +15,13 @@ from repro.characterization import (
 from repro.models.calibration import calibrate_from_library
 from repro.tech import liberty
 
+TABLES = {
+    "cell_rise": lambda cell: cell.rise.delay,
+    "cell_fall": lambda cell: cell.fall.delay,
+    "rise_transition": lambda cell: cell.rise.output_slew,
+    "fall_transition": lambda cell: cell.fall.output_slew,
+}
+
 
 @pytest.fixture(scope="module")
 def library(tech90, small_grid):
@@ -55,6 +62,60 @@ class TestRoundtrip:
                                         original.values):
                 for got, expected in zip(got_row, exp_row):
                     assert got == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("kind", sorted(TABLES))
+    def test_every_table_preserved(self, library, reparsed, kind):
+        for size in library.sizes():
+            original = TABLES[kind](library.cell(size))
+            restored = TABLES[kind](reparsed.cell(size))
+            for axis in ("index_1", "index_2"):
+                assert getattr(restored, axis) == pytest.approx(
+                    getattr(original, axis), rel=1e-4)
+            assert len(restored.values) == len(original.values)
+            for got_row, exp_row in zip(restored.values,
+                                        original.values):
+                assert got_row == pytest.approx(exp_row, rel=1e-4)
+
+    def test_areas_preserved(self, library, reparsed):
+        for size in library.sizes():
+            assert reparsed.cell(size).area == pytest.approx(
+                library.cell(size).area, rel=1e-4)
+
+    def test_grid_recovered(self, small_grid, reparsed):
+        assert reparsed.grid.sizes == tuple(sorted(small_grid.sizes))
+        assert reparsed.grid.input_slews == pytest.approx(
+            small_grid.input_slews, rel=1e-4)
+        assert reparsed.grid.load_factors == pytest.approx(
+            small_grid.load_factors, rel=1e-4)
+
+    def test_header_names_node_and_supply(self, library, tech90):
+        root = library_to_liberty(library)
+        assert root.name == "repeaters_90nm"
+        assert root.attributes["nom_voltage"] == pytest.approx(tech90.vdd)
+
+    def test_missing_state_leakage_falls_back_to_the_average(
+            self, library, tech90):
+        root = library_to_liberty(library)
+        for cell in root.find_all("cell"):
+            cell.groups = [group for group in cell.groups
+                           if group.kind != "leakage_power"]
+        restored = liberty_to_library(
+            liberty.loads(liberty.dumps(root)), tech90)
+        for size in library.sizes():
+            average = library.cell(size).leakage_power
+            cell = restored.cell(size)
+            assert cell.leakage_output_high == pytest.approx(
+                average, rel=1e-4)
+            assert cell.leakage_output_low == cell.leakage_output_high
+            assert cell.leakage_power == pytest.approx(average, rel=1e-4)
+
+    def test_foreign_cells_are_ignored(self, library, reparsed, tech90):
+        root = library_to_liberty(library)
+        flop = root.add_group("cell", "DFFD1")
+        flop.attributes["area"] = 5.0
+        restored = liberty_to_library(
+            liberty.loads(liberty.dumps(root)), tech90)
+        assert restored.sizes() == reparsed.sizes()
 
 
 class TestCalibrationEquivalence:

@@ -151,12 +151,6 @@ class TestBakoglu:
         r16 = suite90.bakoglu.drive_resistance(16.0)
         assert r4 == pytest.approx(4 * r16, rel=1e-9)
 
-    def test_delay_optimal_buffering(self, suite90):
-        count, size = suite90.bakoglu.delay_optimal_buffering(mm(10))
-        assert count >= 2
-        # Delay-optimal sizes are notoriously enormous.
-        assert size > 20
-
     def test_validation(self, suite90):
         with pytest.raises(ValueError):
             suite90.bakoglu.evaluate(0.0, 1, 8.0)

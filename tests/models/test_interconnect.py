@@ -202,25 +202,11 @@ class TestPeriodicStages:
                                             num_repeaters, size,
                                             input_slew, receiver_cap)
 
-    def test_long_line_copies_its_inner_stages(self, model,
-                                               monkeypatch):
-        calls = []
-        stage_delay = BufferedInterconnectModel.stage_delay
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return stage_delay(*args, **kwargs)
-
-        monkeypatch.setattr(BufferedInterconnectModel, "stage_delay",
-                            counting)
-        estimate = model.evaluate(mm(12), 120, 24.0, ps(100))
-        assert len(estimate.stage_delays) == 120
-        assert len(calls) < 60
-
     def test_long_line_computes_one_stage_load(self, model,
                                                monkeypatch):
         """The inner stages and the default receiver share one load;
-        only the slew-dependent step runs per computed stage."""
+        only the slew-dependent step runs per computed stage, and the
+        copied stages still fill every stage delay."""
         loads, drives = [], []
         stage_load = BufferedInterconnectModel.stage_load
         drive_stage = BufferedInterconnectModel.drive_stage
@@ -237,7 +223,8 @@ class TestPeriodicStages:
                             counting_load)
         monkeypatch.setattr(BufferedInterconnectModel, "drive_stage",
                             counting_drive)
-        model.evaluate(mm(12), 120, 24.0, ps(100))
+        estimate = model.evaluate(mm(12), 120, 24.0, ps(100))
+        assert len(estimate.stage_delays) == 120
         assert len(loads) == 1
         assert 0 < len(drives) < 60
 
@@ -282,14 +269,38 @@ class TestPeriodicStages:
                                             input_slew, receiver_cap)
 
 
-def _hash_outcome(value):
-    """``hash(value)``, or the ``TypeError`` it raises: a model's
-    ``TechnologyParameters`` holds its wire layers in a dict, so the
-    dataclass ``__hash__`` over the fields raises."""
-    try:
-        return hash(value)
-    except TypeError as exc:
-        return f"TypeError: {exc}"
+#: ``runtime.fingerprint`` of each suite's technology and models, as
+#: recorded while ``TechnologyParameters`` could not be hashed: making
+#: it hashable must leave every disk-cache key where it was.
+SUITE_FINGERPRINTS = {
+    ("90nm", "tech"):
+        "821c498943e30ad6378cd846b4e88e477884be351ca74632e2a200c4032b30c7",
+    ("90nm", "bakoglu"):
+        "f64c12e83eab7840a9c5030fffe53d08d736ff7e65fde25a786ddae094829c2c",
+    ("90nm", "pamunuwa"):
+        "cb66d728bccc8cb840ee00f793a1e2c2b1e94ffb8aff42bda5677345ad354472",
+    ("90nm", "proposed"):
+        "b3e7e92e0ffd031f4c607ea45479622f212367058893d4a59d1deed5e400c088",
+    ("45nm", "tech"):
+        "87632359003e98898f75b415f214316cfb05b6b98cb8798cbb3e40c584c73036",
+    ("45nm", "bakoglu"):
+        "ea6ff183ea6b6b73176fb0724f5a0c6ee1bbb87b8cd1eeea8f7aa04c35d3c827",
+    ("45nm", "pamunuwa"):
+        "a53837440d724b979788ab6d9115cb7acceef439127c8149bfc373662537e404",
+    ("45nm", "proposed"):
+        "7fb43f8b7ef0f03efe8f9c258e05cbb2874e05d68f4b7ed36dff8a4f6151f7c4",
+}
+
+
+@pytest.mark.parametrize("node", ["90nm", "45nm"])
+def test_suite_models_hash_and_keep_their_keys(node):
+    suite = ModelSuite.for_node(node)
+    assert fingerprint(suite.tech) == SUITE_FINGERPRINTS[node, "tech"]
+    for name, model in suite.models().items():
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone == model
+        assert hash(clone) == hash(model)
+        assert fingerprint(model) == SUITE_FINGERPRINTS[node, name]
 
 
 class TestPerInstanceViews:
@@ -324,14 +335,14 @@ class TestPerInstanceViews:
 
     def test_key_equality_hash_and_pickle_unchanged(self, suite90):
         model, untouched = self._fresh(suite90), self._fresh(suite90)
-        key, digest = fingerprint(model), _hash_outcome(model)
+        key, digest = fingerprint(model), hash(model)
         before = model.evaluate(mm(4), 3, 16.0, ps(100))
         model.evaluate(mm(9), 12, 40.0, ps(300))
         assert fingerprint(model) == key == fingerprint(untouched)
-        assert _hash_outcome(model) == digest == _hash_outcome(untouched)
+        assert hash(model) == digest == hash(untouched)
         assert model == untouched
         clone = pickle.loads(pickle.dumps(model))
         assert clone == model
-        assert _hash_outcome(clone) == digest
+        assert hash(clone) == digest
         assert fingerprint(clone) == key
         assert clone.evaluate(mm(4), 3, 16.0, ps(100)) == before

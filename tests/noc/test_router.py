@@ -3,7 +3,8 @@
 import pytest
 
 from repro.noc.router import RouterParameters
-from repro.tech import get_technology
+from repro.tech import available_nodes, get_technology
+from repro.units import nm
 
 
 class TestScaling:
@@ -67,3 +68,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             RouterParameters(energy_per_bit=0.0, leakage_per_port=0.0,
                              area_per_port=1.0, max_ports=1)
+
+
+@pytest.mark.parametrize("node", available_nodes())
+def test_scaling_rules_hold_at_every_node(node):
+    """Energy scales with feature size and ``vdd^2``, leakage with
+    feature size and device leakage, area with feature size squared,
+    all from the 90 nm, 1.0 V, 128-bit reference."""
+    tech = get_technology(node)
+    feature = tech.feature_size / nm(90)
+    params = RouterParameters.for_technology(tech)
+    assert params.energy_per_bit == pytest.approx(
+        1.0e-12 * feature * tech.vdd**2, rel=1e-12)
+    assert params.leakage_per_port == pytest.approx(
+        0.4e-3 * (tech.nmos.i_leak / 0.1) * feature, rel=1e-12)
+    assert params.area_per_port == pytest.approx(
+        0.06e-6 * feature**2, rel=1e-12)
+    assert params.pipeline_cycles == 3
+    assert params.max_ports == 8

@@ -6,6 +6,7 @@ from repro.signoff.extraction import (
     WireSegmentParasitics,
     extract_buffered_line,
 )
+from repro.tech import DesignStyle, WireConfiguration
 from repro.units import mm
 
 
@@ -60,3 +61,48 @@ class TestExtraction:
             extract_buffered_line(tech90, swss90, mm(1), 0, 8.0)
         with pytest.raises(ValueError):
             extract_buffered_line(tech90, swss90, mm(1), 1, 0.0)
+
+
+class TestConfigurationParasitics:
+    @pytest.mark.parametrize("style", list(DesignStyle),
+                             ids=lambda style: style.value)
+    def test_segments_follow_the_configuration(self, tech90, style):
+        config = WireConfiguration.for_style(tech90.global_layer, style)
+        line = extract_buffered_line(tech90, config, mm(6), 3, 16.0)
+        segment = line.stages[0].wire
+        assert segment.resistance == pytest.approx(
+            config.resistance_per_meter() * mm(2), rel=1e-12)
+        assert segment.ground_cap == pytest.approx(
+            config.ground_capacitance_per_meter() * mm(2), rel=1e-12)
+        assert segment.coupling_cap == pytest.approx(
+            config.coupling_capacitance_per_meter() * mm(2), rel=1e-12)
+
+    @pytest.mark.parametrize("num_repeaters", [1, 3, 7])
+    def test_totals_do_not_depend_on_the_repeater_count(
+            self, tech90, swss90, num_repeaters):
+        line = extract_buffered_line(tech90, swss90, mm(7),
+                                     num_repeaters, 16.0)
+        assert line.num_repeaters == num_repeaters
+        assert line.total_wire_resistance() == pytest.approx(
+            swss90.resistance_per_meter() * mm(7), rel=1e-12)
+        assert line.total_wire_cap(1.0) == pytest.approx(
+            (swss90.ground_capacitance_per_meter()
+             + swss90.coupling_capacitance_per_meter()) * mm(7),
+            rel=1e-12)
+
+    def test_total_wire_cap_is_linear_in_the_miller_factor(
+            self, tech90, swss90):
+        line = extract_buffered_line(tech90, swss90, mm(4), 4, 16.0)
+        coupling = swss90.coupling_capacitance_per_meter() * mm(4)
+        for miller in (0.0, 1.0, 1.9, 2.0):
+            assert line.total_wire_cap(miller) == pytest.approx(
+                line.total_wire_cap(0.0) + miller * coupling, rel=1e-12)
+
+    def test_every_stage_is_driven_at_the_repeater_size(
+            self, tech90, swss90):
+        line = extract_buffered_line(tech90, swss90, mm(5), 5, 24.0,
+                                     receiver_size=4.0)
+        assert {stage.driver_size for stage in line.stages} == {24.0}
+        caps = {line.repeater_input_cap(k) for k in range(5)}
+        assert len(caps) == 1
+        assert line.receiver_cap < caps.pop()

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.tech import DesignStyle, WireConfiguration
+from repro.tech import (
+    DesignStyle,
+    WireConfiguration,
+    available_nodes,
+    get_technology,
+)
 from repro.tech.design_styles import WORST_CASE_MILLER
 
 
@@ -70,3 +75,33 @@ class TestWireConfiguration:
             include_barrier=False)
         assert full.resistance_per_meter() > \
             optimistic.resistance_per_meter()
+
+
+@pytest.mark.parametrize("node", available_nodes())
+def test_style_relations_hold_at_every_node(node):
+    layer = get_technology(node).global_layer
+    swss, shielded, double = (
+        WireConfiguration.for_style(layer, style)
+        for style in (DesignStyle.SWSS, DesignStyle.SHIELDED,
+                      DesignStyle.DOUBLE_SPACING))
+    # Spacing never changes the wire itself.
+    assert (swss.resistance_per_meter() == shielded.resistance_per_meter()
+            == double.resistance_per_meter())
+    # Shields sit on the signal pitch: the same capacitances, twice
+    # the tracks.
+    assert (shielded.ground_capacitance_per_meter()
+            == swss.ground_capacitance_per_meter())
+    assert (shielded.coupling_capacitance_per_meter()
+            == swss.coupling_capacitance_per_meter())
+    assert shielded.signal_pitch() == pytest.approx(
+        2 * swss.signal_pitch())
+    # Doubling the gap moves field lines from the neighbours to the
+    # planes, and the total still falls.
+    assert double.signal_pitch() == pytest.approx(
+        layer.width + 2 * layer.spacing)
+    assert (double.coupling_capacitance_per_meter()
+            < swss.coupling_capacitance_per_meter())
+    assert (double.ground_capacitance_per_meter()
+            > swss.ground_capacitance_per_meter())
+    assert (double.switched_capacitance_per_meter()
+            < swss.switched_capacitance_per_meter())

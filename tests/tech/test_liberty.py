@@ -108,3 +108,57 @@ def test_table_roundtrip_property(row_values, n_rows):
     for got_row, expected_row in zip(vals, values):
         for got, expected in zip(got_row, expected_row):
             assert got == pytest.approx(expected, rel=1e-5, abs=1e-4)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("/* only a comment */", "empty Liberty input"),
+    ("library x { }", "expected '\\('"),
+    ("library (x) ;", "expected '{'"),
+    ("library (x", "unexpected end of input"),
+    ("library (x) { area 5; }", "unexpected token '5' after 'area'"),
+    ('library (x) { index_1 ("1, 2") }', "expected '{' or ';'"),
+    ("library (x) { area : 5", "unexpected end of input"),
+], ids=["comment-only", "no-open-paren", "no-open-brace",
+        "unclosed-args", "missing-colon", "unterminated-complex",
+        "unterminated-attribute"])
+def test_malformed_text_is_rejected(text, message):
+    with pytest.raises(LibertyParseError, match=message):
+        liberty.loads(text)
+
+
+@pytest.mark.parametrize("value", [
+    True, False, 0, 42, -7, 2.5, 1.5e-12, "INVD4", "!A", "two words",
+], ids=lambda value: f"{type(value).__name__}-{value}")
+def test_attribute_value_roundtrips(value):
+    root = liberty.new_library("lib")
+    root.add_group("cell", "X").attributes["value"] = value
+    parsed = liberty.loads(liberty.dumps(root))
+    back = parsed.require("cell", "X").attributes["value"]
+    assert back == value
+    assert type(back) is type(value)
+
+
+def test_group_without_arguments_roundtrips():
+    root = liberty.new_library("lib")
+    timing = root.add_group("cell", "X").add_group("timing")
+    timing.attributes["related_pin"] = "A"
+    assert timing.name == ""
+
+    back = liberty.loads(liberty.dumps(root)).require("cell", "X")
+    assert back.require("timing").args == ()
+    assert back.require("timing").attributes["related_pin"] == "A"
+
+
+def test_subgroup_order_survives_a_roundtrip():
+    root = liberty.new_library("lib")
+    for name in ("INVD8", "INVD2", "INVD32", "INVD4"):
+        root.add_group("cell", name)
+    back = liberty.loads(liberty.dumps(root))
+    assert [g.name for g in back.find_all("cell")] == [
+        "INVD8", "INVD2", "INVD32", "INVD4"]
+
+
+def test_require_without_a_name_reports_the_kind():
+    root = liberty.new_library("lib")
+    with pytest.raises(KeyError, match=r"library\(lib\) has no pin"):
+        root.require("pin")
