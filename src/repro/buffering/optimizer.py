@@ -206,6 +206,51 @@ def optimize_buffering(
                   max_size, bus_width)
 
 
+def _cheapest_size_for_count(model, length: float, count: int,
+                             max_delay: float, input_slew: float,
+                             max_size: float, bus_width: int,
+                             bound: Optional[float]
+                             ) -> Optional[BufferingSolution]:
+    """Cheapest design at ``count`` that meets ``max_delay``.
+
+    ``None`` when no size meets ``max_delay``, and also when the
+    design could not cost less than ``bound`` watts (``None``: no
+    bound); :func:`minimize_power_under_delay_scalar` states the
+    premise that makes the second answer exact.
+    """
+    low_est = model.evaluate(length, count, 1.0, input_slew,
+                             bus_width=bus_width)
+    if bound is not None and not low_est.total_power < bound:
+        return None
+    # Fastest configuration at this count: delay-weighted search.
+    fastest = _best_size_for_count(
+        model, length, count, input_slew, 1.0, max_size, bus_width)
+    if fastest.delay > max_delay:
+        return None
+    if low_est.delay <= max_delay:
+        return BufferingSolution(count, 1.0, low_est, low_est.total_power)
+    # Shrink the size until ``max_delay`` is just met, minimizing
+    # power: binary search for the smallest size still meeting it.
+    # The estimate at ``high`` is always one already made: the fastest
+    # design's, then the last feasible midpoint's.  A midpoint that
+    # misses ``max_delay`` leaves only larger sizes, which cost no less.
+    low, high = 1.0, fastest.repeater_size
+    high_est = fastest.estimate
+    for _ in range(40):
+        if high - low < 0.25:
+            break
+        mid = 0.5 * (low + high)
+        estimate = model.evaluate(length, count, mid, input_slew,
+                                  bus_width=bus_width)
+        if estimate.delay <= max_delay:
+            high, high_est = mid, estimate
+        elif bound is not None and not estimate.total_power < bound:
+            return None
+        else:
+            low = mid
+    return BufferingSolution(count, high, high_est, high_est.total_power)
+
+
 def minimize_power_under_delay_scalar(
     model,
     length: float,
@@ -215,40 +260,33 @@ def minimize_power_under_delay_scalar(
     bus_width: int,
     counts: Sequence[int],
 ) -> Optional[BufferingSolution]:
-    """Scalar reference search of :func:`minimize_power_under_delay`."""
+    """Scalar reference search of :func:`minimize_power_under_delay`.
+
+    Per count, a delay-weighted golden-section search finds the
+    fastest size; if it meets ``max_delay``, a bisection finds the
+    smallest size that still does.  The first strictly cheapest
+    count's design wins.
+
+    The search rests on one premise: at a fixed count, total power
+    never falls as the repeater size grows.  The bisection needs it
+    to call the smallest feasible size the cheapest, and two cuts use
+    it to drop a count that cannot beat the best design so far.  A
+    count whose size-1 power is not below the best's is dropped
+    before its golden-section search.  A count whose bisection
+    reaches a midpoint that misses the bound, at a power not below
+    the best's, is dropped there: its answer could only be a larger
+    size.  Neither cut moves the answer while the premise holds;
+    ``tests/buffering/test_min_power_pruning.py`` checks the premise
+    on every shipped model and holds the answers ``==`` to the
+    search without the cuts.
+    """
     best: Optional[BufferingSolution] = None
     for count in counts:
-        # Fastest configuration at this count: delay-weighted search.
-        fastest = _best_size_for_count(
-            model, length, count, input_slew, 1.0, max_size, bus_width)
-        if fastest.delay > max_delay:
-            continue
-        # Shrink the size until the delay bound is met, minimizing
-        # power: power decreases monotonically with size, so binary
-        # search for the smallest size still meeting the bound.  The
-        # estimate at ``high`` is always one already made: the fastest
-        # design's, then the last feasible midpoint's.
-        low, high = 1.0, fastest.repeater_size
-        high_est = fastest.estimate
-        low_est = model.evaluate(length, count, low, input_slew,
-                                 bus_width=bus_width)
-        if low_est.delay <= max_delay:
-            chosen, chosen_est = low, low_est
-        else:
-            for _ in range(40):
-                if high - low < 0.25:
-                    break
-                mid = 0.5 * (low + high)
-                estimate = model.evaluate(length, count, mid, input_slew,
-                                          bus_width=bus_width)
-                if estimate.delay <= max_delay:
-                    high, high_est = mid, estimate
-                else:
-                    low = mid
-            chosen, chosen_est = high, high_est
-        candidate = BufferingSolution(
-            count, chosen, chosen_est, chosen_est.total_power)
-        if best is None or candidate.estimate.total_power < best.power:
+        candidate = _cheapest_size_for_count(
+            model, length, count, max_delay, input_slew, max_size,
+            bus_width, None if best is None else best.power)
+        if candidate is not None and (best is None
+                                      or candidate.power < best.power):
             best = candidate
     return best
 

@@ -49,12 +49,16 @@ from repro.tech.design_styles import WireConfiguration
 from repro.tech.parameters import TechnologyParameters
 
 
-@dataclass(frozen=True)
-class InterconnectEstimate:
+class InterconnectEstimate(NamedTuple):
     """Every metric of one buffered-interconnect configuration.
 
     Delays/slews in seconds, powers in watts (per bit unless a bus
     width was given), areas in m^2.
+
+    A named tuple, as :class:`StageLoad` is: every ``evaluate`` of
+    every model builds one, and a tuple is about three times cheaper
+    to build than a frozen dataclass.  ``_fields`` and ``_asdict()``
+    list the fields.
     """
 
     delay: float

@@ -201,7 +201,10 @@ def _edge_weight(candidate: _Candidate, bandwidth: float,
     limit, infeasible length); each rejection reason is counted under
     ``synth.reject.*`` so a trace/stats footer explains *why* candidate
     links were discarded.  The caller counts the calls as
-    ``synth.edges_evaluated``.
+    ``synth.edges_evaluated``.  Routing never weighs an edge into a
+    state it has settled, so both counters cover only relaxations
+    into unsettled states.  Every weight is a sum of powers, so it is
+    never negative, which that skip relies on.
 
     The weight is summed in one fixed order: link dynamic power, the
     head router's traversal power, then, for a link not yet installed,
@@ -259,8 +262,14 @@ def _route_one_flow(source: str, dest: str, bandwidth: float,
     ``None`` when no admissible path exists.  With a hop budget the
     search runs over (node, hops-used) states, so a node may be
     revisited with fewer hops spent — the standard
-    resource-constrained shortest-path relaxation.  The relaxations
-    are counted once per flow, as ``synth.edges_evaluated``.
+    resource-constrained shortest-path relaxation.
+
+    An edge into a settled state is never weighed.  Weights are
+    powers, never negative, so a settled state's cost is at most the
+    popped cost, which no weight lowers: the strict ``<`` could not
+    fire, and a NaN weight never updates either.  The relaxations into
+    unsettled states are counted once per flow, as
+    ``synth.edges_evaluated``.
     """
     start = core_node(source)
     goal = core_node(dest)
@@ -292,14 +301,16 @@ def _route_one_flow(source: str, dest: str, bandwidth: float,
                                 else 0)
             if hop_budget is not None and next_hops > hop_budget:
                 continue
+            next_state: State = (candidate.dest,
+                                 next_hops if hop_budget is not None
+                                 else 0)
+            if next_state in visited:
+                continue
             evaluated += 1
             weight = _edge_weight(candidate, bandwidth, topology,
                                   router_params, capacity, tech)
             if weight is None:
                 continue
-            next_state: State = (candidate.dest,
-                                 next_hops if hop_budget is not None
-                                 else 0)
             new_cost = cost + weight
             if new_cost < best.get(next_state, float("inf")):
                 best[next_state] = new_cost

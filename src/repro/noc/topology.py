@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, \
     Set, Tuple
 
-from repro.noc.spec import CommunicationSpec, Flow
+from repro.noc.spec import CommunicationSpec
 
 NodeId = Tuple[str, str]
 

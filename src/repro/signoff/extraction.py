@@ -14,7 +14,7 @@ memory, so no parasitic exchange format is read or written.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.tech.design_styles import WireConfiguration
 from repro.tech.parameters import TechnologyParameters

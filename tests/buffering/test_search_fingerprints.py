@@ -17,7 +17,6 @@ wire views and hoisted the stage invariants out of their stage loops.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -85,8 +84,8 @@ def min_power_lines():
                     fields = ",".join(
                         [_hex(solution.num_repeaters),
                          _hex(solution.repeater_size)]
-                        + [_hex(getattr(estimate, field.name))
-                           for field in dataclasses.fields(estimate)])
+                        + [_hex(getattr(estimate, field))
+                           for field in estimate._fields])
                 yield f"{node} {name} {_hex(length)} {fields}"
 
 

@@ -1,6 +1,5 @@
 """Bakoglu and Pamunuwa baseline models."""
 
-import dataclasses
 import pickle
 
 import pytest
@@ -100,7 +99,7 @@ class TestCachedWireView:
                                    receiver_cap=receiver_cap)
         expected = _reference_evaluate(baseline, length, count, size,
                                        bus_width, receiver_cap)
-        assert dataclasses.asdict(actual) == dataclasses.asdict(expected)
+        assert actual._asdict() == expected._asdict()
 
     def test_cache_keys_and_pickles_unchanged_once_filled(self,
                                                           baseline):
