@@ -12,7 +12,6 @@ import pytest
 from repro.experiments.suite import ModelSuite
 from repro.models.calibration import OutputSlewForm
 from repro.signoff import evaluate_buffered_line, extract_buffered_line
-from repro.tech import DesignStyle
 from repro.units import mm, ps
 
 

@@ -10,7 +10,6 @@ much margin corner-only signoff wastes on long repeated wires.
 import pytest
 
 from repro.buffering.optimizer import optimize_buffering
-from repro.experiments.suite import ModelSuite
 from repro.signoff.extraction import extract_buffered_line
 from repro.signoff.golden import evaluate_buffered_line
 from repro.signoff.variation import (

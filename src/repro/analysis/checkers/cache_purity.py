@@ -24,7 +24,7 @@ a comment saying why the read is key-irrelevant.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.analysis.core import Checker, FileContext
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.core import Checker, FileContext
 from repro.units import (

@@ -22,7 +22,7 @@ suite, so edges are not expanded into it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.graph import CallGraph, ProjectIndex
 from repro.analysis.project import ProjectChecker

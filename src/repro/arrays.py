@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 
 def any_true(flags) -> bool:
     """``np.any(flags)`` that skips NumPy for a plain ``bool``.

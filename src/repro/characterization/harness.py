@@ -9,7 +9,7 @@ pipeline or exported as a mini-Liberty library first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.characterization.cells import RepeaterCell, RepeaterKind
 from repro.characterization.tables import NLDMTable

@@ -12,7 +12,7 @@ the fast/typical leakage ratio is the power margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.buffering.optimizer import optimize_buffering
 from repro.characterization.cells import RepeaterCell, RepeaterKind

@@ -11,7 +11,7 @@ comparing against freshly characterized reference values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.characterization.cells import RepeaterCell, RepeaterKind
 from repro.characterization.harness import _measure_leakage

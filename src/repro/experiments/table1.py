@@ -10,7 +10,7 @@ resistance inverse in size, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.characterization.cells import RepeaterKind
 from repro.models.calibration import (

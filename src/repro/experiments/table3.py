@@ -22,7 +22,7 @@ too long to be implementable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.experiments.suite import ModelSuite
 from repro.noc.evaluation import NocReport, evaluate_topology

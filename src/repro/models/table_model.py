@@ -17,7 +17,7 @@ libraries impose).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.characterization.harness import LibraryCharacterization
 from repro.models.area import wire_area

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.tech.parameters import TechnologyParameters
-from repro.units import nm, um
+from repro.units import nm
 
 #: Reference node for the scaling rules below.
 _REFERENCE_FEATURE = nm(90)

@@ -14,7 +14,6 @@ a flit width.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 

@@ -11,7 +11,8 @@ is solved for the unknown node voltages ``v1`` by Newton iteration with
 the MOSFETs linearized around the current iterate.  Voltage-source nodes
 are eliminated (their voltages are known functions of time), so the
 linear system only spans the genuinely unknown nodes — small and dense,
-which keeps the inner solve a single ``numpy.linalg.solve`` call.
+which keeps the inner solve a single call of numpy's LAPACK gesv
+gufunc (``numpy.linalg._umath_linalg.solve1``, see :func:`_solve`).
 
 Backward Euler is the one integrator: it is L-stable, so the stiff RC
 ladders of extracted interconnect cannot ring numerically, at the cost
@@ -25,16 +26,20 @@ terms that land in unknown rows and (row, column) entries.  One Newton
 loop (:func:`_newton`) then runs over a *lane* axis: every lane
 evaluates its MOSFETs with the scalar device equations of
 :mod:`repro.spice.mosfet`, while the matrix-vector products and the
-linear solves are stacked (``numpy.matmul`` and ``numpy.linalg.solve``
-on ``(lanes, m, m)``), and lanes drop out as they converge.
-:func:`simulate_transient` is that loop with one lane;
-:func:`simulate_lanes` runs several same-topology circuits (Monte-Carlo
-draws of one stage) together, each with its own stop time and step
-count.  Stacking changes no bit of any lane's answer: the stacked
-products and solves call the same BLAS/LAPACK kernels per lane as the
-two-dimensional calls, device terms accumulate in the order a dense
-per-device stamp adds them, and the residual keeps the full ``n x n``
-matrix-vector product.
+linear solves are stacked (``numpy.matmul``, and the gesv gufunc that
+``numpy.linalg.solve`` calls, on ``(lanes, m, m)``), and lanes drop
+out as they converge.  The floating-point error state is entered once
+per window (:func:`_operating_points`, :func:`_run`), not once per
+solve; a lane the gufunc cannot factor comes back as a row of NaN and
+alone is solved again through ``numpy.linalg.solve``, which raises on
+a singular system.  :func:`simulate_transient` is that loop with one
+lane; :func:`simulate_lanes` runs several same-topology circuits
+(Monte-Carlo draws of one stage) together, each with its own stop
+time and step count.  Stacking changes no bit of any lane's answer:
+the stacked products and solves call the same BLAS/LAPACK kernels per
+lane as the two-dimensional calls, device terms accumulate in the
+order a dense per-device stamp adds them, and the residual keeps the
+full ``n x n`` matrix-vector product.
 
 A lane may also carry a :class:`SettleRule`: it then stops at the
 first step where its sources are constant and one node is inside a
@@ -50,10 +55,12 @@ step, bit for bit.  Each re-run of a lane counts one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from repro.runtime.metrics import METRICS
 from repro.spice.elements import GROUND
@@ -295,23 +302,37 @@ def _unknown_block(lanes: Sequence[_Assembly],
 
 
 def _solve(system: np.ndarray, rhs: np.ndarray
-           ) -> Tuple[np.ndarray, Dict[int, ConvergenceError]]:
-    """Stacked ``solve(system[k], rhs[k])`` and the lanes whose system
-    is singular.  A singular lane sends every lane through its own
-    solve, which returns the same bits as the stacked one."""
-    try:
-        return np.linalg.solve(system, rhs[:, :, np.newaxis])[:, :, 0], {}
-    except np.linalg.LinAlgError:
-        pass
-    delta = np.zeros_like(rhs)
+           ) -> Tuple[np.ndarray, List[float], Dict[int, ConvergenceError]]:
+    """Stacked ``solve(system[k], rhs[k])``, each lane's largest update
+    magnitude ``max(abs(delta[k]))``, and the lanes whose system is
+    singular.
+
+    One call of numpy's LAPACK gesv gufunc ``_umath_linalg.solve1``,
+    the call ``numpy.linalg.solve`` makes, without the wrapper's type
+    checks and the error state it enters per call.  Every caller of
+    :func:`_newton` holds ``np.errstate(all="ignore")`` instead, once
+    per window (:func:`_operating_points` and :func:`_run` are
+    decorated with it): the wrapper's state, with ``invalid`` ignored
+    as well.  On a lane that it cannot factor, the gufunc sets the
+    ``invalid`` flag and fills that lane's row with NaN, leaving the
+    other rows exact, so only the lanes with a NaN magnitude are
+    solved again, one at a time, through ``numpy.linalg.solve``: a
+    singular lane gets a zero update and its error, a NaN-valued
+    system the NaNs that ``numpy.linalg.solve`` returns for it.
+    """
+    delta = _umath_linalg.solve1(system, rhs, signature="dd->d")
+    largest = np.abs(delta).max(axis=1).tolist()
     singular: Dict[int, ConvergenceError] = {}
-    for k in range(len(system)):
-        try:
-            delta[k] = np.linalg.solve(system[k], rhs[k])
-        except np.linalg.LinAlgError as error:
-            singular[k] = ConvergenceError(
-                f"singular Newton system: {error}")
-    return delta, singular
+    for k, value in enumerate(largest):
+        if math.isnan(value):
+            try:
+                delta[k] = np.linalg.solve(system[k], rhs[k])
+            except np.linalg.LinAlgError as error:
+                delta[k] = 0.0
+                singular[k] = ConvergenceError(
+                    f"singular Newton system: {error}")
+            largest[k] = float(np.abs(delta[k]).max())
+    return delta, largest, singular
 
 
 def _newton(lanes: Sequence[_Assembly], v: np.ndarray,
@@ -353,14 +374,13 @@ def _newton(lanes: Sequence[_Assembly], v: np.ndarray,
         residual = (np.matmul(linear, work_v[:, :, np.newaxis])[:, unknown, 0]
                     + device_currents - rhs)
         system = linear_block + device_jacobian
-        delta, singular = _solve(system, -residual)
+        delta, largest, singular = _solve(system, -residual)
         # Damping: limit the update magnitude for robustness on the
         # steep exponential subthreshold region.
-        worst = np.abs(delta).max(axis=1)
-        largest = worst.tolist()
         over = [value > MAX_NEWTON_STEP for value in largest]
         if any(over):
-            delta[over] *= (MAX_NEWTON_STEP / worst[over])[:, np.newaxis]
+            worst = np.array(largest)[over]
+            delta[over] *= (MAX_NEWTON_STEP / worst)[:, np.newaxis]
         work_v[:, unknown] += delta
         done = [value < tol for value in largest]
         for k, error in singular.items():
@@ -408,6 +428,7 @@ def _assemble(circuits: Sequence[Circuit]) -> List[_Assembly]:
     return lanes
 
 
+@np.errstate(all="ignore")  # see _solve
 def _operating_points(lanes: Sequence[_Assembly], tol: float,
                       max_iterations: int
                       ) -> Tuple[np.ndarray, Dict[int, ConvergenceError]]:
@@ -554,6 +575,7 @@ def _node_index(circuit: Circuit, name: str) -> int:
     return circuit.node(name)
 
 
+@np.errstate(all="ignore")  # see _solve
 def _run(lanes: Sequence[_Assembly], stop_times: Sequence[float],
          time_steps: Sequence[float], recorded: Sequence[Tuple[str, int]],
          rules: Sequence[Optional[Tuple[SettleRule, int]]],
@@ -590,6 +612,7 @@ def _run(lanes: Sequence[_Assembly], stop_times: Sequence[float],
     linear = np.array([lane.G for lane in lanes]) + c_over_dt
     linear_block = _unknown_block(lanes, linear)
     unknown, driven = plan.unknown, plan.driven
+    sourced = any(lane.circuit.current_sources for lane in lanes)
 
     # The lanes still stepping, their rows of the history (all of them
     # until one ends or fails), their compacted arrays, and the step
@@ -618,8 +641,12 @@ def _run(lanes: Sequence[_Assembly], stop_times: Sequence[float],
         v_next = v.copy()
         v_next[:, driven] = [lane.driven_values(t)
                              for lane, t in zip(work_lanes, now)]
-        rhs = (_source_currents(work_lanes, now)
-               + _matvec(c_over_dt, v))[:, unknown]
+        charge = _matvec(c_over_dt, v)
+        if sourced:
+            rhs = (_source_currents(work_lanes, now) + charge)[:, unknown]
+        else:
+            # As with zero source currents: 0.0 + x turns -0.0 into 0.0.
+            rhs = charge[:, unknown] + 0.0
         for k, error in _newton(work_lanes, v_next, linear, linear_block,
                                 rhs, newton_tol,
                                 max_newton_iterations).items():

@@ -1,6 +1,6 @@
 """Symbol resolution and call-graph traversal."""
 
-from repro.analysis.graph import CallGraph, ProjectIndex, build_graph
+from repro.analysis.graph import ProjectIndex, build_graph
 from repro.analysis.index import index_source
 
 

@@ -39,7 +39,6 @@ class TestPerturbations:
             perturb_calibration(calibration90, -1.0)
 
     def test_optimistic_model_predicts_less_delay(self, suite90):
-        import dataclasses
         from repro.models.interconnect import BufferedInterconnectModel
         from repro.units import ps
         optimistic = BufferedInterconnectModel(

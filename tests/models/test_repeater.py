@@ -3,7 +3,7 @@
 import pytest
 
 from repro.models.repeater import RepeaterModel
-from repro.units import fF, ps, um
+from repro.units import fF, ps
 
 
 @pytest.fixture(scope="module")

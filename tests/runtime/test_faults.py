@@ -10,7 +10,6 @@ trace-capture leak).
 
 import errno
 import json
-import os
 import warnings
 
 import pytest

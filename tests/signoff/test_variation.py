@@ -8,7 +8,6 @@ from repro.signoff.extraction import extract_buffered_line
 from repro.signoff.variation import (
     VariationModel,
     monte_carlo_line_delay,
-    sample_line_delay,
 )
 from repro.units import mm, ps
 

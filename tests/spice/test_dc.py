@@ -4,7 +4,6 @@ import pytest
 
 from repro.spice import Circuit, dc_operating_point
 from repro.spice.dc import supply_current
-from repro.spice.elements import constant
 
 
 class TestOperatingPoint:

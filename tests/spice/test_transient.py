@@ -7,7 +7,6 @@ import pytest
 
 from repro.spice import Circuit, ramp, simulate_transient, step
 from repro.spice.elements import constant
-from repro.spice.transient import ConvergenceError
 from repro.units import ps, fF, ns
 
 

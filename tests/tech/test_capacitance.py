@@ -1,7 +1,5 @@
 """Wire capacitance closed forms."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 

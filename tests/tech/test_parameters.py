@@ -6,11 +6,10 @@ import pytest
 
 from repro.tech.parameters import (
     DeviceParameters,
-    TechnologyParameters,
     WireLayerGeometry,
     validate_monotonic_scaling,
 )
-from repro.tech.nodes import TECHNOLOGY_NODES, get_technology
+from repro.tech.nodes import get_technology
 from repro.units import nm, um
 
 

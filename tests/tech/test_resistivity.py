@@ -1,7 +1,5 @@
 """Width-dependent resistivity: scattering and barrier effects."""
 
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 

@@ -17,7 +17,7 @@ from repro.signoff import (
     rc_tree_moments,
     two_pole_delay,
 )
-from repro.units import fF, mm, ps, um
+from repro.units import fF, mm, ps
 
 
 class TestModelVsFreshMeasurement:

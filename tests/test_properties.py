@@ -5,8 +5,6 @@ inputs — the physics and algorithmic contracts everything else builds
 on — rather than individual examples.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
